@@ -1,82 +1,4 @@
 """Deterministic simulator of federated trajectory prediction in a vehicular
 network under message-falsification attacks."""
 
-from .attacks import (
-    AttackerMemory,
-    AttackParams,
-    inject,
-    inject_constant,
-    inject_eventual_stop,
-    inject_offset,
-    inject_random,
-)
-from .config import ConfigError, ExperimentConfig, dump_config, load_config
-from .experiment import (
-    accuracy_improvement_pct,
-    error_improvement_pct,
-    export_summary,
-    run_experiment,
-)
-from .features import (
-    NormalizationSpec,
-    WindowError,
-    build_feature_window,
-    build_label,
-    denormalize_pos,
-    windows_from_stream,
-)
-from .federated import (
-    AggregationMode,
-    EvalSet,
-    GateConfig,
-    GateStrategy,
-    InfluenceTable,
-    LocalUpdate,
-    VehicleData,
-    aggregate,
-    decide_mode,
-    evaluate_global,
-    mre_weights,
-    run_centralized,
-    run_fedavg_round,
-    run_flt_round,
-)
-from .metrics import (
-    MetricSummary,
-    RoundReport,
-    attack_judgment,
-    prediction_accuracy,
-    prediction_error,
-    summarize,
-)
-from .model import (
-    ModelParams,
-    OptimizerState,
-    TrainConfig,
-    backward,
-    forward,
-    forward_cached,
-    load_params,
-    loss,
-    save_params,
-    sgd_step,
-    train_local,
-)
-from .simulate import assemble_datasets, broadcast_streams, pooled_training_set
-from .trace import (
-    AttackerType,
-    Bsm,
-    ChannelConfig,
-    IngestError,
-    Scenario,
-    ScenarioConfig,
-    VehicleState,
-    delivery_time,
-    generate_scenario,
-    ingest_veremi,
-    rssi_from_power,
-    step_kinematics,
-    synth_rssi,
-)
-
 __version__ = "0.1.0"

@@ -49,49 +49,6 @@ class AttackParams:
         return cls(region_side=region_side, v_max=v_max, **overrides)
 
 
-def inject_constant(params: AttackParams) -> Vec2:
-    """Constant attack: the claimed position is the configured fixed point,
-    independent of truth and time."""
-    return params.fixed_point
-
-
-def _draw_offset(attacker: AttackerType, params: AttackParams, rng: np.random.Generator) -> Vec2:
-    if attacker is AttackerType.CONSTANT_OFFSET:
-        return params.fixed_offset
-    if attacker is AttackerType.RANDOM_OFFSET:
-        dx, dy = rng.uniform(-params.random_offset_max, params.random_offset_max, size=2)
-        return float(dx), float(dy)
-    raise ValueError(f"not an offset attack: {attacker!r}")
-
-
-def inject_offset(truth: VehicleState, attacker: AttackerType, params: AttackParams, rng: np.random.Generator) -> Vec2:
-    """Offset attacks: truth position plus the fixed offset, or plus a fresh
-    per-message uniform draw in [−δ_max, δ_max] per axis. The result is NOT
-    clamped to the region."""
-    dx, dy = _draw_offset(attacker, params, rng)
-    return truth.pos_x + dx, truth.pos_y + dy
-
-
-def inject_random(params: AttackParams, rng: np.random.Generator) -> Vec2:
-    """Random attack: claimed position uniform over [0, R] per axis."""
-    x, y = rng.uniform(0.0, params.region_side, size=2)
-    return float(x), float(y)
-
-
-def _stop_branch(params: AttackParams, rng: np.random.Generator) -> bool:
-    return rng.random() < params.stop_probabilities[1]
-
-
-def inject_eventual_stop(
-    truth: VehicleState, memory: AttackerMemory, params: AttackParams, rng: np.random.Generator
-) -> Vec2:
-    """Eventual-stop attack: with probability P1 report truth, with P2 replay
-    the previously stored position."""
-    if _stop_branch(params, rng):
-        return memory.prev_x, memory.prev_y
-    return truth.pos_x, truth.pos_y
-
-
 def inject(
     attacker: AttackerType,
     truth: VehicleState,
@@ -100,6 +57,12 @@ def inject(
     rng: np.random.Generator,
 ) -> tuple[Vec2, Vec2, AttackerMemory]:
     """Produce (claimed_pos, claimed_spd, updated_memory) for one message.
+
+    Claimed positions: Constant sends the fixed point; the offset attacks add
+    the fixed offset, or a fresh uniform draw in [−δ_max, δ_max] per axis, to
+    the truth (not clamped to the region); Random draws uniformly over
+    [0, R] per axis; EventualStop reports truth with probability P1 and
+    replays the stored position with P2.
 
     Claimed-speed policy per class: Constant and the stop branch of
     EventualStop claim (0, 0); Random claims a fresh uniform draw in
@@ -111,18 +74,22 @@ def inject(
         pos = (truth.pos_x, truth.pos_y)
         spd = (truth.spd_x, truth.spd_y)
     elif attacker is AttackerType.CONSTANT:
-        pos = inject_constant(params)
+        pos = params.fixed_point
         spd = (0.0, 0.0)
     elif attacker in (AttackerType.CONSTANT_OFFSET, AttackerType.RANDOM_OFFSET):
-        dx, dy = _draw_offset(attacker, params, rng)
+        if attacker is AttackerType.CONSTANT_OFFSET:
+            dx, dy = params.fixed_offset
+        else:
+            dx, dy = map(float, rng.uniform(-params.random_offset_max, params.random_offset_max, size=2))
         pos = (truth.pos_x + dx, truth.pos_y + dy)
         spd = (truth.spd_x + dx * speed_scale, truth.spd_y + dy * speed_scale)
     elif attacker is AttackerType.RANDOM:
-        pos = inject_random(params, rng)
+        x, y = rng.uniform(0.0, params.region_side, size=2)
         sx, sy = rng.uniform(-params.v_max, params.v_max, size=2)
+        pos = (float(x), float(y))
         spd = (float(sx), float(sy))
     elif attacker is AttackerType.EVENTUAL_STOP:
-        if _stop_branch(params, rng):
+        if rng.random() < params.stop_probabilities[1]:
             pos = (memory.prev_x, memory.prev_y)
             spd = (0.0, 0.0)
         else:

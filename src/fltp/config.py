@@ -6,8 +6,11 @@ keys in the config file, CLI flags (--seed / --out / --threads).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from enum import Enum
+from operator import attrgetter
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 from .attacks import AttackParams
 from .features import NormalizationSpec
@@ -22,48 +25,103 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending key."""
 
 
+def _scalar(conv: Callable[[str], Any], complaint: str) -> Callable[[str, str], Any]:
+    def parse(key: str, text: str) -> Any:
+        try:
+            return conv(text)
+        except (ValueError, KeyError) as exc:
+            raise ConfigError(f"{key}: {complaint} {text!r}") from exc
+
+    return parse
+
+
+def _list(conv: Callable[[str], Any]) -> Callable[[str, str], list]:
+    def parse(key: str, text: str) -> list:
+        try:
+            return [conv(s.strip()) for s in text.split(",") if s.strip()]
+        except ValueError as exc:
+            raise ConfigError(f"{key}: bad list value in {text!r}") from exc
+
+    return parse
+
+
+_BOOLS = {"true": True, "1": True, "yes": True, "on": True, "false": False, "0": False, "no": False, "off": False}
+
+_int = _scalar(int, "not an integer:")
+_float = _scalar(float, "not a number:")
+_bool = _scalar(lambda text: _BOOLS[text.lower()], "not a boolean:")
+_strategy = _scalar(lambda text: GateStrategy(text.lower()), "unknown strategy")
+
+
+def _str(key: str, text: str) -> str:
+    return text
+
+
+def _float_or_none(key: str, text: str) -> float | None:
+    return _float(key, text) if text else None
+
+
+class ConfigKey(NamedTuple):
+    """One flat config key: its text default, the parser turning text into a
+    value, and the getter reading that value back off an ExperimentConfig."""
+
+    name: str
+    default: str
+    parse: Callable[[str, str], Any]
+    get: Callable[["ExperimentConfig"], Any]
+
+
+def _key(name: str, default: str, parse: Callable[[str, str], Any], path: str | Callable | None = None) -> ConfigKey:
+    get = path if callable(path) else attrgetter(path or name)
+    return ConfigKey(name, default, parse, get)
+
+
+#: every config key, in dump order
+KEYS: tuple[ConfigKey, ...] = (
+    _key("methods", "fl-tp, fed-avg, centralized", _list(str)),
+    _key("penetrations", "0.25, 0.5, 0.75", _list(float)),
+    _key("vehicle_counts", "4, 10, 20", _list(int)),
+    _key("repeats", "50", _int),
+    _key("master_seed", "42", _int),
+    _key("out_dir", "results", _str),
+    _key("region_side", "10000", _float, "scenario.region_side"),
+    _key("dt", "1.0", _float, "scenario.dt"),
+    _key("n_steps", "100", _int, "scenario.n_steps"),
+    _key("v_max", "40", _float, "scenario.v_max"),
+    _key("accel_sigma", "0.5", _float, "scenario.accel_sigma"),
+    _key("tx_power_dbm", "20", _float, "scenario.channel.tx_power_dbm"),
+    _key("path_loss_exponent", "2.0", _float, "scenario.channel.path_loss_exponent"),
+    _key("reference_distance", "1.0", _float, "scenario.channel.reference_distance"),
+    _key("shadowing_sigma", "2.0", _float, "scenario.channel.shadowing_sigma"),
+    _key("rssi_min", "-100", _float, "norm.rssi_min"),
+    _key("rssi_max", "-40", _float, "norm.rssi_max"),
+    _key("hidden_size", "64", _int, "train.hidden_size"),
+    _key("learning_rate", "1e-5", _float, "train.learning_rate"),
+    _key("momentum", "0.5", _float, "train.momentum"),
+    _key("batch_size", "128", _int, "train.batch_size"),
+    _key("local_episodes", "10", _int, "train.local_episodes"),
+    _key("global_rounds", "300", _int, "train.global_rounds"),
+    _key("gate_strategy", "accuracy", _strategy, "gate.strategy"),
+    _key("gate_threshold", "0.2", _float, "gate.threshold"),
+    _key("influence_constant", "1.0", _float, "influence.constant"),
+    _key("influence_constant_offset", "0.8", _float, "influence.constant_offset"),
+    _key("influence_random", "1.0", _float, "influence.random"),
+    _key("influence_random_offset", "0.8", _float, "influence.random_offset"),
+    _key("influence_eventual_stop", "1.0", _float, "influence.eventual_stop"),
+    # an empty fixed point means the region centre
+    _key("attack_fixed_x", "", _float_or_none, lambda c: c.attack.fixed_point[0]),
+    _key("attack_fixed_y", "", _float_or_none, lambda c: c.attack.fixed_point[1]),
+    _key("attack_offset_x", "250", _float, lambda c: c.attack.fixed_offset[0]),
+    _key("attack_offset_y", "-150", _float, lambda c: c.attack.fixed_offset[1]),
+    _key("attack_random_offset_max", "300", _float, "attack.random_offset_max"),
+    _key("attack_stop_probability", "0.3", _float, lambda c: c.attack.stop_probabilities[1]),
+    _key("train_fraction", "0.8", _float),
+    _key("judgment_threshold", "0.5", _float),
+    _key("checkpoints", "false", _bool),
+)
+
 #: built-in defaults (full-scale protocol)
-DEFAULTS: dict[str, str] = {
-    "methods": "fl-tp, fed-avg, centralized",
-    "penetrations": "0.25, 0.5, 0.75",
-    "vehicle_counts": "4, 10, 20",
-    "repeats": "50",
-    "master_seed": "42",
-    "out_dir": "results",
-    "region_side": "10000",
-    "dt": "1.0",
-    "n_steps": "100",
-    "v_max": "40",
-    "accel_sigma": "0.5",
-    "tx_power_dbm": "20",
-    "path_loss_exponent": "2.0",
-    "reference_distance": "1.0",
-    "shadowing_sigma": "2.0",
-    "rssi_min": "-100",
-    "rssi_max": "-40",
-    "hidden_size": "64",
-    "learning_rate": "1e-5",
-    "momentum": "0.5",
-    "batch_size": "128",
-    "local_episodes": "10",
-    "global_rounds": "300",
-    "gate_strategy": "accuracy",
-    "gate_threshold": "0.2",
-    "influence_constant": "1.0",
-    "influence_constant_offset": "0.8",
-    "influence_random": "1.0",
-    "influence_random_offset": "0.8",
-    "influence_eventual_stop": "1.0",
-    "attack_fixed_x": "",  # empty -> region centre
-    "attack_fixed_y": "",
-    "attack_offset_x": "250",
-    "attack_offset_y": "-150",
-    "attack_random_offset_max": "300",
-    "attack_stop_probability": "0.3",
-    "train_fraction": "0.8",
-    "judgment_threshold": "0.5",
-    "checkpoints": "false",
-}
+DEFAULTS: dict[str, str] = {key.name: key.default for key in KEYS}
 
 #: profile overrides; "desk" is the CI-scale protocol
 PROFILES: dict[str, dict[str, str]] = {
@@ -153,37 +211,6 @@ def parse_kv_text(text: str, source: str = "<config>") -> dict[str, str]:
     return out
 
 
-def _parse_float(kv: dict[str, str], key: str) -> float:
-    try:
-        return float(kv[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key}: not a number: {kv[key]!r}") from exc
-
-
-def _parse_int(kv: dict[str, str], key: str) -> int:
-    try:
-        return int(kv[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key}: not an integer: {kv[key]!r}") from exc
-
-
-def _parse_bool(kv: dict[str, str], key: str) -> bool:
-    v = kv[key].lower()
-    if v in ("true", "1", "yes", "on"):
-        return True
-    if v in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"{key}: not a boolean: {kv[key]!r}")
-
-
-def _parse_list(kv: dict[str, str], key: str, conv) -> list:
-    items = [s.strip() for s in kv[key].split(",") if s.strip()]
-    try:
-        return [conv(s) for s in items]
-    except ValueError as exc:
-        raise ConfigError(f"{key}: bad list value in {kv[key]!r}") from exc
-
-
 def config_from_kv(kv_in: dict[str, str], profile: str | None = None) -> ExperimentConfig:
     """Resolve raw key/value strings (plus optional profile) to a validated
     ExperimentConfig. Unknown keys are errors."""
@@ -196,84 +223,77 @@ def config_from_kv(kv_in: dict[str, str], profile: str | None = None) -> Experim
             raise ConfigError(f"unknown profile: {profile!r} (choose from {sorted(PROFILES)})")
         kv.update(PROFILES[profile])
     kv.update(kv_in)
+    v = {key.name: key.parse(key.name, kv[key.name]) for key in KEYS}
 
-    vehicle_counts = _parse_list(kv, "vehicle_counts", int)
-    if not vehicle_counts:
+    if not v["vehicle_counts"]:
         raise ConfigError("vehicle_counts: at least one value required")
-    region_side = _parse_float(kv, "region_side")
-    v_max = _parse_float(kv, "v_max")
-    fixed_x = _parse_float(kv, "attack_fixed_x") if kv["attack_fixed_x"] else region_side / 2.0
-    fixed_y = _parse_float(kv, "attack_fixed_y") if kv["attack_fixed_y"] else region_side / 2.0
-    p_stop = _parse_float(kv, "attack_stop_probability")
-
-    strategy_name = kv["gate_strategy"].lower()
-    try:
-        strategy = GateStrategy(strategy_name)
-    except ValueError as exc:
-        raise ConfigError(f"gate_strategy: unknown strategy {kv['gate_strategy']!r}") from exc
-
+    region_side = v["region_side"]
+    centre = region_side / 2.0
     try:
         attack = AttackParams(
             region_side=region_side,
-            v_max=v_max,
-            fixed_point=(fixed_x, fixed_y),
-            fixed_offset=(_parse_float(kv, "attack_offset_x"), _parse_float(kv, "attack_offset_y")),
-            random_offset_max=_parse_float(kv, "attack_random_offset_max"),
-            stop_probabilities=(1.0 - p_stop, p_stop),
+            v_max=v["v_max"],
+            fixed_point=(
+                centre if v["attack_fixed_x"] is None else v["attack_fixed_x"],
+                centre if v["attack_fixed_y"] is None else v["attack_fixed_y"],
+            ),
+            fixed_offset=(v["attack_offset_x"], v["attack_offset_y"]),
+            random_offset_max=v["attack_random_offset_max"],
+            stop_probabilities=(1.0 - v["attack_stop_probability"], v["attack_stop_probability"]),
         )
         influence = InfluenceTable(
-            constant=_parse_float(kv, "influence_constant"),
-            constant_offset=_parse_float(kv, "influence_constant_offset"),
-            random=_parse_float(kv, "influence_random"),
-            random_offset=_parse_float(kv, "influence_random_offset"),
-            eventual_stop=_parse_float(kv, "influence_eventual_stop"),
+            constant=v["influence_constant"],
+            constant_offset=v["influence_constant_offset"],
+            random=v["influence_random"],
+            random_offset=v["influence_random_offset"],
+            eventual_stop=v["influence_eventual_stop"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
     cfg = ExperimentConfig(
-        methods=_parse_list(kv, "methods", str),
-        penetrations=_parse_list(kv, "penetrations", float),
-        vehicle_counts=vehicle_counts,
-        repeats=_parse_int(kv, "repeats"),
-        master_seed=_parse_int(kv, "master_seed"),
-        out_dir=kv["out_dir"],
+        methods=v["methods"],
+        penetrations=v["penetrations"],
+        vehicle_counts=v["vehicle_counts"],
+        repeats=v["repeats"],
+        master_seed=v["master_seed"],
+        out_dir=v["out_dir"],
         scenario=ScenarioConfig(
-            n_vehicles=max(2, vehicle_counts[0]),
+            n_vehicles=max(2, v["vehicle_counts"][0]),
             penetration=0.0,
             region_side=region_side,
-            dt=_parse_float(kv, "dt"),
-            n_steps=_parse_int(kv, "n_steps"),
-            v_max=v_max,
-            accel_sigma=_parse_float(kv, "accel_sigma"),
+            dt=v["dt"],
+            n_steps=v["n_steps"],
+            v_max=v["v_max"],
+            accel_sigma=v["accel_sigma"],
             rng_seed=0,
             channel=ChannelConfig(
-                tx_power_dbm=_parse_float(kv, "tx_power_dbm"),
-                path_loss_exponent=_parse_float(kv, "path_loss_exponent"),
-                reference_distance=_parse_float(kv, "reference_distance"),
-                shadowing_sigma=_parse_float(kv, "shadowing_sigma"),
+                tx_power_dbm=v["tx_power_dbm"],
+                path_loss_exponent=v["path_loss_exponent"],
+                reference_distance=v["reference_distance"],
+                shadowing_sigma=v["shadowing_sigma"],
             ),
         ),
         attack=attack,
         norm=NormalizationSpec(
             region_side=region_side,
-            v_max=v_max,
-            rssi_min=_parse_float(kv, "rssi_min"),
-            rssi_max=_parse_float(kv, "rssi_max"),
+            v_max=v["v_max"],
+            rssi_min=v["rssi_min"],
+            rssi_max=v["rssi_max"],
         ),
         train=TrainConfig(
-            hidden_size=_parse_int(kv, "hidden_size"),
-            learning_rate=_parse_float(kv, "learning_rate"),
-            momentum=_parse_float(kv, "momentum"),
-            batch_size=_parse_int(kv, "batch_size"),
-            local_episodes=_parse_int(kv, "local_episodes"),
-            global_rounds=_parse_int(kv, "global_rounds"),
+            hidden_size=v["hidden_size"],
+            learning_rate=v["learning_rate"],
+            momentum=v["momentum"],
+            batch_size=v["batch_size"],
+            local_episodes=v["local_episodes"],
+            global_rounds=v["global_rounds"],
         ),
-        gate=GateConfig(strategy=strategy, threshold=_parse_float(kv, "gate_threshold")),
+        gate=GateConfig(strategy=v["gate_strategy"], threshold=v["gate_threshold"]),
         influence=influence,
-        train_fraction=_parse_float(kv, "train_fraction"),
-        judgment_threshold=_parse_float(kv, "judgment_threshold"),
-        checkpoints=_parse_bool(kv, "checkpoints"),
+        train_fraction=v["train_fraction"],
+        judgment_threshold=v["judgment_threshold"],
+        checkpoints=v["checkpoints"],
     )
     cfg.validate()
     return cfg
@@ -289,48 +309,19 @@ def load_config(path: str | Path, profile: str | None = None) -> ExperimentConfi
     return config_from_kv(parse_kv_text(text, source=str(path)), profile=profile)
 
 
+def _format(value: Any) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, list):
+        return ", ".join(_format(item) for item in value)
+    return str(value)
+
+
 def dump_config(cfg: ExperimentConfig) -> str:
     """Serialize a resolved config back to the flat text form; feeding the
     result to load_config reproduces an equal ExperimentConfig."""
-    lines = [
-        f"methods = {', '.join(cfg.methods)}",
-        f"penetrations = {', '.join(repr(p) for p in cfg.penetrations)}",
-        f"vehicle_counts = {', '.join(str(n) for n in cfg.vehicle_counts)}",
-        f"repeats = {cfg.repeats}",
-        f"master_seed = {cfg.master_seed}",
-        f"out_dir = {cfg.out_dir}",
-        f"region_side = {cfg.scenario.region_side!r}",
-        f"dt = {cfg.scenario.dt!r}",
-        f"n_steps = {cfg.scenario.n_steps}",
-        f"v_max = {cfg.scenario.v_max!r}",
-        f"accel_sigma = {cfg.scenario.accel_sigma!r}",
-        f"tx_power_dbm = {cfg.scenario.channel.tx_power_dbm!r}",
-        f"path_loss_exponent = {cfg.scenario.channel.path_loss_exponent!r}",
-        f"reference_distance = {cfg.scenario.channel.reference_distance!r}",
-        f"shadowing_sigma = {cfg.scenario.channel.shadowing_sigma!r}",
-        f"rssi_min = {cfg.norm.rssi_min!r}",
-        f"rssi_max = {cfg.norm.rssi_max!r}",
-        f"hidden_size = {cfg.train.hidden_size}",
-        f"learning_rate = {cfg.train.learning_rate!r}",
-        f"momentum = {cfg.train.momentum!r}",
-        f"batch_size = {cfg.train.batch_size}",
-        f"local_episodes = {cfg.train.local_episodes}",
-        f"global_rounds = {cfg.train.global_rounds}",
-        f"gate_strategy = {cfg.gate.strategy.value}",
-        f"gate_threshold = {cfg.gate.threshold!r}",
-        f"influence_constant = {cfg.influence.constant!r}",
-        f"influence_constant_offset = {cfg.influence.constant_offset!r}",
-        f"influence_random = {cfg.influence.random!r}",
-        f"influence_random_offset = {cfg.influence.random_offset!r}",
-        f"influence_eventual_stop = {cfg.influence.eventual_stop!r}",
-        f"attack_fixed_x = {cfg.attack.fixed_point[0]!r}",
-        f"attack_fixed_y = {cfg.attack.fixed_point[1]!r}",
-        f"attack_offset_x = {cfg.attack.fixed_offset[0]!r}",
-        f"attack_offset_y = {cfg.attack.fixed_offset[1]!r}",
-        f"attack_random_offset_max = {cfg.attack.random_offset_max!r}",
-        f"attack_stop_probability = {cfg.attack.stop_probabilities[1]!r}",
-        f"train_fraction = {cfg.train_fraction!r}",
-        f"judgment_threshold = {cfg.judgment_threshold!r}",
-        f"checkpoints = {'true' if cfg.checkpoints else 'false'}",
-    ]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key.name} = {_format(key.get(cfg))}\n" for key in KEYS)

@@ -16,14 +16,14 @@ from .config import ExperimentConfig
 from .federated import (
     EvalSet,
     VehicleData,
-    evaluate_global,
+    run_centralized,
     run_fedavg_round,
     run_flt_round,
     save_checkpoint,
 )
-from .metrics import RoundReport
-from .model import ModelParams, train_local
-from .seeding import TAG_CELL, TAG_INIT, TAG_SCENARIO, TAG_TRAIN, derive_rng, derive_seed
+from .metrics import RoundReport, mean_std
+from .model import ModelParams
+from .seeding import TAG_CELL, TAG_INIT, TAG_SCENARIO, derive_rng, derive_seed
 from .simulate import assemble_datasets, pooled_training_set
 from .trace import generate_scenario
 
@@ -114,13 +114,20 @@ def run_method_rounds(
     seed: int,
     checkpoint_dir: Path | None = None,
 ) -> list[RoundReport]:
-    """Drive one method over cfg.train.global_rounds rounds on prepared data."""
-    params = initial.copy()
-    prev_accuracy = 0.0
-    reports: list[RoundReport] = []
+    """Drive one method over cfg.train.global_rounds rounds on prepared data.
+
+    Raises ValueError as soon as a round's loss or trajectory error is not
+    finite, so a diverged run never becomes result rows.
+    """
+    common = dict(train=cfg.train, norm=cfg.norm, seed=seed, judgment_threshold=cfg.judgment_threshold)
     if method == "centralized":
         pooled_x, pooled_y = pooled_training_set(vehicles)
+    elif method not in ("fl-tp", "fed-avg"):
+        raise ValueError(f"unknown method: {method!r}")
 
+    params = initial
+    prev_accuracy = 0.0
+    reports: list[RoundReport] = []
     for round_idx in range(1, cfg.train.global_rounds + 1):
         if method == "fl-tp":
             params, report = run_flt_round(
@@ -131,49 +138,25 @@ def run_method_rounds(
                 prev_accuracy=prev_accuracy,
                 gate=cfg.gate,
                 influence=cfg.influence,
-                train=cfg.train,
-                norm=cfg.norm,
-                seed=seed,
-                judgment_threshold=cfg.judgment_threshold,
+                **common,
             )
         elif method == "fed-avg":
-            params, report = run_fedavg_round(
-                params,
-                vehicles,
-                eval_set,
-                round_idx=round_idx,
-                train=cfg.train,
-                norm=cfg.norm,
-                seed=seed,
-                judgment_threshold=cfg.judgment_threshold,
-            )
-        elif method == "centralized":
-            t0 = time.perf_counter()
-            params, _ = train_local(
-                params,
+            params, report = run_fedavg_round(params, vehicles, eval_set, round_idx=round_idx, **common)
+        else:
+            params, report = run_centralized(
                 pooled_x,
                 pooled_y,
+                eval_set,
                 episodes=cfg.train.local_episodes,
-                batch_size=cfg.train.batch_size,
-                learning_rate=cfg.train.learning_rate,
-                momentum=cfg.train.momentum,
-                rng=derive_rng(seed, TAG_TRAIN, round_idx, 0),
-            )
-            err, acc, per_type, loss_value = evaluate_global(
-                params, eval_set, cfg.norm, cfg.judgment_threshold
-            )
-            report = RoundReport(
+                initial=params,
                 round_idx=round_idx,
-                method="centralized",
-                mode="centralized",
-                prediction_error=err,
-                prediction_accuracy=acc,
-                loss=loss_value,
-                per_type_accuracy=per_type,
-                wall_clock_s=time.perf_counter() - t0,
+                **common,
             )
-        else:
-            raise ValueError(f"unknown method: {method!r}")
+        if not (np.isfinite(report.loss) and np.isfinite(report.prediction_error)):
+            raise ValueError(
+                f"{method} diverged at round {round_idx} (cell seed {seed}): "
+                f"loss {report.loss!r}, pred_error_m {report.prediction_error!r}"
+            )
         prev_accuracy = report.prediction_accuracy
         reports.append(report)
         if checkpoint_dir is not None:
@@ -195,6 +178,10 @@ def run_cell(cfg: ExperimentConfig, cell: SweepCell) -> list[RoundReport]:
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _nan_if_none(x: float | None) -> float:
+    return float("nan") if x is None else x
 
 
 def write_rounds_csv(path: Path, cell: SweepCell, reports: list[RoundReport]) -> None:
@@ -232,8 +219,9 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[Path]:
     """Execute the full sweep; returns the paths of all files written.
 
     Cells may run on several worker threads; outputs are identical for any
-    worker count because every cell is seeded and written independently and
-    the summary is assembled in canonical cell order.
+    worker count because every cell is seeded and written independently.
+    The summary is rebuilt from the rounds files this run wrote, by the same
+    reader as export_summary; other files in out_dir are ignored.
     """
     cfg.validate()
     if threads < 1:
@@ -254,20 +242,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[Path]:
         write_rounds_csv(path, cell, reports)
         written.append(path)
 
-    final_rows = [
-        {
-            "method": cell.method,
-            "penetration": cell.penetration,
-            "n_vehicles": cell.n_vehicles,
-            "repeat": cell.repeat,
-            "round": reports[-1].round_idx,
-            "pred_error_m": reports[-1].prediction_error,
-            "atk_accuracy": reports[-1].prediction_accuracy,
-        }
-        for cell, reports in zip(cells, all_reports)
-    ]
     summary_path = out_dir / "summary.csv"
-    write_summary_csv(summary_path, final_rows)
+    write_summary_csv(summary_path, read_final_rows(written))
     written.append(summary_path)
     return written
 
@@ -282,15 +258,15 @@ def write_summary_csv(path: Path, final_rows: list[dict]) -> None:
 
     stats: dict[tuple[str, float, int], dict] = {}
     for key, rows in groups.items():
-        accs = np.array([r["atk_accuracy"] for r in rows], dtype=float)
-        errs = np.array([r["pred_error_m"] for r in rows], dtype=float)
+        acc = mean_std([r["atk_accuracy"] for r in rows])
+        err = mean_std([r["pred_error_m"] for r in rows])
         stats[key] = {
             "repeats": len(rows),
             "final_round": max(r["round"] for r in rows),
-            "acc_mean": float(accs.mean()),
-            "acc_std": float(accs.std(ddof=1)) if len(rows) >= 2 else float("nan"),
-            "err_mean": float(errs.mean()),
-            "err_std": float(errs.std(ddof=1)) if len(rows) >= 2 else float("nan"),
+            "acc_mean": acc.mean,
+            "acc_std": _nan_if_none(acc.std),
+            "err_mean": err.mean,
+            "err_std": _nan_if_none(err.std),
         }
 
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -327,14 +303,11 @@ def write_summary_csv(path: Path, final_rows: list[dict]) -> None:
             )
 
 
-def export_summary(rounds_dir: str | Path, out_file: str | Path) -> Path:
-    """Rebuild the summary from the per-round CSV files in a directory."""
-    rounds_dir = Path(rounds_dir)
-    files = sorted(rounds_dir.glob("rounds_*.csv"))
-    if not files:
-        raise ValueError(f"no rounds_*.csv files under {rounds_dir}")
+def read_final_rows(paths: list[Path]) -> list[dict]:
+    """The final-round row of every run in the given rounds files, in
+    (method, penetration, n_vehicles, repeat) order."""
     final_by_run: dict[str, dict] = {}
-    for path in files:
+    for path in paths:
         with open(path, newline="", encoding="utf-8") as fh:
             for rec in csv.DictReader(fh):
                 row = {
@@ -346,17 +319,23 @@ def export_summary(rounds_dir: str | Path, out_file: str | Path) -> Path:
                     "pred_error_m": float(rec["pred_error_m"]),
                     "atk_accuracy": float(rec["atk_accuracy"]),
                 }
-                run_id = rec["run_id"]
-                prev = final_by_run.get(run_id)
+                prev = final_by_run.get(rec["run_id"])
                 if prev is None or row["round"] > prev["round"]:
-                    final_by_run[run_id] = row
-    out_file = Path(out_file)
-    # Numeric sort (not run_id string sort: "rep10" < "rep2") so per-group
-    # accumulation order — and therefore every output bit — matches the order
-    # run_experiment feeds write_summary_csv.
-    finals = sorted(
+                    final_by_run[rec["run_id"]] = row
+    # Numeric sort (not run_id string sort: "rep10" < "rep2") fixes the
+    # per-group accumulation order, and so every output bit.
+    return sorted(
         final_by_run.values(),
         key=lambda r: (r["method"], r["penetration"], r["n_vehicles"], r["repeat"]),
     )
-    write_summary_csv(out_file, finals)
+
+
+def export_summary(rounds_dir: str | Path, out_file: str | Path) -> Path:
+    """Rebuild the summary from the per-round CSV files in a directory."""
+    rounds_dir = Path(rounds_dir)
+    files = sorted(rounds_dir.glob("rounds_*.csv"))
+    if not files:
+        raise ValueError(f"no rounds_*.csv files under {rounds_dir}")
+    out_file = Path(out_file)
+    write_summary_csv(out_file, read_final_rows(files))
     return out_file

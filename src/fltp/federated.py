@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -213,7 +213,6 @@ def run_flt_round(
     seed: int,
     judgment_threshold: float = 0.5,
     method: str = "fl-tp",
-    force_uniform: bool = False,
     local_seeds: Sequence[int] | None = None,
 ) -> tuple[ModelParams, RoundReport]:
     """One federated round: local training on every vehicle, gate decision,
@@ -248,10 +247,7 @@ def run_flt_round(
         )
         updates.append(LocalUpdate(vd.vehicle_id, trained.flatten(), vd.attack_histogram(), vd.n_samples))
 
-    if force_uniform:
-        mode = AggregationMode.UNIFORM_AVERAGE
-    else:
-        mode = decide_mode(gate, prev_accuracy, derive_rng(seed, TAG_GATE, round_idx))
+    mode = decide_mode(gate, prev_accuracy, derive_rng(seed, TAG_GATE, round_idx))
     if mode is AggregationMode.UNIFORM_AVERAGE:
         weights = np.full(len(updates), 1.0 / len(updates))
     else:
@@ -285,22 +281,21 @@ def run_fedavg_round(
     judgment_threshold: float = 0.5,
     local_seeds: Sequence[int] | None = None,
 ) -> tuple[ModelParams, RoundReport]:
-    """Plain federated averaging: identical to run_flt_round with the gate
-    pinned to uniform weights."""
+    """Plain federated averaging: run_flt_round with the accuracy gate seeing
+    0.0 against a 1.0 threshold, so every round averages uniformly."""
     return run_flt_round(
         global_params,
         vehicles,
         eval_set,
         round_idx=round_idx,
         prev_accuracy=0.0,
-        gate=GateConfig(),
+        gate=GateConfig(threshold=1.0),
         influence=InfluenceTable(),
         train=train,
         norm=norm,
         seed=seed,
         judgment_threshold=judgment_threshold,
         method="fed-avg",
-        force_uniform=True,
         local_seeds=local_seeds,
     )
 
@@ -316,9 +311,12 @@ def run_centralized(
     seed: int,
     judgment_threshold: float = 0.5,
     initial: ModelParams | None = None,
+    round_idx: int = 0,
 ) -> tuple[ModelParams, RoundReport]:
     """Train one model on the pooled data of all vehicles and evaluate it.
 
+    The training stream derives from (seed, round_idx), so repeated calls
+    that carry the parameters forward make a multi-round centralized run.
     With episodes = 0 the (possibly freshly initialized) parameters are
     returned unchanged apart from evaluation.
     """
@@ -332,11 +330,11 @@ def run_centralized(
         batch_size=train.batch_size,
         learning_rate=train.learning_rate,
         momentum=train.momentum,
-        rng=derive_rng(seed, TAG_TRAIN, 0, 0),
+        rng=derive_rng(seed, TAG_TRAIN, round_idx, 0),
     )
     err, acc, per_type, loss_value = evaluate_global(params, eval_set, norm, judgment_threshold)
     report = RoundReport(
-        round_idx=0,
+        round_idx=round_idx,
         method="centralized",
         mode="centralized",
         prediction_error=err,

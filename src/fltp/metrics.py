@@ -2,9 +2,8 @@
 and mean/std summaries across repeated runs."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,15 +48,9 @@ def prediction_error(pred_pos: np.ndarray, label_pos: np.ndarray, spec: Normaliz
     return float(np.mean(np.sqrt(np.sum(diff * diff, axis=-1))))
 
 
-def attack_judgment(atk_pdt: float, atk_lb: float, threshold: float = 0.5) -> bool:
-    """True judgment iff |prediction - label| < threshold, strictly."""
-    if threshold <= 0:
-        raise ValueError(f"threshold must be > 0, got {threshold}")
-    return bool(abs(float(atk_pdt) - float(atk_lb)) < threshold)
-
-
 def attack_judgments(atk_pdt: np.ndarray, atk_lb: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-    """Vectorized attack_judgment over any matching shapes."""
+    """Element-wise judgment over any matching shapes: True iff
+    |prediction - label| < threshold, strictly."""
     if threshold <= 0:
         raise ValueError(f"threshold must be > 0, got {threshold}")
     p = np.asarray(atk_pdt, dtype=float)
@@ -65,6 +58,11 @@ def attack_judgments(atk_pdt: np.ndarray, atk_lb: np.ndarray, threshold: float =
     if p.shape != y.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {y.shape}")
     return np.abs(p - y) < threshold
+
+
+def attack_judgment(atk_pdt: float, atk_lb: float, threshold: float = 0.5) -> bool:
+    """True judgment iff |prediction - label| < threshold, strictly."""
+    return bool(attack_judgments(atk_pdt, atk_lb, threshold))
 
 
 def prediction_accuracy(judgments: np.ndarray) -> float:
@@ -75,6 +73,13 @@ def prediction_accuracy(judgments: np.ndarray) -> float:
     return float(np.count_nonzero(j) / j.size)
 
 
+def mean_std(values: Sequence[float]) -> MetricSummary:
+    """Mean and sample standard deviation (N-1); the std is None for fewer
+    than two values."""
+    a = np.asarray(values, dtype=float)
+    return MetricSummary(float(a.mean()), float(a.std(ddof=1)) if a.size >= 2 else None)
+
+
 def summarize(reports: Sequence[RoundReport]) -> dict[str, MetricSummary]:
     """Mean ± sample standard deviation of each metric across reports.
 
@@ -82,13 +87,7 @@ def summarize(reports: Sequence[RoundReport]) -> dict[str, MetricSummary]:
     """
     if not reports:
         raise ValueError("no reports to summarize")
-    out: dict[str, MetricSummary] = {}
-    for name, values in (
-        ("prediction_error", [r.prediction_error for r in reports]),
-        ("prediction_accuracy", [r.prediction_accuracy for r in reports]),
-        ("loss", [r.loss for r in reports]),
-    ):
-        mean = float(np.mean(values))
-        std = float(np.std(values, ddof=1)) if len(values) >= 2 else None
-        out[name] = MetricSummary(mean, std)
-    return out
+    return {
+        name: mean_std([getattr(r, name) for r in reports])
+        for name in ("prediction_error", "prediction_accuracy", "loss")
+    }

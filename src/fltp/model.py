@@ -9,7 +9,7 @@ input, forget, cell, output. All math is float64.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attacks import AttackerMemory, AttackParams, inject
-from .features import FEATURE_DIM, LABEL_DIM, NormalizationSpec, WINDOW_INPUT_STEPS, WINDOW_LABEL_STEPS, windows_from_stream
+from .features import NormalizationSpec, windows_from_stream
 from .federated import EvalSet, VehicleData
 from .seeding import TAG_ATTACK, TAG_LINK, derive_rng
 from .trace import Bsm, Scenario, delivery_time, synth_rssi

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -152,16 +152,6 @@ class Scenario:
 
     def vehicle_track(self, vehicle_id: int) -> list[VehicleState]:
         return [row[vehicle_id] for row in self.states]
-
-
-def rssi_from_power(p_mw: float) -> float:
-    """Received signal strength in dBm for a received power in milliwatt.
-
-    Raises ValueError for non-positive power (log undefined).
-    """
-    if p_mw <= 0:
-        raise ValueError(f"received power must be > 0 mW, got {p_mw}")
-    return 10.0 * math.log10(p_mw)
 
 
 def synth_rssi(distance: float, channel: ChannelConfig, rng: np.random.Generator) -> float:

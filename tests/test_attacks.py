@@ -2,15 +2,7 @@
 import numpy as np
 import pytest
 
-from fltp.attacks import (
-    AttackerMemory,
-    AttackParams,
-    inject,
-    inject_constant,
-    inject_eventual_stop,
-    inject_offset,
-    inject_random,
-)
+from fltp.attacks import AttackerMemory, AttackParams, inject
 from fltp.trace import AttackerType, VehicleState
 
 R = 10_000.0
@@ -29,6 +21,11 @@ def _mem(x=999.0, y=1999.0):
     return AttackerMemory(x, y)
 
 
+def _pos(attacker, params, rng, truth=None, memory=None):
+    """Claimed position of one message."""
+    return inject(attacker, truth or _truth(), memory or _mem(), params, rng)[0]
+
+
 class TestGenuine:
     def test_identity(self):
         truth = _truth()
@@ -40,7 +37,7 @@ class TestGenuine:
 
 class TestConstant:
     def test_fixed_point_default_is_region_centre(self):
-        assert inject_constant(_params()) == (R / 2, R / 2)
+        assert _pos(AttackerType.CONSTANT, _params(), np.random.default_rng(0)) == (R / 2, R / 2)
 
     def test_independent_of_truth_and_time(self):
         p = _params(fixed_point=(123.0, 456.0))
@@ -54,18 +51,18 @@ class TestConstant:
 class TestOffsets:
     def test_constant_offset_arithmetic(self):
         p = _params(fixed_offset=(50.0, -30.0))
-        pos = inject_offset(_truth(100.0, 200.0), AttackerType.CONSTANT_OFFSET, p, np.random.default_rng(0))
+        pos = _pos(AttackerType.CONSTANT_OFFSET, p, np.random.default_rng(0), truth=_truth(100.0, 200.0))
         assert pos == (150.0, 170.0)
 
     def test_zero_offset_is_identity(self):
         p = _params(fixed_offset=(0.0, 0.0))
         truth = _truth()
-        pos = inject_offset(truth, AttackerType.CONSTANT_OFFSET, p, np.random.default_rng(0))
+        pos = _pos(AttackerType.CONSTANT_OFFSET, p, np.random.default_rng(0), truth=truth)
         assert pos == (truth.pos_x, truth.pos_y)
 
     def test_not_clamped_to_region(self):
         p = _params(fixed_offset=(500.0, 0.0))
-        pos = inject_offset(_truth(R - 10.0, 50.0), AttackerType.CONSTANT_OFFSET, p, np.random.default_rng(0))
+        pos = _pos(AttackerType.CONSTANT_OFFSET, p, np.random.default_rng(0), truth=_truth(R - 10.0, 50.0))
         assert pos[0] > R  # claimed position may leave the region
 
     def test_random_offset_bounds_never_violated(self):
@@ -74,7 +71,7 @@ class TestOffsets:
         rng = np.random.default_rng(5)
         deltas = []
         for _ in range(10_000):
-            x, y = inject_offset(truth, AttackerType.RANDOM_OFFSET, p, rng)
+            x, y = _pos(AttackerType.RANDOM_OFFSET, p, rng, truth=truth)
             deltas.append((x - truth.pos_x, y - truth.pos_y))
         deltas = np.array(deltas)
         assert np.all(np.abs(deltas) <= 100.0)
@@ -84,7 +81,7 @@ class TestOffsets:
     def test_degenerate_zero_range(self):
         p = _params(random_offset_max=0.0)
         truth = _truth()
-        pos = inject_offset(truth, AttackerType.RANDOM_OFFSET, p, np.random.default_rng(0))
+        pos = _pos(AttackerType.RANDOM_OFFSET, p, np.random.default_rng(0), truth=truth)
         assert pos == (truth.pos_x, truth.pos_y)
 
     def test_speed_offset_scaled_by_vmax_over_region(self):
@@ -100,7 +97,7 @@ class TestRandom:
     def test_support_and_mean(self):
         p = _params()
         rng = np.random.default_rng(11)
-        draws = np.array([inject_random(p, rng) for _ in range(10_000)])
+        draws = np.array([_pos(AttackerType.RANDOM, p, rng) for _ in range(10_000)])
         assert np.all(draws >= 0.0) and np.all(draws <= R)
         # mean within 3 sigma of R/2: sigma_mean = R/sqrt(12)/100 ~ 28.9 m
         assert np.all(np.abs(draws.mean(axis=0) - R / 2) < 3 * R / np.sqrt(12) / 100)
@@ -108,7 +105,7 @@ class TestRandom:
     def test_consecutive_draws_differ(self):
         p = _params()
         rng = np.random.default_rng(2)
-        assert inject_random(p, rng) != inject_random(p, rng)
+        assert _pos(AttackerType.RANDOM, p, rng) != _pos(AttackerType.RANDOM, p, rng)
 
     def test_speed_claim_within_vmax(self):
         p = _params()
@@ -124,13 +121,13 @@ class TestEventualStop:
         truth = _truth()
         rng = np.random.default_rng(0)
         for _ in range(100):
-            assert inject_eventual_stop(truth, _mem(), p, rng) == (truth.pos_x, truth.pos_y)
+            assert _pos(AttackerType.EVENTUAL_STOP, p, rng, truth=truth) == (truth.pos_x, truth.pos_y)
 
     def test_always_previous_when_p2_one(self):
         p = _params(stop_probabilities=(0.0, 1.0))
         rng = np.random.default_rng(0)
         for _ in range(100):
-            assert inject_eventual_stop(_truth(), _mem(1.0, 2.0), p, rng) == (1.0, 2.0)
+            assert _pos(AttackerType.EVENTUAL_STOP, p, rng, memory=_mem(1.0, 2.0)) == (1.0, 2.0)
 
     def test_stop_frequency(self):
         p = _params(stop_probabilities=(0.7, 0.3))
@@ -138,7 +135,7 @@ class TestEventualStop:
         mem = _mem()
         rng = np.random.default_rng(1234)
         hits = sum(
-            inject_eventual_stop(truth, mem, p, rng) == (mem.prev_x, mem.prev_y) for _ in range(10_000)
+            _pos(AttackerType.EVENTUAL_STOP, p, rng, truth, mem) == (mem.prev_x, mem.prev_y) for _ in range(10_000)
         )
         assert abs(hits / 10_000 - 0.3) <= 0.014  # 3 sigma binomial bound
 
@@ -148,7 +145,7 @@ class TestEventualStop:
         mem = _mem()
         rng = np.random.default_rng(7)
         for _ in range(200):
-            out = inject_eventual_stop(truth, mem, p, rng)
+            out = _pos(AttackerType.EVENTUAL_STOP, p, rng, truth, mem)
             assert out in ((truth.pos_x, truth.pos_y), (mem.prev_x, mem.prev_y))
 
     def test_stop_branch_claims_zero_speed(self):

@@ -63,6 +63,17 @@ class TestRun:
         assert rc == 1
         assert "unknown config key: warp_speed" in capsys.readouterr().err
 
+    def test_diverged_run_is_error(self, tmp_path, capsys):
+        path = tmp_path / "diverge.cfg"
+        path.write_text("methods = centralized\nglobal_rounds = 3\nlearning_rate = 50\n", encoding="utf-8")
+        out = tmp_path / "results"
+        rc = main(["run", "--config", str(path), "--profile", "desk", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: centralized diverged at round " in err
+        assert "cell seed" in err
+        assert not (out / "summary.csv").exists()
+
     def test_unknown_profile_rejected_by_argparse(self, tiny_config):
         with pytest.raises(SystemExit):
             main(["run", "--config", str(tiny_config), "--profile", "mainframe"])

@@ -172,6 +172,67 @@ class TestRoundTrip:
         assert load_config(path) == cfg
 
 
+#: a valid value differing from its default for every key in DEFAULTS
+NON_DEFAULTS = {
+    "methods": "centralized, fl-tp",
+    "penetrations": "0.1, 0.9",
+    "vehicle_counts": "3, 5",
+    "repeats": "3",
+    "master_seed": "7",
+    "out_dir": "elsewhere",
+    "region_side": "5000.5",
+    "dt": "0.5",
+    "n_steps": "50",
+    "v_max": "30",
+    "accel_sigma": "0.25",
+    "tx_power_dbm": "23",
+    "path_loss_exponent": "2.7",
+    "reference_distance": "2.0",
+    "shadowing_sigma": "3.5",
+    "rssi_min": "-95",
+    "rssi_max": "-35",
+    "hidden_size": "16",
+    "learning_rate": "0.003",
+    "momentum": "0.9",
+    "batch_size": "64",
+    "local_episodes": "3",
+    "global_rounds": "12",
+    "gate_strategy": "random",
+    "gate_threshold": "0.4",
+    "influence_constant": "0.5",
+    "influence_constant_offset": "0.6",
+    "influence_random": "0.7",
+    "influence_random_offset": "0.9",
+    "influence_eventual_stop": "0.3",
+    "attack_fixed_x": "1234.5",
+    "attack_fixed_y": "4321.25",
+    "attack_offset_x": "10",
+    "attack_offset_y": "-20",
+    "attack_random_offset_max": "50",
+    "attack_stop_probability": "0.25",
+    "train_fraction": "0.7",
+    "judgment_threshold": "0.4",
+    "checkpoints": "true",
+}
+
+
+class TestKeyTable:
+    def test_every_key_has_a_non_default_case(self):
+        assert set(NON_DEFAULTS) == set(DEFAULTS)
+
+    @pytest.mark.parametrize("key", sorted(NON_DEFAULTS))
+    def test_each_key_reaches_the_config(self, key):
+        assert config_from_kv({key: NON_DEFAULTS[key]}) != config_from_kv({})
+
+    def test_all_keys_changed_round_trip(self, tmp_path):
+        cfg = config_from_kv(NON_DEFAULTS)
+        text = dump_config(cfg)
+        assert [line.split(" = ")[0] for line in text.splitlines()] == list(DEFAULTS)
+        path = tmp_path / "dump.cfg"
+        path.write_text(text, encoding="utf-8")
+        assert load_config(path) == cfg
+
+
 class TestLoadConfig:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.cfg"

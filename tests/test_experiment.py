@@ -216,6 +216,29 @@ class TestRunExperiment:
             "round_0002.params",
         ]
 
+    def test_stale_rounds_files_are_ignored(self, tmp_path):
+        cfg = _tiny_cfg(tmp_path / "clean")
+        run_experiment(cfg)
+        clean = (tmp_path / "clean" / "summary.csv").read_bytes()
+
+        out = tmp_path / "stale"
+        out.mkdir()
+        # a leftover from some earlier sweep: another run of a method in this
+        # sweep's group, and a method this sweep does not run at all
+        header, rows = _read_csv(tmp_path / "clean" / "rounds_fl-tp_p0.5_v4_rep0.csv")
+        for name, run_id, method in (
+            ("rounds_fl-tp_p0.5_v4_rep9.csv", "fl-tp_p0.5_v4_rep9", "fl-tp"),
+            ("rounds_gossip_p0.5_v4_rep0.csv", "gossip_p0.5_v4_rep0", "gossip"),
+        ):
+            with open(out / name, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                for row in rows:
+                    writer.writerow([run_id, method, row[2], row[3], "9", *row[5:7], "0.123", "0.5", row[9]])
+        written = run_experiment(_tiny_cfg(out))
+        assert (out / "summary.csv").read_bytes() == clean
+        assert not any("rep9" in p.name or "gossip" in p.name for p in written)
+
     def test_thread_validation(self, tmp_path):
         cfg = _tiny_cfg(tmp_path / "out")
         with pytest.raises(ValueError):

@@ -25,7 +25,7 @@ from fltp.federated import (
     save_checkpoint,
 )
 from fltp.model import ModelParams, TrainConfig, flat_length, forward, load_params, train_local
-from fltp.seeding import derive_rng
+from fltp.seeding import TAG_TRAIN, derive_rng
 from fltp.trace import AttackerType
 
 NORM = NormalizationSpec(region_side=10_000.0, v_max=40.0)
@@ -406,6 +406,29 @@ class TestCentralized:
         c, _ = run_centralized(vd.features, vd.labels, es, episodes=2, train=train, norm=NORM, seed=6)
         np.testing.assert_array_equal(a.flatten(), b.flatten())
         assert not np.array_equal(a.flatten(), c.flatten())
+
+    def test_round_idx_selects_stream_and_labels_report(self):
+        vd = _vehicle(0, 12)
+        es = _eval_set([0])
+        train = TrainConfig(hidden_size=4, learning_rate=1e-3, batch_size=4, local_episodes=2)
+        p0 = ModelParams.init(4, derive_rng(16))
+        kwargs = dict(episodes=2, train=train, norm=NORM, seed=5, initial=p0)
+        a, rep_a = run_centralized(vd.features, vd.labels, es, round_idx=3, **kwargs)
+        b, _ = run_centralized(vd.features, vd.labels, es, round_idx=4, **kwargs)
+        assert rep_a.round_idx == 3
+        assert not np.array_equal(a.flatten(), b.flatten())
+        # the round's stream is the one a local update of vehicle 0 would use
+        trained, _ = train_local(
+            p0,
+            vd.features,
+            vd.labels,
+            episodes=2,
+            batch_size=4,
+            learning_rate=1e-3,
+            momentum=train.momentum,
+            rng=derive_rng(5, TAG_TRAIN, 3, 0),
+        )
+        np.testing.assert_array_equal(a.flatten(), trained.flatten())
 
 
 class TestCheckpoint:

@@ -14,33 +14,11 @@ from fltp.trace import (
     attacker_count,
     delivery_time,
     generate_scenario,
-    rssi_from_power,
     step_kinematics,
     synth_rssi,
 )
 
 SPEED_OF_LIGHT = 299_792_458.0
-
-
-class TestRssiFromPower:
-    def test_one_milliwatt_is_zero_dbm(self):
-        assert rssi_from_power(1.0) == 0.0
-
-    def test_hundred_milliwatt_is_twenty_dbm(self):
-        assert rssi_from_power(100.0) == pytest.approx(20.0, abs=1e-12)
-
-    def test_frozen_value(self):
-        # independently computed: 10*log10(0.05)
-        assert rssi_from_power(0.05) == pytest.approx(-13.010299956639813, abs=1e-4)
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, -1e-9])
-    def test_non_positive_power_rejected(self, bad):
-        with pytest.raises(ValueError):
-            rssi_from_power(bad)
-
-    @given(st.floats(min_value=1e-6, max_value=1e6))
-    def test_decade_law(self, p):
-        assert rssi_from_power(10.0 * p) == pytest.approx(rssi_from_power(p) + 10.0, abs=1e-9)
 
 
 class TestSynthRssi:

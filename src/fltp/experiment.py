@@ -22,12 +22,16 @@ from .federated import (
     save_checkpoint,
 )
 from .metrics import RoundReport, mean_std
-from .model import ModelParams
+from .model import ModelParams, forward, loss
 from .seeding import TAG_CELL, TAG_INIT, TAG_SCENARIO, derive_rng, derive_seed
 from .simulate import assemble_datasets, pooled_training_set
 from .trace import generate_scenario
 
 log = logging.getLogger(__name__)
+
+#: a round whose pool loss exceeds this multiple of the initial model's pool
+#: loss has diverged, even while the loss is still finite
+DIVERGENCE_FACTOR = 1e6
 
 ROUNDS_HEADER = [
     "run_id",
@@ -117,7 +121,8 @@ def run_method_rounds(
     """Drive one method over cfg.train.global_rounds rounds on prepared data.
 
     Raises ValueError as soon as a round's loss or trajectory error is not
-    finite, so a diverged run never becomes result rows.
+    finite, or the loss exceeds DIVERGENCE_FACTOR times the initial model's
+    loss on the pool, so a diverged run never becomes result rows.
     """
     common = dict(train=cfg.train, norm=cfg.norm, seed=seed, judgment_threshold=cfg.judgment_threshold)
     if method == "centralized":
@@ -125,6 +130,7 @@ def run_method_rounds(
     elif method not in ("fl-tp", "fed-avg"):
         raise ValueError(f"unknown method: {method!r}")
 
+    loss_limit = DIVERGENCE_FACTOR * loss(forward(initial, eval_set.features), eval_set.labels)
     params = initial
     prev_accuracy = 0.0
     reports: list[RoundReport] = []
@@ -152,10 +158,10 @@ def run_method_rounds(
                 round_idx=round_idx,
                 **common,
             )
-        if not (np.isfinite(report.loss) and np.isfinite(report.prediction_error)):
+        if not (report.loss <= loss_limit and np.isfinite(report.prediction_error)):
             raise ValueError(
                 f"{method} diverged at round {round_idx} (cell seed {seed}): "
-                f"loss {report.loss!r}, pred_error_m {report.prediction_error!r}"
+                f"loss {report.loss!r} (limit {loss_limit!r}), pred_error_m {report.prediction_error!r}"
             )
         prev_accuracy = report.prediction_accuracy
         reports.append(report)
@@ -220,14 +226,14 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[Path]:
 
     Cells may run on several worker threads; outputs are identical for any
     worker count because every cell is seeded and written independently.
-    The summary is rebuilt from the rounds files this run wrote, by the same
-    reader as export_summary; other files in out_dir are ignored.
+    out_dir is created once every cell has finished, so a failed run leaves
+    none behind (checkpoints make their own directories). The summary is
+    rebuilt from the rounds files this run wrote, by the same reader as
+    export_summary; other files in out_dir are ignored.
     """
     cfg.validate()
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     cells = sweep_cells(cfg)
 
     if threads == 1:
@@ -236,6 +242,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[Path]:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             all_reports = list(pool.map(lambda c: run_cell(cfg, c), cells))
 
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     for cell, reports in zip(cells, all_reports):
         path = out_dir / f"rounds_{cell.run_id}.csv"

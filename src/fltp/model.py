@@ -8,8 +8,9 @@ input, forget, cell, output. All math is float64.
 """
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,17 +22,25 @@ OUTPUT_DIM = WINDOW_LABEL_STEPS * LABEL_DIM  # 15
 
 _MAGIC = b"FLTP"
 
+#: windows per pass of the cache-free forward over a large batch
+PREDICT_CHUNK = 512
+
+
+def _shapes(hidden_size: int) -> tuple[tuple[int, ...], ...]:
+    """Shapes of the ModelParams fields, in field and flat-vector order."""
+    h4 = 4 * hidden_size
+    return (h4, INPUT_DIM), (h4, hidden_size), (h4,), (OUTPUT_DIM, hidden_size), (OUTPUT_DIM,)
+
 
 def flat_length(hidden_size: int) -> int:
     """Total parameter count for a given hidden size."""
-    h = hidden_size
-    return 4 * (INPUT_DIM * h + h * h + h) + (h * OUTPUT_DIM + OUTPUT_DIM)
+    return sum(math.prod(shape) for shape in _shapes(hidden_size))
 
 
 @dataclass
 class ModelParams:
     """LSTM weights. Stacked gate matrices hold the four gates row-wise in
-    blocks of hidden_size rows each."""
+    blocks of hidden_size rows each. The flat order is the field order."""
 
     w_x: np.ndarray  # (4H, INPUT_DIM)
     w_h: np.ndarray  # (4H, H)
@@ -44,59 +53,44 @@ class ModelParams:
         return self.w_h.shape[1]
 
     @classmethod
+    def view(cls, flat: np.ndarray, hidden_size: int) -> "ModelParams":
+        """Fields as views into one contiguous flat vector, without copying:
+        a write to either shows in the other."""
+        parts = []
+        start = 0
+        for shape in _shapes(hidden_size):
+            size = math.prod(shape)
+            parts.append(flat[start : start + size].reshape(shape))
+            start += size
+        return cls(*parts)
+
+    @classmethod
     def init(cls, hidden_size: int, rng: np.random.Generator) -> "ModelParams":
-        """Uniform init in [-1/sqrt(H), 1/sqrt(H)], seeded; draw order fixed."""
+        """Uniform init in [-1/sqrt(H), 1/sqrt(H)], seeded, drawn in flat order."""
         if hidden_size < 1:
             raise ValueError(f"hidden_size must be >= 1, got {hidden_size}")
         s = 1.0 / np.sqrt(hidden_size)
-        h4 = 4 * hidden_size
-        return cls(
-            w_x=rng.uniform(-s, s, size=(h4, INPUT_DIM)),
-            w_h=rng.uniform(-s, s, size=(h4, hidden_size)),
-            b=rng.uniform(-s, s, size=h4),
-            w_head=rng.uniform(-s, s, size=(OUTPUT_DIM, hidden_size)),
-            b_head=rng.uniform(-s, s, size=OUTPUT_DIM),
-        )
+        return cls.view(rng.uniform(-s, s, size=flat_length(hidden_size)), hidden_size)
 
     @classmethod
     def zeros(cls, hidden_size: int) -> "ModelParams":
-        h4 = 4 * hidden_size
-        return cls(
-            w_x=np.zeros((h4, INPUT_DIM)),
-            w_h=np.zeros((h4, hidden_size)),
-            b=np.zeros(h4),
-            w_head=np.zeros((OUTPUT_DIM, hidden_size)),
-            b_head=np.zeros(OUTPUT_DIM),
-        )
+        return cls.view(np.zeros(flat_length(hidden_size)), hidden_size)
 
     def flatten(self) -> np.ndarray:
-        return np.concatenate(
-            [self.w_x.ravel(), self.w_h.ravel(), self.b, self.w_head.ravel(), self.b_head]
-        )
+        return np.concatenate([getattr(self, f.name).ravel() for f in fields(self)])
 
     @classmethod
     def unflatten(cls, flat: np.ndarray, hidden_size: int) -> "ModelParams":
+        """Parameters backed by a copy of flat."""
         flat = np.asarray(flat, dtype=float)
         if flat.shape != (flat_length(hidden_size),):
             raise ValueError(
                 f"expected {flat_length(hidden_size)} parameters for H={hidden_size}, got {flat.shape}"
             )
-        h = hidden_size
-        h4 = 4 * h
-        sizes = [h4 * INPUT_DIM, h4 * h, h4, OUTPUT_DIM * h, OUTPUT_DIM]
-        parts = np.split(flat, np.cumsum(sizes)[:-1])
-        return cls(
-            w_x=parts[0].reshape(h4, INPUT_DIM).copy(),
-            w_h=parts[1].reshape(h4, h).copy(),
-            b=parts[2].copy(),
-            w_head=parts[3].reshape(OUTPUT_DIM, h).copy(),
-            b_head=parts[4].copy(),
-        )
+        return cls.view(flat.copy(), hidden_size)
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            self.w_x.copy(), self.w_h.copy(), self.b.copy(), self.w_head.copy(), self.b_head.copy()
-        )
+        return ModelParams.view(self.flatten(), self.hidden_size)
 
 
 @dataclass
@@ -139,23 +133,21 @@ class OptimizerState:
 @dataclass
 class ForwardCache:
     params: ModelParams
-    x: np.ndarray  # (B, T, D)
-    gate_i: np.ndarray  # (T, B, H) each
-    gate_f: np.ndarray
-    gate_g: np.ndarray
-    gate_o: np.ndarray
+    xt: np.ndarray  # (T, B, D) time-major input
+    gates: np.ndarray  # (T, 4, B, H) activations i, f, g, o: each a contiguous (B, H) block
     cell: np.ndarray  # (T, B, H) post-update cell states
     tanh_cell: np.ndarray
     hidden: np.ndarray  # (T, B, H)
     pred: np.ndarray  # (B, 5, 3)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function as 0.5 * (1 + tanh(x / 2)): finite for every finite
+    x, without the overflow of exp(-x) or a mask per sign."""
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
     return out
 
 
@@ -171,48 +163,104 @@ def _as_batch(window: np.ndarray) -> tuple[np.ndarray, bool]:
     return x, single
 
 
+def _time_major(x: np.ndarray) -> np.ndarray:
+    """(B, T, D) -> contiguous (T, B, D)."""
+    return np.ascontiguousarray(x.transpose(1, 0, 2))
+
+
+def _scratch(pool: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A contiguous (uninitialized) array of the given shape on pool[name],
+    which grows as needed. Reusing one pool across calls spares the page
+    faults of fresh allocations; each call overwrites what the last one left."""
+    size = math.prod(shape)
+    block = pool.get(name)
+    if block is None or block.size < size:
+        block = pool[name] = np.empty(size)
+    return block[:size].reshape(shape)
+
+
+def _lstm(
+    params: ModelParams, xt: np.ndarray, keep: bool, pool: dict[str, np.ndarray] | None = None
+) -> tuple[np.ndarray, ForwardCache | None]:
+    """The timestep loop over a time-major batch xt (T, B, D).
+
+    With keep, every step's gates, cell, tanh(cell) and hidden state are kept
+    for backward(); without, one step's buffers are reused and no cache is
+    returned. Working arrays come from pool (see _scratch), so a returned
+    cache is valid until the next call on the same pool. Initial hidden and
+    cell states are zero; the head reads the final hidden state only.
+    """
+    steps, batch, _ = xt.shape
+    h_size = params.hidden_size
+    kept = steps if keep else 1
+    pool = {} if pool is None else pool
+    gates = _scratch(pool, "gates", (kept, 4, batch, h_size))
+    cell = _scratch(pool, "cell", (kept, batch, h_size))
+    tanh_cell = _scratch(pool, "tanh_cell", (kept, batch, h_size))
+    hidden = _scratch(pool, "hidden", (kept, batch, h_size))
+    z = _scratch(pool, "z", (batch, 4 * h_size))
+    ig = _scratch(pool, "ig", (batch, h_size))
+
+    # input projection of every step in one GEMM
+    zx = _scratch(pool, "zx", (steps, batch, 4 * h_size))
+    np.matmul(xt.reshape(steps * batch, INPUT_DIM), params.w_x.T, out=zx.reshape(steps * batch, 4 * h_size))
+    z_gates = z.reshape(batch, 4, h_size).transpose(1, 0, 2)  # (4, B, H) view of z
+    for t in range(steps):
+        k = t if keep else 0
+        prev = k - 1 if keep else 0
+        if t == 0:  # h = 0: no recurrent term
+            np.add(zx[0], params.b, out=z)
+        else:
+            np.matmul(hidden[prev], params.w_h.T, out=z)
+            z += zx[t]
+            z += params.b
+        gate = gates[k]
+        _sigmoid(z_gates[:2], out=gate[:2])
+        np.tanh(z_gates[2], out=gate[2])
+        _sigmoid(z_gates[3], out=gate[3])
+        i, f, g, o = gate
+        c = cell[k]
+        if t == 0:  # c = 0: no forget term
+            np.multiply(i, g, out=c)
+        else:
+            np.multiply(f, cell[prev], out=c)
+            np.multiply(i, g, out=ig)
+            c += ig
+        np.tanh(c, out=tanh_cell[k])
+        np.multiply(o, tanh_cell[k], out=hidden[k])
+
+    pred = (hidden[-1] @ params.w_head.T + params.b_head).reshape(batch, WINDOW_LABEL_STEPS, LABEL_DIM)
+    cache = ForwardCache(params, xt, gates, cell, tanh_cell, hidden, pred) if keep else None
+    return pred, cache
+
+
 def forward_cached(params: ModelParams, window: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Run the LSTM over a window (10, 9) or batch (B, 10, 9).
 
     Returns the prediction, shape (5, 3) or (B, 5, 3), plus the activation
-    cache consumed by backward(). Initial hidden and cell states are zero;
-    the head reads the final hidden state only.
+    cache consumed by backward().
     """
     x, single = _as_batch(window)
-    batch, steps, _ = x.shape
-    h_size = params.hidden_size
-
-    gate_i = np.empty((steps, batch, h_size))
-    gate_f = np.empty((steps, batch, h_size))
-    gate_g = np.empty((steps, batch, h_size))
-    gate_o = np.empty((steps, batch, h_size))
-    cell = np.empty((steps, batch, h_size))
-    tanh_cell = np.empty((steps, batch, h_size))
-    hidden = np.empty((steps, batch, h_size))
-
-    h = np.zeros((batch, h_size))
-    c = np.zeros((batch, h_size))
-    for t in range(steps):
-        z = x[:, t, :] @ params.w_x.T + h @ params.w_h.T + params.b
-        zi, zf, zg, zo = np.split(z, 4, axis=1)
-        i = _sigmoid(zi)
-        f = _sigmoid(zf)
-        g = np.tanh(zg)
-        o = _sigmoid(zo)
-        c = f * c + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        gate_i[t], gate_f[t], gate_g[t], gate_o[t] = i, f, g, o
-        cell[t], tanh_cell[t], hidden[t] = c, tc, h
-
-    pred = (h @ params.w_head.T + params.b_head).reshape(batch, WINDOW_LABEL_STEPS, LABEL_DIM)
-    cache = ForwardCache(params, x, gate_i, gate_f, gate_g, gate_o, cell, tanh_cell, hidden, pred)
+    pred, cache = _lstm(params, _time_major(x), keep=True)
     return (pred[0] if single else pred), cache
 
 
+def _predict(params: ModelParams, x: np.ndarray, pool: dict[str, np.ndarray]) -> np.ndarray:
+    """Predictions for a (B, T, D) batch without a cache, PREDICT_CHUNK
+    windows at a time: the same values as one pass over the whole batch,
+    with working arrays that stay in cache and do not grow with B."""
+    chunks = [
+        _lstm(params, _time_major(x[start : start + PREDICT_CHUNK]), keep=False, pool=pool)[0]
+        for start in range(0, max(x.shape[0], 1), PREDICT_CHUNK)  # one pass even when B = 0
+    ]
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+
+
 def forward(params: ModelParams, window: np.ndarray) -> np.ndarray:
-    """Prediction only; see forward_cached."""
-    return forward_cached(params, window)[0]
+    """Prediction only: forward_cached's loop without keeping the cache."""
+    x, single = _as_batch(window)
+    pred = _predict(params, x, {})
+    return pred[0] if single else pred
 
 
 def loss(pred: np.ndarray, labels: np.ndarray) -> float:
@@ -233,55 +281,51 @@ def loss(pred: np.ndarray, labels: np.ndarray) -> float:
     return float(np.sum((p - y) ** 2) / p.shape[0])
 
 
-def backward(cache: ForwardCache, labels: np.ndarray) -> np.ndarray:
+def backward(cache: ForwardCache, labels: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Gradient of loss() w.r.t. the flattened parameters, via backprop
-    through time over the cached activations."""
+    through time over the cached activations. Written into out (a flat
+    vector of flat_length(H) values) when given, else into a new array."""
     params = cache.params
     y = np.asarray(labels, dtype=float)
     if y.ndim == 2:
         y = y[None]
-    batch, steps = cache.x.shape[0], cache.x.shape[1]
+    steps, batch = cache.xt.shape[0], cache.xt.shape[1]
+    h_size = params.hidden_size
     if y.shape != cache.pred.shape:
         raise ValueError(f"label shape {y.shape} does not match cached prediction {cache.pred.shape}")
+    grad = np.empty(flat_length(h_size)) if out is None else out
+    grad.fill(0.0)
+    g_params = ModelParams.view(grad, h_size)
 
     d_pred = (2.0 / batch) * (cache.pred - y).reshape(batch, OUTPUT_DIM)
-    h_final = cache.hidden[-1]
-    d_w_head = d_pred.T @ h_final
-    d_b_head = d_pred.sum(axis=0)
+    np.matmul(d_pred.T, cache.hidden[-1], out=g_params.w_head)
+    np.sum(d_pred, axis=0, out=g_params.b_head)
     d_h = d_pred @ params.w_head
 
-    d_w_x = np.zeros_like(params.w_x)
-    d_w_h = np.zeros_like(params.w_h)
-    d_b = np.zeros_like(params.b)
-    d_c = np.zeros((batch, params.hidden_size))
-
+    d_c = np.zeros((batch, h_size))
+    d_z = np.empty((batch, 4 * h_size))
+    d_i, d_f, d_g, d_o = (d_z[:, k * h_size : (k + 1) * h_size] for k in range(4))
     for t in range(steps - 1, -1, -1):
-        i, f, g, o = cache.gate_i[t], cache.gate_f[t], cache.gate_g[t], cache.gate_o[t]
+        i, f, g, o = cache.gates[t]
         tc = cache.tanh_cell[t]
-        c_prev = cache.cell[t - 1] if t > 0 else np.zeros_like(d_c)
-        h_prev = cache.hidden[t - 1] if t > 0 else np.zeros_like(d_c)
+        # each gate's gradient times its activation's derivative; the
+        # products run left to right in this order, which fixes every bit
+        d_c += d_h * o * (1.0 - tc * tc)
+        d_o[...] = d_h * tc * o * (1.0 - o)
+        d_i[...] = d_c * g * i * (1.0 - i)
+        d_g[...] = d_c * i * (1.0 - g * g)
+        if t > 0:
+            d_f[...] = d_c * cache.cell[t - 1] * f * (1.0 - f)
+        else:  # c_prev = 0
+            d_f.fill(0.0)
+        g_params.w_x += d_z.T @ cache.xt[t]
+        g_params.b += d_z.sum(axis=0)
+        if t > 0:  # h_prev = 0 at t = 0, and d_h, d_c are not needed after it
+            g_params.w_h += d_z.T @ cache.hidden[t - 1]
+            d_h = d_z @ params.w_h
+            d_c *= f
 
-        d_o = d_h * tc
-        d_c = d_c + d_h * o * (1.0 - tc * tc)
-        d_i = d_c * g
-        d_g = d_c * i
-        d_f = d_c * c_prev
-
-        d_z = np.hstack(
-            [
-                d_i * i * (1.0 - i),
-                d_f * f * (1.0 - f),
-                d_g * (1.0 - g * g),
-                d_o * o * (1.0 - o),
-            ]
-        )
-        d_w_x += d_z.T @ cache.x[:, t, :]
-        d_w_h += d_z.T @ h_prev
-        d_b += d_z.sum(axis=0)
-        d_h = d_z @ params.w_h
-        d_c = d_c * f
-
-    return np.concatenate([d_w_x.ravel(), d_w_h.ravel(), d_b, d_w_head.ravel(), d_b_head])
+    return grad
 
 
 def sgd_step(params: ModelParams, opt: OptimizerState, grad: np.ndarray) -> tuple[ModelParams, OptimizerState]:
@@ -290,9 +334,8 @@ def sgd_step(params: ModelParams, opt: OptimizerState, grad: np.ndarray) -> tupl
     if grad.shape != flat.shape:
         raise ValueError(f"gradient shape {grad.shape} does not match parameter count {flat.shape}")
     velocity = opt.momentum * opt.velocity + grad
-    new_flat = flat - opt.learning_rate * velocity
-    new_params = ModelParams.unflatten(new_flat, params.hidden_size)
-    return new_params, OptimizerState(velocity, opt.learning_rate, opt.momentum)
+    flat -= opt.learning_rate * velocity
+    return ModelParams.view(flat, params.hidden_size), OptimizerState(velocity, opt.learning_rate, opt.momentum)
 
 
 def train_local(
@@ -311,6 +354,9 @@ def train_local(
     Each episode reshuffles the sample order with the supplied rng and sweeps
     batches of at most batch_size (the trailing partial batch is kept).
     Returns the trained parameters and the full-dataset loss afterwards.
+    The values equal a loop of forward_cached, backward and sgd_step bit for
+    bit; here the parameters, gradient and velocity are flat buffers updated
+    in place.
     """
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -322,18 +368,27 @@ def train_local(
         raise ValueError(f"episodes must be >= 0, got {episodes}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    x, _ = _as_batch(x)  # shape and finiteness, once for every batch drawn from x
 
-    params = params.copy()
-    opt = OptimizerState.fresh(flat_length(params.hidden_size), learning_rate, momentum)
+    theta = params.flatten()
+    params = ModelParams.view(theta, params.hidden_size)
+    grad = np.empty_like(theta)
+    velocity = np.zeros_like(theta)
+    step = np.empty_like(theta)
+    xt = _time_major(x)
+    pool: dict[str, np.ndarray] = {}
     n = x.shape[0]
     for _ in range(episodes):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
-            _, cache = forward_cached(params, x[idx])
-            grad = backward(cache, y[idx])
-            params, opt = sgd_step(params, opt, grad)
-    return params, loss(forward(params, x), y)
+            _, cache = _lstm(params, xt[:, idx], keep=True, pool=pool)
+            backward(cache, y[idx], out=grad)
+            velocity *= momentum
+            velocity += grad
+            np.multiply(velocity, learning_rate, out=step)
+            theta -= step
+    return params, loss(_predict(params, x, pool), y)
 
 
 def save_params(params: ModelParams, path: str | Path) -> None:

@@ -74,6 +74,25 @@ class TestRun:
         assert "cell seed" in err
         assert not (out / "summary.csv").exists()
 
+    def test_finite_blowup_is_error(self, tmp_path, capsys):
+        # lr=50 explodes the loss within one round while it stays finite
+        path = tmp_path / "blowup.cfg"
+        path.write_text(
+            "methods = centralized\npenetrations = 0.75\nrepeats = 1\nglobal_rounds = 1\nlearning_rate = 50\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "results"
+        rc = main(["run", "--config", str(path), "--profile", "desk", "--out", str(out)])
+        assert rc == 1
+        assert "error: centralized diverged at round 1 " in capsys.readouterr().err
+
+    def test_failed_run_leaves_no_out_dir(self, tmp_path, capsys):
+        path = tmp_path / "diverge.cfg"
+        path.write_text("methods = centralized\nglobal_rounds = 3\nlearning_rate = 50\n", encoding="utf-8")
+        out = tmp_path / "results"
+        assert main(["run", "--config", str(path), "--profile", "desk", "--out", str(out)]) == 1
+        assert not out.exists()
+
     def test_unknown_profile_rejected_by_argparse(self, tiny_config):
         with pytest.raises(SystemExit):
             main(["run", "--config", str(tiny_config), "--profile", "mainframe"])

@@ -1,4 +1,6 @@
 """Recurrent predictor: forward oracle, gradient check, optimizer, serialization."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,9 @@ from fltp.model import (
     ModelParams,
     OptimizerState,
     OUTPUT_DIM,
+    PREDICT_CHUNK,
     TrainConfig,
+    _sigmoid,
     backward,
     flat_length,
     forward,
@@ -149,6 +153,23 @@ class TestForward:
         bad[3, 3] = np.nan
         with pytest.raises(ValueError):
             forward(p, bad)
+
+    @pytest.mark.parametrize("batch", [1, 3, 130, 2 * PREDICT_CHUNK + 3])
+    def test_forward_equals_forward_cached(self, batch):
+        p = ModelParams.init(6, derive_rng(9))
+        x, _ = _sample(12, batch=batch)
+        np.testing.assert_array_equal(forward(p, x), forward_cached(p, x)[0])
+        np.testing.assert_array_equal(forward(p, x[0]), forward_cached(p, x[0])[0])
+
+    def test_sigmoid_matches_logistic_without_warnings(self):
+        x = np.linspace(-800.0, 800.0, 160_001)
+        with np.errstate(over="ignore"):
+            expected = 1.0 / (1.0 + np.exp(-x))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _sigmoid(x)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - expected)) <= 1e-15
 
 
 class TestLoss:
@@ -305,6 +326,33 @@ class TestTrainLocal:
         grad = backward(cache, y)
         expected = p0.flatten() - 1e-3 * grad
         np.testing.assert_allclose(a.flatten(), expected, rtol=1e-12, atol=1e-15)
+
+    def test_equals_forward_backward_sgd_loop(self):
+        # 21 samples in batches of 8: the last batch of each episode is partial
+        x, y = self._data(n=21, seed=3)
+        p0 = ModelParams.init(5, derive_rng(406))
+        kw = dict(episodes=3, batch_size=8, learning_rate=0.05, momentum=0.7)
+        trained, final = train_local(p0, x, y, rng=derive_rng(7), **kw)
+
+        rng = derive_rng(7)
+        params = p0
+        opt = OptimizerState.fresh(flat_length(5), kw["learning_rate"], kw["momentum"])
+        for _ in range(kw["episodes"]):
+            order = rng.permutation(21)
+            for start in range(0, 21, kw["batch_size"]):
+                idx = order[start : start + kw["batch_size"]]
+                _, cache = forward_cached(params, x[idx])
+                params, opt = sgd_step(params, opt, backward(cache, y[idx]))
+        np.testing.assert_array_equal(trained.flatten(), params.flatten())
+        assert final == loss(forward(params, x), y)
+        np.testing.assert_array_equal(p0.flatten(), ModelParams.init(5, derive_rng(406)).flatten())
+
+    def test_rejects_non_finite_feature(self):
+        x, y = self._data()
+        x[5, 2, 4] = np.nan
+        p0 = ModelParams.init(4, derive_rng(407))
+        with pytest.raises(ValueError, match="non-finite"):
+            train_local(p0, x, y, episodes=1, batch_size=4, learning_rate=0.1, momentum=0.5, rng=derive_rng(1))
 
     def test_input_validation(self):
         x, y = self._data()

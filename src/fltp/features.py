@@ -32,6 +32,11 @@ FEATURE_DIM = 9
 LABEL_DIM = 3
 
 
+_MIXED = "window mixes messages from different senders"
+_MISALIGNED = "ego states misaligned with message steps"
+_NOT_CONSECUTIVE = "truth states must cover consecutive steps"
+
+
 class WindowError(Exception):
     """A gap in the message step sequence; the caller should restart the
     window after the gap."""
@@ -53,6 +58,55 @@ class NormalizationSpec:
             raise ValueError(f"rssi_min must be < rssi_max, got [{self.rssi_min}, {self.rssi_max}]")
 
 
+def _state_columns(states: Sequence[VehicleState]) -> tuple[np.ndarray, np.ndarray]:
+    """Steps (L,) and kinematics (L, 4) = [pos_x, pos_y, spd_x, spd_y] of a track."""
+    table = np.array([(s.t, s.pos_x, s.pos_y, s.spd_x, s.spd_y) for s in states], dtype=float).reshape(-1, 5)
+    return table[:, 0].astype(np.int64), table[:, 1:]
+
+
+def _clamp(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """min(max(x, lo), hi) per element, ties included: np.maximum(-0.0, 0.0)
+    is 0.0, where max(-0.0, 0.0) keeps -0.0."""
+    x = np.where(lo > x, lo, x)
+    return np.where(hi < x, hi, x)
+
+
+def _feature_rows(claims: np.ndarray, ego: np.ndarray, spec: NormalizationSpec) -> np.ndarray:
+    """Normalized (L, 9) rows from claims (L, 5) = [pos_x, pos_y, spd_x,
+    spd_y, rssi] and the ego kinematics (L, 4) at the same steps."""
+    r = spec.region_side
+    v = spec.v_max
+    out = np.empty((claims.shape[0], FEATURE_DIM))
+    out[:, 0:2] = _clamp(claims[:, 0:2] / r, 0.0, 1.0)
+    out[:, 2:4] = _clamp(claims[:, 2:4] / v, -1.0, 1.0)
+    out[:, 4:6] = _clamp((claims[:, 0:2] - ego[:, 0:2]) / r, -1.0, 1.0)
+    out[:, 6:8] = _clamp((claims[:, 2:4] - ego[:, 2:4]) / v, -1.0, 1.0)
+    out[:, 8] = _clamp((claims[:, 4] - spec.rssi_min) / (spec.rssi_max - spec.rssi_min), 0.0, 1.0)
+    return out
+
+
+def _label_rows(truth: np.ndarray, attacker: AttackerType, spec: NormalizationSpec) -> np.ndarray:
+    """(L, 3) label rows from the truth kinematics (L, 4): positions / R and
+    the attacker-class code."""
+    out = np.empty((truth.shape[0], LABEL_DIM))
+    out[:, 0:2] = truth[:, 0:2] / spec.region_side
+    out[:, 2] = float(attacker)
+    return out
+
+
+def _message_columns(msgs: Sequence[Bsm]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sender ids (L,), steps (L,) and claims (L, 5) = [pos_x, pos_y, spd_x,
+    spd_y, rssi] of a message sequence."""
+    table = np.array(
+        [
+            (m.sender_id, m.step, m.claimed_pos_x, m.claimed_pos_y, m.claimed_spd_x, m.claimed_spd_y, m.rssi)
+            for m in msgs
+        ],
+        dtype=float,
+    ).reshape(-1, 7)
+    return table[:, 0].astype(np.int64), table[:, 1].astype(np.int64), table[:, 2:]
+
+
 def build_feature_window(
     msgs: Sequence[Bsm], ego_states: Sequence[VehicleState], spec: NormalizationSpec
 ) -> np.ndarray:
@@ -69,28 +123,13 @@ def build_feature_window(
         )
     sender = msgs[0].sender_id
     if any(m.sender_id != sender for m in msgs):
-        raise ValueError("window mixes messages from different senders")
+        raise ValueError(_MIXED)
     for prev, cur in zip(msgs, msgs[1:]):
         if cur.step != prev.step + 1:
             raise WindowError(f"step gap between {prev.step} and {cur.step}")
     if any(e.t != m.step for e, m in zip(ego_states, msgs)):
-        raise ValueError("ego states misaligned with message steps")
-
-    r = spec.region_side
-    v = spec.v_max
-    rssi_span = spec.rssi_max - spec.rssi_min
-    out = np.empty((WINDOW_INPUT_STEPS, FEATURE_DIM))
-    for k, (m, ego) in enumerate(zip(msgs, ego_states)):
-        out[k, 0] = min(max(m.claimed_pos_x / r, 0.0), 1.0)
-        out[k, 1] = min(max(m.claimed_pos_y / r, 0.0), 1.0)
-        out[k, 2] = min(max(m.claimed_spd_x / v, -1.0), 1.0)
-        out[k, 3] = min(max(m.claimed_spd_y / v, -1.0), 1.0)
-        out[k, 4] = min(max((m.claimed_pos_x - ego.pos_x) / r, -1.0), 1.0)
-        out[k, 5] = min(max((m.claimed_pos_y - ego.pos_y) / r, -1.0), 1.0)
-        out[k, 6] = min(max((m.claimed_spd_x - ego.spd_x) / v, -1.0), 1.0)
-        out[k, 7] = min(max((m.claimed_spd_y - ego.spd_y) / v, -1.0), 1.0)
-        out[k, 8] = min(max((m.rssi - spec.rssi_min) / rssi_span, 0.0), 1.0)
-    return out
+        raise ValueError(_MISALIGNED)
+    return _feature_rows(_message_columns(msgs)[2], _state_columns(ego_states)[1], spec)
 
 
 def build_label(
@@ -103,13 +142,8 @@ def build_label(
         raise ValueError(f"need exactly {WINDOW_LABEL_STEPS} truth states, got {len(truth_states)}")
     for prev, cur in zip(truth_states, truth_states[1:]):
         if cur.t != prev.t + 1:
-            raise ValueError("truth states must cover consecutive steps")
-    out = np.empty((WINDOW_LABEL_STEPS, LABEL_DIM))
-    for k, s in enumerate(truth_states):
-        out[k, 0] = s.pos_x / spec.region_side
-        out[k, 1] = s.pos_y / spec.region_side
-        out[k, 2] = float(attacker)
-    return out
+            raise ValueError(_NOT_CONSECUTIVE)
+    return _label_rows(_state_columns(truth_states)[1], attacker, spec)
 
 
 def windows_from_stream(
@@ -118,28 +152,51 @@ def windows_from_stream(
     sender_states: Sequence[VehicleState],
     attacker: AttackerType,
     spec: NormalizationSpec,
-) -> list[tuple[np.ndarray, np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Slide a stride-1 window over one sender's stream.
 
     ego_states and sender_states are full per-step tracks indexed by step
-    (state.t == index). A gapless stream of length L yields max(0, L - 14)
-    pairs; windows spanning a step gap or running past the end of the truth
-    track are skipped.
+    (state.t == index). Returns features (K, 10, 9) and labels (K, 5, 3). A
+    gapless stream of length L yields K = max(0, L - 14) windows; windows
+    spanning a step gap or running past either track are skipped. Each
+    message is normalized once; the windows are gathered from those rows.
+
+    Raises ValueError, as build_feature_window and build_label would for the
+    first offending window inside both tracks: one that mixes senders, or a
+    gapless one whose ego states or future truth states are misaligned.
     """
-    pairs: list[tuple[np.ndarray, np.ndarray]] = []
-    for k in range(max(0, len(msgs) - (WINDOW_SPAN - 1))):
-        chunk = msgs[k : k + WINDOW_INPUT_STEPS]
-        first = chunk[0].step
-        last = chunk[-1].step
-        if first < 0 or last + WINDOW_LABEL_STEPS >= len(sender_states) or first + WINDOW_INPUT_STEPS > len(ego_states):
-            continue
-        try:
-            fw = build_feature_window(chunk, ego_states[first : first + WINDOW_INPUT_STEPS], spec)
-        except WindowError:
-            continue
-        lb = build_label(sender_states[last + 1 : last + 1 + WINDOW_LABEL_STEPS], attacker, spec)
-        pairs.append((fw, lb))
-    return pairs
+    spec.validate()
+    n_windows = max(0, len(msgs) - (WINDOW_SPAN - 1))
+    senders, steps, claims = _message_columns(msgs)
+    idx = np.arange(n_windows)[:, None] + np.arange(WINDOW_INPUT_STEPS)
+    win_steps = steps[idx]
+    in_tracks = (
+        (win_steps[:, 0] >= 0)
+        & (win_steps[:, -1] + WINDOW_LABEL_STEPS < len(sender_states))
+        & (win_steps[:, 0] + WINDOW_INPUT_STEPS <= len(ego_states))
+    )
+    mixed = (senders[idx] != senders[idx[:, :1]]).any(axis=1)
+    kept = np.flatnonzero(in_tracks & (np.diff(win_steps, axis=1) == 1).all(axis=1))
+
+    # every step of a kept window indexes both tracks
+    ego_t, ego_kin = _state_columns(ego_states)
+    truth_t, truth_kin = _state_columns(sender_states)
+    kept_steps = win_steps[kept]
+    label_idx = kept_steps[:, -1:] + np.arange(1, 1 + WINDOW_LABEL_STEPS)
+    misaligned = (ego_t[kept_steps] != kept_steps).any(axis=1)
+    label_gap = (np.diff(truth_t[label_idx], axis=1) != 1).any(axis=1)
+    bad = in_tracks & mixed
+    bad[kept] |= misaligned | label_gap
+    if bad.any():  # the first failing window decides, as in a window-by-window pass
+        k = int(np.argmax(bad))
+        if mixed[k]:
+            raise ValueError(_MIXED)
+        raise ValueError(_MISALIGNED if misaligned[np.searchsorted(kept, k)] else _NOT_CONSECUTIVE)
+    if not kept.size:
+        return np.empty((0, WINDOW_INPUT_STEPS, FEATURE_DIM)), np.empty((0, WINDOW_LABEL_STEPS, LABEL_DIM))
+
+    rows = _feature_rows(claims, ego_kin[np.clip(steps, 0, len(ego_states) - 1)], spec)
+    return rows[idx[kept]], _label_rows(truth_kin, attacker, spec)[label_idx]
 
 
 def denormalize_pos(norm_xy: np.ndarray, spec: NormalizationSpec) -> np.ndarray:

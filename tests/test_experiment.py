@@ -1,10 +1,12 @@
 """Sweep orchestration: seeding, CSV artifacts, summaries, reproducibility."""
 import csv
+import hashlib
 import math
 from pathlib import Path
 
 import pytest
 
+from fltp.cli import main as cli_main
 from fltp.config import config_from_kv
 from fltp.experiment import (
     ROUNDS_HEADER,
@@ -255,3 +257,27 @@ class TestExportSummary:
     def test_empty_dir_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no rounds_"):
             export_summary(tmp_path, tmp_path / "x.csv")
+
+
+# sha256 of the desk protocol's outputs at penetration 0.75 (4 vehicles,
+# 3 methods x 2 repeats, 30 rounds, master seed 42) on x86-64 OpenBLAS; other
+# BLAS kernels round differently, so this runs with the acceptance gate only.
+DESK_FINGERPRINT = {
+    "summary.csv": "5a08fed9ab852b00aebd4b0eeddeca1e2d092b175d732b36fc187b0deebda782",
+    "rounds_centralized_p0.75_v4_rep0.csv": "b6b84c176cc2f51acce1985a310fa51ece92da6e625592b7b0e9f8da58ed917e",
+    "rounds_centralized_p0.75_v4_rep1.csv": "2a317f093430d710a83014f5762a80057aa835203fd1130cda0c9a574a90feae",
+    "rounds_fed-avg_p0.75_v4_rep0.csv": "f601e5b7203b0c966fb7e56e29c60c44a766098c05bf3cca0a323b05a18c27a6",
+    "rounds_fed-avg_p0.75_v4_rep1.csv": "95006ffb4b27b3f27e34b1bf944e7f089c961b24726a3cfa3bfa96d997c2d082",
+    "rounds_fl-tp_p0.75_v4_rep0.csv": "7f66b9bb85dd22281139b351695ce11e512601018dada3ce7713d386b0921bef",
+    "rounds_fl-tp_p0.75_v4_rep1.csv": "80c3eb5ccfc6d8223e22fe10ce32826535672e5458371de3e568859a5bee55b5",
+}
+
+
+@pytest.mark.acceptance
+def test_desk_fingerprint(tmp_path):
+    cfg_file = tmp_path / "desk75.cfg"
+    cfg_file.write_text("penetrations = 0.75\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg_file), "--profile", "desk", "--out", str(out)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == DESK_FINGERPRINT

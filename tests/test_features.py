@@ -1,7 +1,9 @@
 """Feature/label normalization and sliding-window construction."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fltp.features import (
     FEATURE_DIM,
@@ -144,11 +146,15 @@ class TestWindowsFromStream:
 
     @pytest.mark.parametrize("length,expected", [(0, 0), (5, 0), (14, 0), (15, 1), (30, 16), (100, 86)])
     def test_pair_count(self, length, expected):
-        assert len(self._windows(length)) == expected
+        x, y = self._windows(length)
+        assert len(x) == expected
+        assert x.shape == (expected, WINDOW_INPUT_STEPS, FEATURE_DIM)
+        assert y.shape == (expected, WINDOW_LABEL_STEPS, LABEL_DIM)
 
     @given(st.integers(min_value=0, max_value=60))
     def test_pair_count_formula(self, length):
-        assert len(self._windows(length)) == max(0, length - 14)
+        x, _ = self._windows(length)
+        assert len(x) == max(0, length - 14)
 
     def test_gap_skips_spanning_windows(self):
         length = 40
@@ -156,16 +162,16 @@ class TestWindowsFromStream:
         ego = _track(0, length)
         msgs = _stream(sender)
         del msgs[20]  # gap at step 20
-        pairs = windows_from_stream(msgs, ego, sender, AttackerType.GENUINE, SPEC)
+        x, _ = windows_from_stream(msgs, ego, sender, AttackerType.GENUINE, SPEC)
         # every window covering step 20 is gone; trailing windows shifted but intact
-        assert len(pairs) == (length - 14) - 10
+        assert len(x) == (length - 14) - 10
 
     def test_labels_are_truth_futures(self):
         length = 20
         sender = _track(1, length)
         ego = _track(0, length)
-        pairs = windows_from_stream(_stream(sender), ego, sender, AttackerType.GENUINE, SPEC)
-        fw, lb = pairs[0]
+        _, y = windows_from_stream(_stream(sender), ego, sender, AttackerType.GENUINE, SPEC)
+        lb = y[0]
         expected = np.array([[s.pos_x / R, s.pos_y / R] for s in sender[10:15]])
         np.testing.assert_allclose(lb[:, :2], expected)
 
@@ -173,17 +179,173 @@ class TestWindowsFromStream:
         length = 20
         sender = _track(1, length)
         ego = _track(0, length)
-        honest = windows_from_stream(_stream(sender), ego, sender, AttackerType.GENUINE, SPEC)
-        lying = windows_from_stream(
+        honest_x, honest_y = windows_from_stream(_stream(sender), ego, sender, AttackerType.GENUINE, SPEC)
+        lying_x, lying_y = windows_from_stream(
             _stream(sender, claimed=lambda s: (R / 2, R / 2), attacker=AttackerType.CONSTANT),
             ego,
             sender,
             AttackerType.CONSTANT,
             SPEC,
         )
-        np.testing.assert_array_equal(honest[0][1][:, :2], lying[0][1][:, :2])
-        np.testing.assert_array_equal(lying[0][1][:, 2], 1.0)
-        assert not np.array_equal(honest[0][0], lying[0][0])
+        np.testing.assert_array_equal(honest_y[0][:, :2], lying_y[0][:, :2])
+        np.testing.assert_array_equal(lying_y[0][:, 2], 1.0)
+        assert not np.array_equal(honest_x[0], lying_x[0])
+
+    def test_mixed_senders_rejected(self):
+        sender = _track(1, 30)
+        msgs = _stream(sender)
+        msgs[12] = _stream(_track(2, 30))[12]
+        with pytest.raises(ValueError, match="different senders"):
+            windows_from_stream(msgs, _track(0, 30), sender, AttackerType.GENUINE, SPEC)
+
+    def test_misaligned_ego_rejected(self):
+        sender = _track(1, 30)
+        ego = _track(0, 31)[1:]  # ego[k].t == k + 1
+        with pytest.raises(ValueError, match="misaligned"):
+            windows_from_stream(_stream(sender), ego, sender, AttackerType.GENUINE, SPEC)
+
+
+# The window-by-window construction windows_from_stream replaced: every
+# window rebuilt from its ten messages with scalar clamps. Kept as the
+# reference the array version must reproduce byte for byte.
+def _reference_feature_window(msgs, ego_states, spec):
+    sender = msgs[0].sender_id
+    if any(m.sender_id != sender for m in msgs):
+        raise ValueError("window mixes messages from different senders")
+    for prev, cur in zip(msgs, msgs[1:]):
+        if cur.step != prev.step + 1:
+            raise WindowError(f"step gap between {prev.step} and {cur.step}")
+    if any(e.t != m.step for e, m in zip(ego_states, msgs)):
+        raise ValueError("ego states misaligned with message steps")
+    r = spec.region_side
+    v = spec.v_max
+    rssi_span = spec.rssi_max - spec.rssi_min
+    out = np.empty((WINDOW_INPUT_STEPS, FEATURE_DIM))
+    for k, (m, ego) in enumerate(zip(msgs, ego_states)):
+        out[k, 0] = min(max(m.claimed_pos_x / r, 0.0), 1.0)
+        out[k, 1] = min(max(m.claimed_pos_y / r, 0.0), 1.0)
+        out[k, 2] = min(max(m.claimed_spd_x / v, -1.0), 1.0)
+        out[k, 3] = min(max(m.claimed_spd_y / v, -1.0), 1.0)
+        out[k, 4] = min(max((m.claimed_pos_x - ego.pos_x) / r, -1.0), 1.0)
+        out[k, 5] = min(max((m.claimed_pos_y - ego.pos_y) / r, -1.0), 1.0)
+        out[k, 6] = min(max((m.claimed_spd_x - ego.spd_x) / v, -1.0), 1.0)
+        out[k, 7] = min(max((m.claimed_spd_y - ego.spd_y) / v, -1.0), 1.0)
+        out[k, 8] = min(max((m.rssi - spec.rssi_min) / rssi_span, 0.0), 1.0)
+    return out
+
+
+def _reference_label(truth_states, attacker, spec):
+    for prev, cur in zip(truth_states, truth_states[1:]):
+        if cur.t != prev.t + 1:
+            raise ValueError("truth states must cover consecutive steps")
+    out = np.empty((WINDOW_LABEL_STEPS, LABEL_DIM))
+    for k, s in enumerate(truth_states):
+        out[k, 0] = s.pos_x / spec.region_side
+        out[k, 1] = s.pos_y / spec.region_side
+        out[k, 2] = float(attacker)
+    return out
+
+
+def _reference_windows(msgs, ego_states, sender_states, attacker, spec):
+    """(features (K, 10, 9), labels (K, 5, 3)) built one window at a time."""
+    feats, labels = [], []
+    for k in range(max(0, len(msgs) - 14)):
+        chunk = msgs[k : k + WINDOW_INPUT_STEPS]
+        first = chunk[0].step
+        last = chunk[-1].step
+        if first < 0 or last + WINDOW_LABEL_STEPS >= len(sender_states) or first + WINDOW_INPUT_STEPS > len(ego_states):
+            continue
+        try:
+            fw = _reference_feature_window(chunk, ego_states[first : first + WINDOW_INPUT_STEPS], spec)
+        except WindowError:
+            continue
+        feats.append(fw)
+        labels.append(_reference_label(sender_states[last + 1 : last + 1 + WINDOW_LABEL_STEPS], attacker, spec))
+    if not feats:
+        return np.empty((0, WINDOW_INPUT_STEPS, FEATURE_DIM)), np.empty((0, WINDOW_LABEL_STEPS, LABEL_DIM))
+    return np.stack(feats), np.stack(labels)
+
+
+# values on and around the clamp bounds, signed zeros included
+_EDGE_VALUES = (0.0, -0.0, R, -R, 2 * R, V_MAX, -V_MAX, 1e-300, -1e-300)
+
+
+@st.composite
+def _edited_stream(draw):
+    """A single-sender stream with deleted and duplicated messages and a
+    shifted first step, against ego and sender tracks of drawn lengths."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    start = draw(st.integers(min_value=-3, max_value=4))
+    steps = list(range(start, start + draw(st.integers(min_value=0, max_value=45))))
+    for dup, at in draw(st.lists(st.tuples(st.booleans(), st.integers(min_value=0, max_value=99)), max_size=4)):
+        if steps:
+            i = at % len(steps)
+            if dup:
+                steps.insert(i, steps[i])
+            else:
+                del steps[i]
+    horizon = max(steps, default=0) + 20
+    ego_len = max(0, horizon - draw(st.integers(min_value=0, max_value=30)))
+    sender_len = max(0, horizon - draw(st.integers(min_value=0, max_value=30)))
+
+    def track(vid, n):
+        pos = rng.uniform(-0.2 * R, 1.2 * R, size=(n, 2))
+        spd = rng.uniform(-1.5 * V_MAX, 1.5 * V_MAX, size=(n, 2))
+        return [VehicleState(vid, t, *map(float, pos[t]), *map(float, spd[t])) for t in range(n)]
+
+    claims = rng.uniform(-0.2 * R, 1.2 * R, size=(len(steps), 5))
+    claims[:, 2:4] = rng.uniform(-1.5 * V_MAX, 1.5 * V_MAX, size=(len(steps), 2))
+    claims[:, 4] = rng.uniform(-130.0, -10.0, size=len(steps))
+    edge = rng.random(claims.shape) < 0.1
+    claims[edge] = rng.choice(_EDGE_VALUES, size=int(edge.sum()))
+    msgs = [
+        Bsm(1, step, float(step), float(step) + 1e-6, *map(float, c[:4]), float(c[4]), AttackerType.RANDOM)
+        for step, c in zip(steps, claims)
+    ]
+    return msgs, track(0, ego_len), track(1, sender_len)
+
+
+class TestWindowsMatchReference:
+    @given(_edited_stream())
+    def test_equals_window_by_window_build(self, case):
+        msgs, ego, sender = case
+        x, y = windows_from_stream(msgs, ego, sender, AttackerType.RANDOM, SPEC)
+        ref_x, ref_y = _reference_windows(msgs, ego, sender, AttackerType.RANDOM, SPEC)
+        assert x.shape == ref_x.shape and y.shape == ref_y.shape
+        assert x.dtype == ref_x.dtype and y.dtype == ref_y.dtype
+        assert x.tobytes() == ref_x.tobytes()
+        assert y.tobytes() == ref_y.tobytes()
+
+    @settings(max_examples=300)
+    @given(
+        _edited_stream(),
+        st.lists(
+            st.tuples(st.sampled_from(["sender", "ego", "truth"]), st.integers(min_value=0, max_value=99)),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_same_error_as_window_by_window_build(self, case, corruptions):
+        """Foreign senders and ego or truth states off their steps: the first
+        offending window raises the same ValueError in both."""
+        msgs, ego, sender = case
+        for kind, at in corruptions:
+            if kind == "sender" and msgs:
+                i = at % len(msgs)
+                msgs[i] = replace(msgs[i], sender_id=2)
+            track = {"ego": ego, "truth": sender}.get(kind)
+            if track:
+                i = at % len(track)
+                track[i] = replace(track[i], t=track[i].t + 1)
+        try:
+            expected = _reference_windows(msgs, ego, sender, AttackerType.RANDOM, SPEC)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                windows_from_stream(msgs, ego, sender, AttackerType.RANDOM, SPEC)
+            assert str(got.value) == str(exc)
+            return
+        x, y = windows_from_stream(msgs, ego, sender, AttackerType.RANDOM, SPEC)
+        assert x.tobytes() == expected[0].tobytes() and y.tobytes() == expected[1].tobytes()
 
 
 class TestDenormalize:

@@ -244,6 +244,15 @@ class TestAggregate:
 
 
 class TestEvaluateGlobal:
+    def test_per_type_keys_ascending_codes_present(self):
+        codes = [5, 0, 3, 3, 5, 1]
+        labels = np.zeros((len(codes), 5, 3))
+        labels[:, :, 2] = np.array(codes, dtype=float)[:, None]
+        es = EvalSet(np.random.default_rng(2).uniform(0.0, 1.0, size=(len(codes), 10, 9)), labels)
+        _, _, per_type, _ = evaluate_global(ModelParams.zeros(4), es, NORM)
+        assert list(per_type) == [0, 1, 3, 5]
+        assert per_type[0] == 1.0 and per_type[5] == 0.0
+
     def test_zero_model_hand_metrics(self):
         n_per = 2
         rng = np.random.default_rng(1)
@@ -258,6 +267,7 @@ class TestEvaluateGlobal:
         assert err == pytest.approx(3000.0 * np.sqrt(2.0), rel=1e-12)
         assert acc == 0.5
         assert per_type == {0: 1.0, 3: 0.0}
+        assert all(type(code) is int for code in per_type)
         # per sample: 10 position residuals of 0.09 plus five code residuals
         assert loss_value == pytest.approx((0.9 + 0.9 + 45.9 + 45.9) / 4, rel=1e-12)
 

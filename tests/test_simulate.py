@@ -1,11 +1,17 @@
 """Broadcast simulation: claims, per-link streams, dataset assembly."""
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fltp.attacks import AttackParams
+from fltp.config import config_from_kv
 from fltp.features import NormalizationSpec, WINDOW_SPAN
+from fltp.seeding import TAG_LINK, derive_rng
 from fltp.simulate import assemble_datasets, broadcast_streams, falsified_claims, pooled_training_set
-from fltp.trace import AttackerType, ChannelConfig, ScenarioConfig, generate_scenario
+from fltp.trace import SPEED_OF_LIGHT, AttackerType, Bsm, ChannelConfig, ScenarioConfig, generate_scenario
+from test_features import _reference_windows
 
 
 def _scenario(n_vehicles=4, penetration=0.5, n_steps=40, seed=2024, shadow=2.0):
@@ -182,3 +188,98 @@ class TestPooledTrainingSet:
             np.testing.assert_array_equal(x[offset : offset + vd.n_samples], vd.features)
             np.testing.assert_array_equal(y[offset : offset + vd.n_samples], vd.labels)
             offset += vd.n_samples
+
+
+# The per-message broadcast and per-pair assembly that the link-at-a-time
+# versions replaced, kept as the references they must reproduce exactly.
+def _reference_broadcast(scenario, attack):
+    cfg = scenario.config
+    ch = cfg.channel
+    claims = falsified_claims(scenario, attack)
+    streams = {}
+    for sender in range(cfg.n_vehicles):
+        for receiver in range(cfg.n_vehicles):
+            if receiver == sender:
+                continue
+            link_rng = derive_rng(cfg.rng_seed, TAG_LINK, sender, receiver)
+            stream = []
+            for step, row in enumerate(scenario.states):
+                s_truth = row[sender]
+                r_truth = row[receiver]
+                distance = float(np.hypot(s_truth.pos_x - r_truth.pos_x, s_truth.pos_y - r_truth.pos_y))
+                claim = claims[sender][step]
+                t_snd = step * cfg.dt
+                d = max(distance, ch.reference_distance)
+                path_loss = 10.0 * ch.path_loss_exponent * math.log10(d / ch.reference_distance)
+                stream.append(
+                    Bsm(
+                        sender_id=sender,
+                        step=step,
+                        t_snd=t_snd,
+                        t_rev=t_snd + distance / SPEED_OF_LIGHT,
+                        claimed_pos_x=claim.pos[0],
+                        claimed_pos_y=claim.pos[1],
+                        claimed_spd_x=claim.spd[0],
+                        claimed_spd_y=claim.spd[1],
+                        rssi=ch.tx_power_dbm - path_loss + link_rng.normal(0.0, ch.shadowing_sigma),
+                        truth_attacker=scenario.attacker_types[sender],
+                    )
+                )
+            streams[(sender, receiver)] = stream
+    return streams
+
+
+def _reference_assemble(scenario, attack, norm, train_fraction):
+    streams = _reference_broadcast(scenario, attack)
+    n = scenario.config.n_vehicles
+    per_vehicle, eval_x, eval_y = [], [], []
+    for receiver in range(n):
+        feats, labels = [], []
+        for sender in range(n):
+            if sender == receiver:
+                continue
+            x, y = _reference_windows(
+                streams[(sender, receiver)],
+                scenario.vehicle_track(receiver),
+                scenario.vehicle_track(sender),
+                scenario.attacker_types[sender],
+                norm,
+            )
+            n_train = int(len(x) * train_fraction)
+            feats.extend(x[:n_train])
+            labels.extend(y[:n_train])
+            eval_x.extend(x[n_train:])
+            eval_y.extend(y[n_train:])
+        per_vehicle.append((np.stack(feats), np.stack(labels)))
+    return per_vehicle, (np.stack(eval_x), np.stack(eval_y))
+
+
+def _profile_scenario(profile, n_vehicles, seed):
+    cfg = config_from_kv({}, profile=profile)
+    scenario = generate_scenario(replace(cfg.scenario, n_vehicles=n_vehicles, penetration=0.75, rng_seed=seed))
+    return scenario, cfg
+
+
+@pytest.mark.parametrize("profile,n_vehicles,seed", [("desk", 4, 11), ("paper", 10, 12)])
+class TestMatchesMessageByMessageBuild:
+    def test_broadcast_equals_scalar_loop(self, profile, n_vehicles, seed):
+        scenario, cfg = _profile_scenario(profile, n_vehicles, seed)
+        got = broadcast_streams(scenario, cfg.attack)
+        expected = _reference_broadcast(scenario, cfg.attack)
+        assert list(got) == list(expected)
+        for key, stream in expected.items():
+            assert got[key] == stream
+            assert [type(v) for m in got[key] for v in vars(m).values()] == [
+                type(v) for m in stream for v in vars(m).values()
+            ]
+
+    def test_assembled_arrays_byte_equal(self, profile, n_vehicles, seed):
+        scenario, cfg = _profile_scenario(profile, n_vehicles, seed)
+        vehicles, pool = assemble_datasets(scenario, cfg.attack, cfg.norm, cfg.train_fraction)
+        per_vehicle, (pool_x, pool_y) = _reference_assemble(scenario, cfg.attack, cfg.norm, cfg.train_fraction)
+        assert [v.vehicle_id for v in vehicles] == list(range(n_vehicles))
+        for vd, (x, y) in zip(vehicles, per_vehicle):
+            assert vd.features.shape == x.shape and vd.labels.shape == y.shape
+            assert vd.features.tobytes() == x.tobytes() and vd.labels.tobytes() == y.tobytes()
+        assert pool.features.shape == pool_x.shape
+        assert pool.features.tobytes() == pool_x.tobytes() and pool.labels.tobytes() == pool_y.tobytes()

@@ -58,6 +58,21 @@ class TestSynthRssi:
         with pytest.raises(ValueError):
             synth_rssi(-1.0, ChannelConfig(), self._rng())
 
+    @pytest.mark.parametrize("sigma", [0.0, 2.0])
+    def test_array_equals_scalar_calls(self, sigma):
+        ch = ChannelConfig(tx_power_dbm=17.0, path_loss_exponent=2.7, reference_distance=1.5, shadowing_sigma=sigma)
+        d = np.concatenate([[0.0, 1.5, 1.0], np.random.default_rng(5).uniform(0.0, 15_000.0, size=2000)])
+        scalar_rng, array_rng = np.random.default_rng(9), np.random.default_rng(9)
+        expected = [synth_rssi(float(x), ch, scalar_rng) for x in d]
+        got = synth_rssi(d, ch, array_rng)
+        assert got.shape == d.shape
+        assert got.tolist() == expected
+        assert array_rng.random() == scalar_rng.random()  # the same number of draws
+
+    def test_array_with_negative_distance_rejected(self):
+        with pytest.raises(ValueError):
+            synth_rssi(np.array([3.0, -1.0]), ChannelConfig(), self._rng())
+
 
 class TestDeliveryTime:
     def test_zero_distance(self):
@@ -80,6 +95,17 @@ class TestDeliveryTime:
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):
             delivery_time(0.0, -1.0)
+
+    def test_array_equals_scalar_calls(self):
+        rng = np.random.default_rng(3)
+        t_snd = np.arange(500) * 0.1
+        d = rng.uniform(0.0, 15_000.0, size=500)
+        expected = [delivery_time(float(t), float(x)) for t, x in zip(t_snd, d)]
+        assert delivery_time(t_snd, d).tolist() == expected
+
+    def test_array_with_negative_distance_rejected(self):
+        with pytest.raises(ValueError):
+            delivery_time(np.zeros(2), np.array([1.0, -1.0]))
 
     @given(st.floats(min_value=1.0, max_value=1e7))
     def test_linear_in_distance(self, d):

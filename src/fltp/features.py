@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .trace import AttackerType, Bsm, VehicleState
+from .trace import AttackerType, Messages, VehicleState
 
 WINDOW_INPUT_STEPS = 10
 WINDOW_LABEL_STEPS = 5
@@ -35,11 +35,6 @@ LABEL_DIM = 3
 _MIXED = "window mixes messages from different senders"
 _MISALIGNED = "ego states misaligned with message steps"
 _NOT_CONSECUTIVE = "truth states must cover consecutive steps"
-
-
-class WindowError(Exception):
-    """A gap in the message step sequence; the caller should restart the
-    window after the gap."""
 
 
 @dataclass
@@ -94,60 +89,8 @@ def _label_rows(truth: np.ndarray, attacker: AttackerType, spec: NormalizationSp
     return out
 
 
-def _message_columns(msgs: Sequence[Bsm]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sender ids (L,), steps (L,) and claims (L, 5) = [pos_x, pos_y, spd_x,
-    spd_y, rssi] of a message sequence."""
-    table = np.array(
-        [
-            (m.sender_id, m.step, m.claimed_pos_x, m.claimed_pos_y, m.claimed_spd_x, m.claimed_spd_y, m.rssi)
-            for m in msgs
-        ],
-        dtype=float,
-    ).reshape(-1, 7)
-    return table[:, 0].astype(np.int64), table[:, 1].astype(np.int64), table[:, 2:]
-
-
-def build_feature_window(
-    msgs: Sequence[Bsm], ego_states: Sequence[VehicleState], spec: NormalizationSpec
-) -> np.ndarray:
-    """Normalize ten consecutive messages from one sender into a (10, 9) window.
-
-    Raises WindowError on a gap in the message step sequence, ValueError for
-    mixed senders, wrong lengths, or misaligned ego states.
-    """
-    spec.validate()
-    if len(msgs) != WINDOW_INPUT_STEPS or len(ego_states) != WINDOW_INPUT_STEPS:
-        raise ValueError(
-            f"need exactly {WINDOW_INPUT_STEPS} messages and ego states, "
-            f"got {len(msgs)} and {len(ego_states)}"
-        )
-    sender = msgs[0].sender_id
-    if any(m.sender_id != sender for m in msgs):
-        raise ValueError(_MIXED)
-    for prev, cur in zip(msgs, msgs[1:]):
-        if cur.step != prev.step + 1:
-            raise WindowError(f"step gap between {prev.step} and {cur.step}")
-    if any(e.t != m.step for e, m in zip(ego_states, msgs)):
-        raise ValueError(_MISALIGNED)
-    return _feature_rows(_message_columns(msgs)[2], _state_columns(ego_states)[1], spec)
-
-
-def build_label(
-    truth_states: Sequence[VehicleState], attacker: AttackerType, spec: NormalizationSpec
-) -> np.ndarray:
-    """Label block (5, 3): the sender's true future positions normalized by R
-    plus the attacker-class code replicated down the third column."""
-    spec.validate()
-    if len(truth_states) != WINDOW_LABEL_STEPS:
-        raise ValueError(f"need exactly {WINDOW_LABEL_STEPS} truth states, got {len(truth_states)}")
-    for prev, cur in zip(truth_states, truth_states[1:]):
-        if cur.t != prev.t + 1:
-            raise ValueError(_NOT_CONSECUTIVE)
-    return _label_rows(_state_columns(truth_states)[1], attacker, spec)
-
-
 def windows_from_stream(
-    msgs: Sequence[Bsm],
+    msgs: Messages,
     ego_states: Sequence[VehicleState],
     sender_states: Sequence[VehicleState],
     attacker: AttackerType,
@@ -161,13 +104,13 @@ def windows_from_stream(
     spanning a step gap or running past either track are skipped. Each
     message is normalized once; the windows are gathered from those rows.
 
-    Raises ValueError, as build_feature_window and build_label would for the
-    first offending window inside both tracks: one that mixes senders, or a
-    gapless one whose ego states or future truth states are misaligned.
+    Raises ValueError for the first offending window inside both tracks: one
+    that mixes senders, or a gapless one whose ego states (state.t != message
+    step) or future truth states (not consecutive) are misaligned.
     """
     spec.validate()
     n_windows = max(0, len(msgs) - (WINDOW_SPAN - 1))
-    senders, steps, claims = _message_columns(msgs)
+    senders, steps, claims = msgs.sender_id, msgs.step, msgs.claims
     idx = np.arange(n_windows)[:, None] + np.arange(WINDOW_INPUT_STEPS)
     win_steps = steps[idx]
     in_tracks = (

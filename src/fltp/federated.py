@@ -214,28 +214,18 @@ def run_flt_round(
     seed: int,
     judgment_threshold: float = 0.5,
     method: str = "fl-tp",
-    local_seeds: Sequence[int] | None = None,
 ) -> tuple[ModelParams, RoundReport]:
     """One federated round: local training on every vehicle, gate decision,
     weighting, aggregation in ascending vehicle_id order, evaluation.
 
-    Per-vehicle training streams derive from (seed, round_idx, vehicle_id)
-    unless explicit local_seeds are given, so the result is independent of
-    any execution interleaving.
+    Per-vehicle training streams derive from (seed, round_idx, vehicle_id),
+    so the result is independent of any execution interleaving.
     """
     if not vehicles:
         raise ValueError("no vehicles")
     t0 = time.perf_counter()
-    ordered = sorted(vehicles, key=lambda v: v.vehicle_id)
-    if local_seeds is not None and len(local_seeds) != len(ordered):
-        raise ValueError(f"{len(local_seeds)} local seeds for {len(ordered)} vehicles")
-
     updates: list[LocalUpdate] = []
-    for n, vd in enumerate(ordered):
-        if local_seeds is None:
-            rng = derive_rng(seed, TAG_TRAIN, round_idx, vd.vehicle_id)
-        else:
-            rng = derive_rng(local_seeds[n])
+    for vd in sorted(vehicles, key=lambda v: v.vehicle_id):
         trained, _ = train_local(
             global_params,
             vd.features,
@@ -244,7 +234,7 @@ def run_flt_round(
             batch_size=train.batch_size,
             learning_rate=train.learning_rate,
             momentum=train.momentum,
-            rng=rng,
+            rng=derive_rng(seed, TAG_TRAIN, round_idx, vd.vehicle_id),
         )
         updates.append(LocalUpdate(vd.vehicle_id, trained.flatten(), vd.attack_histogram(), vd.n_samples))
 
@@ -280,7 +270,6 @@ def run_fedavg_round(
     norm: NormalizationSpec,
     seed: int,
     judgment_threshold: float = 0.5,
-    local_seeds: Sequence[int] | None = None,
 ) -> tuple[ModelParams, RoundReport]:
     """Plain federated averaging: run_flt_round with the accuracy gate seeing
     0.0 against a 1.0 threshold, so every round averages uniformly."""
@@ -297,7 +286,6 @@ def run_fedavg_round(
         seed=seed,
         judgment_threshold=judgment_threshold,
         method="fed-avg",
-        local_seeds=local_seeds,
     )
 
 

@@ -4,32 +4,22 @@ receives it over its own noisy link, and each receiver's stream windows
 become that vehicle's local training set."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .attacks import AttackerMemory, AttackParams, inject
 from .features import NormalizationSpec, windows_from_stream
 from .federated import EvalSet, VehicleData
 from .seeding import TAG_ATTACK, TAG_LINK, derive_rng
-from .trace import Bsm, Scenario, delivery_time, synth_rssi
+from .trace import Messages, Scenario, delivery_time, synth_rssi
 
 
-@dataclass
-class ClaimRecord:
-    """What one sender claims at one step; shared by all receivers."""
-
-    pos: tuple[float, float]
-    spd: tuple[float, float]
-
-
-def falsified_claims(scenario: Scenario, attack: AttackParams) -> dict[int, list[ClaimRecord]]:
-    """Per-sender claimed kinematics for every step.
+def falsified_claims(scenario: Scenario, attack: AttackParams) -> dict[int, np.ndarray]:
+    """Per-sender claimed kinematics, (steps, 4) = [pos_x, pos_y, spd_x, spd_y].
 
     An attacker broadcasts the same falsified values to all receivers; the
     falsification stream of sender v derives from (scenario seed, v).
     """
-    claims: dict[int, list[ClaimRecord]] = {}
+    claims: dict[int, np.ndarray] = {}
     seed = scenario.config.rng_seed
     for v in sorted(scenario.attacker_types):
         attacker = scenario.attacker_types[v]
@@ -39,41 +29,42 @@ def falsified_claims(scenario: Scenario, attack: AttackParams) -> dict[int, list
         track = []
         for row in scenario.states:
             pos, spd, memory = inject(attacker, row[v], memory, attack, rng)
-            track.append(ClaimRecord(pos, spd))
-        claims[v] = track
+            track.append((*pos, *spd))
+        claims[v] = np.array(track, dtype=float).reshape(-1, 4)
     return claims
 
 
-def broadcast_streams(scenario: Scenario, attack: AttackParams) -> dict[tuple[int, int], list[Bsm]]:
-    """Message streams keyed by (sender, receiver).
+def broadcast_streams(scenario: Scenario, attack: AttackParams) -> dict[tuple[int, int], Messages]:
+    """Message streams keyed by (sender, receiver), one message per step.
 
     RSSI follows the true sender-receiver distance through the scenario's
     channel with per-link shadowing; delivery time adds the propagation
     delay to the send time. Each link's distances, RSSI and receive times
-    are computed as arrays in one pass.
+    are computed as arrays in one pass, and every stream owns its arrays.
     """
     cfg = scenario.config
     claims = falsified_claims(scenario, attack)
     n = cfg.n_vehicles
     pos = np.array([[(s.pos_x, s.pos_y) for s in row] for row in scenario.states])  # (steps, n, 2)
-    t_snd = np.arange(len(scenario.states)) * cfg.dt
-    t_snd_list = t_snd.tolist()
-    streams: dict[tuple[int, int], list[Bsm]] = {}
+    steps = len(scenario.states)
+    t_snd = np.arange(steps) * cfg.dt
+    streams: dict[tuple[int, int], Messages] = {}
     for sender in range(n):
-        attacker = scenario.attacker_types[sender]
-        claimed = [(c.pos[0], c.pos[1], c.spd[0], c.spd[1]) for c in claims[sender]]
+        attacker = int(scenario.attacker_types[sender])
         for receiver in range(n):
             if receiver == sender:
                 continue
             link_rng = derive_rng(cfg.rng_seed, TAG_LINK, sender, receiver)
             gap = pos[:, sender] - pos[:, receiver]
             distance = np.hypot(gap[:, 0], gap[:, 1])
-            t_rev = delivery_time(t_snd, distance).tolist()
-            rssi = synth_rssi(distance, cfg.channel, link_rng).tolist()
-            streams[(sender, receiver)] = [
-                Bsm(sender, step, t_snd_list[step], t_rev[step], *claimed[step], rssi[step], attacker)
-                for step in range(len(claimed))
-            ]
+            streams[(sender, receiver)] = Messages(
+                sender_id=np.full(steps, sender, dtype=np.int64),
+                step=np.arange(steps, dtype=np.int64),
+                t_snd=t_snd.copy(),
+                t_rev=delivery_time(t_snd, distance),
+                claims=np.column_stack([claims[sender], synth_rssi(distance, cfg.channel, link_rng)]),
+                truth_attacker=np.full(steps, attacker, dtype=np.int64),
+            )
     return streams
 
 

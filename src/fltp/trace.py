@@ -65,31 +65,33 @@ class VehicleState:
     spd_x: float
     spd_y: float
 
-    @property
-    def pos(self) -> np.ndarray:
-        return np.array([self.pos_x, self.pos_y])
 
-    @property
-    def spd(self) -> np.ndarray:
-        return np.array([self.spd_x, self.spd_y])
+@dataclass(frozen=True, eq=False)
+class Messages:
+    """A received stream of basic safety messages as columns, one row per
+    message: the claimed kinematics plus the physical-layer observables
+    (RSSI, timing) and the ground-truth sender class used for supervision.
 
+    sender_id, step and truth_attacker are (L,) int64; t_snd and t_rev are
+    (L,) float; claims is (L, 5) = claimed pos_x, pos_y, spd_x, spd_y and
+    the RSSI.
+    """
 
-@dataclass(frozen=True)
-class Bsm:
-    """One basic safety message as received: claimed kinematics plus the
-    physical-layer observables (RSSI, timing) and the ground-truth sender
-    class used for supervision."""
+    sender_id: np.ndarray
+    step: np.ndarray
+    t_snd: np.ndarray
+    t_rev: np.ndarray
+    claims: np.ndarray
+    truth_attacker: np.ndarray
 
-    sender_id: int
-    step: int
-    t_snd: float
-    t_rev: float
-    claimed_pos_x: float
-    claimed_pos_y: float
-    claimed_spd_x: float
-    claimed_spd_y: float
-    rssi: float
-    truth_attacker: AttackerType
+    def __post_init__(self) -> None:
+        n = len(self.step)
+        columns = (self.sender_id, self.step, self.t_snd, self.t_rev, self.truth_attacker)
+        if any(c.shape != (n,) for c in columns) or self.claims.shape != (n, 5):
+            raise ValueError(f"message columns disagree on length {n}")
+
+    def __len__(self) -> int:
+        return len(self.step)
 
 
 @dataclass
@@ -263,13 +265,13 @@ def ingest_veremi(
     *,
     dt: float = 1.0,
     attacker_code_map: Mapping[int, AttackerType] | None = None,
-) -> tuple[list[Bsm], list[VehicleState]]:
+) -> tuple[Messages, list[VehicleState]]:
     """Read a JSON-Lines reception log plus a ground-truth file.
 
-    Log records with type 3 become Bsm entries (z components of pos/spd are
-    dropped); records with type 2 are the receiving vehicle's own GPS track
-    and become VehicleState entries; other type codes are skipped. Steps are
-    derived as round(time / dt).
+    Log records with type 3 become the rows of the returned Messages (z
+    components of pos/spd are dropped); records with type 2 are the receiving
+    vehicle's own GPS track and become VehicleState entries; other type codes
+    are skipped. Steps are derived as round(time / dt).
 
     Raises IngestError with the file name and line number for unparseable or
     inconsistent lines, including senders absent from the ground truth and
@@ -291,7 +293,9 @@ def ingest_veremi(
             sender = int(_require(rec, "sender", ground_truth_path, line_no))
             truth_codes[sender] = int(_require(rec, "attackerType", ground_truth_path, line_no))
 
-    messages: list[Bsm] = []
+    ids: list[tuple[int, int, int]] = []  # sender, step, attacker class
+    times: list[tuple[float, float]] = []  # sent, received
+    claims: list[tuple[float, ...]] = []
     ego_states: list[VehicleState] = []
     with open(log_path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -326,18 +330,19 @@ def ingest_veremi(
                 pos = _require(rec, "pos", log_path, line_no)
                 spd = _require(rec, "spd", log_path, line_no)
                 t_snd = float(_require(rec, "sendTime", log_path, line_no))
-                messages.append(
-                    Bsm(
-                        sender_id=sender,
-                        step=round(t_snd / dt),
-                        t_snd=t_snd,
-                        t_rev=float(_require(rec, "rcvTime", log_path, line_no)),
-                        claimed_pos_x=float(pos[0]),
-                        claimed_pos_y=float(pos[1]),
-                        claimed_spd_x=float(spd[0]),
-                        claimed_spd_y=float(spd[1]),
-                        rssi=float(_require(rec, "RSSI", log_path, line_no)),
-                        truth_attacker=code_map[code],
-                    )
-                )
+                t_rev = float(_require(rec, "rcvTime", log_path, line_no))
+                rssi = float(_require(rec, "RSSI", log_path, line_no))
+                ids.append((sender, round(t_snd / dt), int(code_map[code])))
+                times.append((t_snd, t_rev))
+                claims.append((float(pos[0]), float(pos[1]), float(spd[0]), float(spd[1]), rssi))
+    id_cols = np.array(ids, dtype=np.int64).reshape(-1, 3)
+    time_cols = np.array(times, dtype=float).reshape(-1, 2)
+    messages = Messages(
+        sender_id=id_cols[:, 0],
+        step=id_cols[:, 1],
+        t_snd=time_cols[:, 0],
+        t_rev=time_cols[:, 1],
+        claims=np.array(claims, dtype=float).reshape(-1, 5),
+        truth_attacker=id_cols[:, 2],
+    )
     return messages, ego_states

@@ -1,5 +1,5 @@
 """Feature/label normalization and sliding-window construction."""
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,13 +11,11 @@ from fltp.features import (
     NormalizationSpec,
     WINDOW_INPUT_STEPS,
     WINDOW_LABEL_STEPS,
-    WindowError,
-    build_feature_window,
-    build_label,
+    WINDOW_SPAN,
     denormalize_pos,
     windows_from_stream,
 )
-from fltp.trace import AttackerType, Bsm, VehicleState
+from fltp.trace import AttackerType, Messages, VehicleState
 
 R = 10_000.0
 V_MAX = 40.0
@@ -31,111 +29,133 @@ def _track(vehicle_id, n, x0=1000.0, y0=2000.0, sx=10.0, sy=-5.0):
     ]
 
 
+def _messages(sender_ids, steps, claims, attacker=AttackerType.GENUINE):
+    """Messages sent at their step and received 1 µs later."""
+    step = np.asarray(steps, dtype=np.int64)
+    return Messages(
+        sender_id=np.asarray(sender_ids, dtype=np.int64),
+        step=step,
+        t_snd=step.astype(float),
+        t_rev=step + 1e-6,
+        claims=np.asarray(claims, dtype=float).reshape(-1, 5),
+        truth_attacker=np.full(len(step), int(attacker), dtype=np.int64),
+    )
+
+
 def _stream(track, rssi=-70.0, claimed=None, attacker=AttackerType.GENUINE):
     """Message stream echoing a truth track, optionally with claimed overrides."""
-    msgs = []
-    for s in track:
-        pos = (s.pos_x, s.pos_y) if claimed is None else claimed(s)
-        msgs.append(
-            Bsm(
-                sender_id=s.vehicle_id,
-                step=s.t,
-                t_snd=float(s.t),
-                t_rev=float(s.t) + 1e-6,
-                claimed_pos_x=pos[0],
-                claimed_pos_y=pos[1],
-                claimed_spd_x=s.spd_x,
-                claimed_spd_y=s.spd_y,
-                rssi=rssi,
-                truth_attacker=attacker,
-            )
-        )
-    return msgs
+    claims = [
+        ((s.pos_x, s.pos_y) if claimed is None else claimed(s)) + (s.spd_x, s.spd_y, rssi) for s in track
+    ]
+    return _messages([s.vehicle_id for s in track], [s.t for s in track], claims, attacker)
+
+
+def _rows(msgs, keep):
+    """The messages at the given row indices (or boolean mask)."""
+    return Messages(**{f.name: getattr(msgs, f.name)[keep] for f in fields(Messages)})
+
+
+def _first_window(sender, ego, **kw):
+    """x[0] and y[0] of windows_from_stream over a 15-message stream echoing
+    the 15-state sender track."""
+    assert len(sender) == WINDOW_SPAN
+    x, y = windows_from_stream(_stream(sender, **kw), ego, sender, kw.get("attacker", AttackerType.GENUINE), SPEC)
+    assert len(x) == 1
+    return x[0], y[0]
 
 
 class TestBuildFeatureWindow:
+    """The (10, 9) feature block of a stream's first window."""
+
     def test_shape(self):
-        msgs = _stream(_track(1, 10))
-        ego = _track(0, 10, x0=500.0, y0=500.0, sx=0.0, sy=0.0)
-        fw = build_feature_window(msgs, ego, SPEC)
+        ego = _track(0, 15, x0=500.0, y0=500.0, sx=0.0, sy=0.0)
+        fw, _ = _first_window(_track(1, 15), ego)
         assert fw.shape == (WINDOW_INPUT_STEPS, FEATURE_DIM)
 
     def test_coincident_sender_and_ego(self):
-        track = _track(1, 10)
-        msgs = _stream(track)
+        track = _track(1, 15)
         ego = [VehicleState(0, s.t, s.pos_x, s.pos_y, s.spd_x, s.spd_y) for s in track]
-        fw = build_feature_window(msgs, ego, SPEC)
+        fw, _ = _first_window(track, ego)
         np.testing.assert_array_equal(fw[:, 4:8], 0.0)  # disChg and SpdChg vanish
 
     def test_region_corner_normalizes_to_one(self):
-        track = [VehicleState(1, t, R, R, 0.0, 0.0) for t in range(10)]
-        msgs = _stream(track)
-        ego = _track(0, 10)
-        fw = build_feature_window(msgs, ego, SPEC)
+        track = [VehicleState(1, t, R, R, 0.0, 0.0) for t in range(15)]
+        fw, _ = _first_window(track, _track(0, 15))
         np.testing.assert_allclose(fw[:, 0:2], 1.0)
 
     def test_centre_normalizes_to_half(self):
-        track = [VehicleState(1, t, R / 2, R / 2, 0.0, 0.0) for t in range(10)]
-        fw = build_feature_window(_stream(track), _track(0, 10), SPEC)
+        track = [VehicleState(1, t, R / 2, R / 2, 0.0, 0.0) for t in range(15)]
+        fw, _ = _first_window(track, _track(0, 15))
         np.testing.assert_allclose(fw[:, 0:2], 0.5)
 
     def test_rssi_affine_endpoints_and_clamp(self):
-        track = _track(1, 10)
-        ego = _track(0, 10)
-        assert build_feature_window(_stream(track, rssi=-100.0), ego, SPEC)[0, 8] == 0.0
-        assert build_feature_window(_stream(track, rssi=-40.0), ego, SPEC)[0, 8] == 1.0
-        assert build_feature_window(_stream(track, rssi=-70.0), ego, SPEC)[0, 8] == pytest.approx(0.5)
-        assert build_feature_window(_stream(track, rssi=-120.0), ego, SPEC)[0, 8] == 0.0
-        assert build_feature_window(_stream(track, rssi=-10.0), ego, SPEC)[0, 8] == 1.0
+        track = _track(1, 15)
+        ego = _track(0, 15)
+        assert _first_window(track, ego, rssi=-100.0)[0][0, 8] == 0.0
+        assert _first_window(track, ego, rssi=-40.0)[0][0, 8] == 1.0
+        assert _first_window(track, ego, rssi=-70.0)[0][0, 8] == pytest.approx(0.5)
+        assert _first_window(track, ego, rssi=-120.0)[0][0, 8] == 0.0
+        assert _first_window(track, ego, rssi=-10.0)[0][0, 8] == 1.0
 
     def test_out_of_region_claim_clamped(self):
-        track = _track(1, 10)
-        msgs = _stream(track, claimed=lambda s: (R + 500.0, -500.0))
-        fw = build_feature_window(msgs, _track(0, 10), SPEC)
+        fw, _ = _first_window(_track(1, 15), _track(0, 15), claimed=lambda s: (R + 500.0, -500.0))
         np.testing.assert_array_equal(fw[:, 0], 1.0)
         np.testing.assert_array_equal(fw[:, 1], 0.0)
         assert np.all(fw[:, 4] <= 1.0) and np.all(fw[:, 5] >= -1.0)
 
     def test_gap_raises_window_error(self):
-        msgs = _stream(_track(1, 11))
-        gapped = msgs[:5] + msgs[6:]
-        with pytest.raises(WindowError):
-            build_feature_window(gapped[:10], _track(0, 11)[:10], SPEC)
+        """A window over a step gap is skipped, not built."""
+        sender = _track(1, 16)
+        msgs = _stream(sender)
+        gapped = _rows(msgs, np.arange(16) != 5)  # 15 messages, step 5 missing
+        x, y = windows_from_stream(gapped, _track(0, 16), sender, AttackerType.GENUINE, SPEC)
+        assert len(x) == len(y) == 0
+        x, _ = windows_from_stream(_rows(msgs, slice(0, 15)), _track(0, 16), sender, AttackerType.GENUINE, SPEC)
+        assert len(x) == 1
 
     def test_mixed_senders_rejected(self):
-        msgs = _stream(_track(1, 10))
-        alien = _stream(_track(2, 10))
-        with pytest.raises(ValueError):
-            build_feature_window(msgs[:9] + alien[9:10], _track(0, 10), SPEC)
+        sender = _track(1, 15)
+        msgs = _stream(sender)
+        msgs.sender_id[9] = 2
+        with pytest.raises(ValueError, match="different senders"):
+            windows_from_stream(msgs, _track(0, 15), sender, AttackerType.GENUINE, SPEC)
 
     def test_wrong_length_rejected(self):
-        msgs = _stream(_track(1, 9))
-        with pytest.raises(ValueError):
-            build_feature_window(msgs, _track(0, 9), SPEC)
+        """Fewer than 15 messages, or fewer than 10 ego states, give no window."""
+        sender = _track(1, 15)
+        x, _ = windows_from_stream(_stream(sender[:14]), _track(0, 15), sender, AttackerType.GENUINE, SPEC)
+        assert len(x) == 0
+        x, _ = windows_from_stream(_stream(sender), _track(0, 9), sender, AttackerType.GENUINE, SPEC)
+        assert len(x) == 0
+        x, _ = windows_from_stream(_stream(sender), _track(0, 10), sender, AttackerType.GENUINE, SPEC)
+        assert len(x) == 1
 
     def test_misaligned_ego_rejected(self):
-        msgs = _stream(_track(1, 10))
-        ego = _track(0, 11)[1:]  # steps 1..10 against messages 0..9
-        with pytest.raises(ValueError):
-            build_feature_window(msgs, ego, SPEC)
+        sender = _track(1, 15)
+        ego = _track(0, 16)[1:]  # ego[k].t == k + 1 against message steps 0..14
+        with pytest.raises(ValueError, match="misaligned"):
+            windows_from_stream(_stream(sender), ego, sender, AttackerType.GENUINE, SPEC)
 
 
 class TestBuildLabel:
+    """The (5, 3) label block of a stream's first window."""
+
     def test_shape_and_replication(self):
-        lb = build_label(_track(1, 5), AttackerType.RANDOM, SPEC)
+        _, lb = _first_window(_track(1, 15), _track(0, 15), attacker=AttackerType.RANDOM)
         assert lb.shape == (WINDOW_LABEL_STEPS, LABEL_DIM)
         np.testing.assert_array_equal(lb[:, 2], float(AttackerType.RANDOM))
 
     def test_positions_normalized(self):
-        track = [VehicleState(1, t, 2500.0, 7500.0, 0.0, 0.0) for t in range(5)]
-        lb = build_label(track, AttackerType.GENUINE, SPEC)
+        track = [VehicleState(1, t, 2500.0, 7500.0, 0.0, 0.0) for t in range(15)]
+        _, lb = _first_window(track, _track(0, 15))
         np.testing.assert_allclose(lb[:, 0], 0.25)
         np.testing.assert_allclose(lb[:, 1], 0.75)
 
     def test_non_consecutive_truth_rejected(self):
-        track = _track(1, 6)
-        with pytest.raises(ValueError):
-            build_label(track[:2] + track[3:6], AttackerType.GENUINE, SPEC)
+        track = _track(1, 16)
+        truth = track[:12] + track[13:]  # label steps 10..14 read t = 10, 11, 13, 14, 15
+        with pytest.raises(ValueError, match="consecutive"):
+            windows_from_stream(_stream(track[:15]), _track(0, 15), truth, AttackerType.GENUINE, SPEC)
 
 
 class TestWindowsFromStream:
@@ -160,8 +180,7 @@ class TestWindowsFromStream:
         length = 40
         sender = _track(1, length)
         ego = _track(0, length)
-        msgs = _stream(sender)
-        del msgs[20]  # gap at step 20
+        msgs = _rows(_stream(sender), np.arange(length) != 20)  # gap at step 20
         x, _ = windows_from_stream(msgs, ego, sender, AttackerType.GENUINE, SPEC)
         # every window covering step 20 is gone; trailing windows shifted but intact
         assert len(x) == (length - 14) - 10
@@ -194,7 +213,7 @@ class TestWindowsFromStream:
     def test_mixed_senders_rejected(self):
         sender = _track(1, 30)
         msgs = _stream(sender)
-        msgs[12] = _stream(_track(2, 30))[12]
+        msgs.sender_id[12] = 2
         with pytest.raises(ValueError, match="different senders"):
             windows_from_stream(msgs, _track(0, 30), sender, AttackerType.GENUINE, SPEC)
 
@@ -208,29 +227,34 @@ class TestWindowsFromStream:
 # The window-by-window construction windows_from_stream replaced: every
 # window rebuilt from its ten messages with scalar clamps. Kept as the
 # reference the array version must reproduce byte for byte.
+class _Gap(Exception):
+    pass
+
+
 def _reference_feature_window(msgs, ego_states, spec):
-    sender = msgs[0].sender_id
-    if any(m.sender_id != sender for m in msgs):
+    """msgs: ten (sender, step, claims) rows."""
+    sender = msgs[0][0]
+    if any(m[0] != sender for m in msgs):
         raise ValueError("window mixes messages from different senders")
     for prev, cur in zip(msgs, msgs[1:]):
-        if cur.step != prev.step + 1:
-            raise WindowError(f"step gap between {prev.step} and {cur.step}")
-    if any(e.t != m.step for e, m in zip(ego_states, msgs)):
+        if cur[1] != prev[1] + 1:
+            raise _Gap
+    if any(e.t != m[1] for e, m in zip(ego_states, msgs)):
         raise ValueError("ego states misaligned with message steps")
     r = spec.region_side
     v = spec.v_max
     rssi_span = spec.rssi_max - spec.rssi_min
     out = np.empty((WINDOW_INPUT_STEPS, FEATURE_DIM))
-    for k, (m, ego) in enumerate(zip(msgs, ego_states)):
-        out[k, 0] = min(max(m.claimed_pos_x / r, 0.0), 1.0)
-        out[k, 1] = min(max(m.claimed_pos_y / r, 0.0), 1.0)
-        out[k, 2] = min(max(m.claimed_spd_x / v, -1.0), 1.0)
-        out[k, 3] = min(max(m.claimed_spd_y / v, -1.0), 1.0)
-        out[k, 4] = min(max((m.claimed_pos_x - ego.pos_x) / r, -1.0), 1.0)
-        out[k, 5] = min(max((m.claimed_pos_y - ego.pos_y) / r, -1.0), 1.0)
-        out[k, 6] = min(max((m.claimed_spd_x - ego.spd_x) / v, -1.0), 1.0)
-        out[k, 7] = min(max((m.claimed_spd_y - ego.spd_y) / v, -1.0), 1.0)
-        out[k, 8] = min(max((m.rssi - spec.rssi_min) / rssi_span, 0.0), 1.0)
+    for k, ((_, _, (px, py, sx, sy, rssi)), ego) in enumerate(zip(msgs, ego_states)):
+        out[k, 0] = min(max(px / r, 0.0), 1.0)
+        out[k, 1] = min(max(py / r, 0.0), 1.0)
+        out[k, 2] = min(max(sx / v, -1.0), 1.0)
+        out[k, 3] = min(max(sy / v, -1.0), 1.0)
+        out[k, 4] = min(max((px - ego.pos_x) / r, -1.0), 1.0)
+        out[k, 5] = min(max((py - ego.pos_y) / r, -1.0), 1.0)
+        out[k, 6] = min(max((sx - ego.spd_x) / v, -1.0), 1.0)
+        out[k, 7] = min(max((sy - ego.spd_y) / v, -1.0), 1.0)
+        out[k, 8] = min(max((rssi - spec.rssi_min) / rssi_span, 0.0), 1.0)
     return out
 
 
@@ -248,16 +272,17 @@ def _reference_label(truth_states, attacker, spec):
 
 def _reference_windows(msgs, ego_states, sender_states, attacker, spec):
     """(features (K, 10, 9), labels (K, 5, 3)) built one window at a time."""
+    rows = list(zip(msgs.sender_id.tolist(), msgs.step.tolist(), msgs.claims.tolist()))
     feats, labels = [], []
-    for k in range(max(0, len(msgs) - 14)):
-        chunk = msgs[k : k + WINDOW_INPUT_STEPS]
-        first = chunk[0].step
-        last = chunk[-1].step
+    for k in range(max(0, len(rows) - 14)):
+        chunk = rows[k : k + WINDOW_INPUT_STEPS]
+        first = chunk[0][1]
+        last = chunk[-1][1]
         if first < 0 or last + WINDOW_LABEL_STEPS >= len(sender_states) or first + WINDOW_INPUT_STEPS > len(ego_states):
             continue
         try:
             fw = _reference_feature_window(chunk, ego_states[first : first + WINDOW_INPUT_STEPS], spec)
-        except WindowError:
+        except _Gap:
             continue
         feats.append(fw)
         labels.append(_reference_label(sender_states[last + 1 : last + 1 + WINDOW_LABEL_STEPS], attacker, spec))
@@ -298,10 +323,7 @@ def _edited_stream(draw):
     claims[:, 4] = rng.uniform(-130.0, -10.0, size=len(steps))
     edge = rng.random(claims.shape) < 0.1
     claims[edge] = rng.choice(_EDGE_VALUES, size=int(edge.sum()))
-    msgs = [
-        Bsm(1, step, float(step), float(step) + 1e-6, *map(float, c[:4]), float(c[4]), AttackerType.RANDOM)
-        for step, c in zip(steps, claims)
-    ]
+    msgs = _messages(np.ones(len(steps)), steps, claims, AttackerType.RANDOM)
     return msgs, track(0, ego_len), track(1, sender_len)
 
 
@@ -330,9 +352,8 @@ class TestWindowsMatchReference:
         offending window raises the same ValueError in both."""
         msgs, ego, sender = case
         for kind, at in corruptions:
-            if kind == "sender" and msgs:
-                i = at % len(msgs)
-                msgs[i] = replace(msgs[i], sender_id=2)
+            if kind == "sender" and len(msgs):
+                msgs.sender_id[at % len(msgs)] = 2
             track = {"ego": ego, "truth": sender}.get(kind)
             if track:
                 i = at % len(track)

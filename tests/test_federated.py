@@ -325,26 +325,35 @@ class TestRunRound:
         np.testing.assert_array_equal(a_params.flatten(), b_params.flatten())
 
     def test_identical_vehicles_match_single_local_training(self):
+        """Round 1 averages the two vehicles' train_local results, each drawn
+        from its derived stream (seed, TAG_TRAIN, round, vehicle), in
+        aggregate's order, bit for bit."""
         base = _vehicle(0, 8)
         twin = VehicleData(1, base.features.copy(), base.labels.copy())
         es = _eval_set([0])
         p0 = ModelParams.init(4, derive_rng(10))
         seed = 77
-        new_global, rep = run_flt_round(
-            p0, [base, twin], es, **_round_kwargs(local_seeds=[seed, seed])
-        )
+        new_global, rep = run_flt_round(p0, [twin, base], es, **_round_kwargs(seed=seed))
         assert rep.mode == "uniform"  # round 1: no accuracy yet
-        solo, _ = train_local(
-            p0,
-            base.features,
-            base.labels,
-            episodes=2,
-            batch_size=8,
-            learning_rate=1e-3,
-            momentum=0.5,
-            rng=derive_rng(seed),
-        )
-        np.testing.assert_array_equal(new_global.flatten(), solo.flatten())
+        solos = [
+            LocalUpdate(
+                vd.vehicle_id,
+                train_local(
+                    p0,
+                    vd.features,
+                    vd.labels,
+                    episodes=2,
+                    batch_size=8,
+                    learning_rate=1e-3,
+                    momentum=0.5,
+                    rng=derive_rng(seed, TAG_TRAIN, 1, vd.vehicle_id),
+                )[0].flatten(),
+                vd.attack_histogram(),
+                vd.n_samples,
+            )
+            for vd in (base, twin)
+        ]
+        np.testing.assert_array_equal(new_global.flatten(), aggregate(solos, [0.5, 0.5]))
 
     def test_gate_switches_mode_and_lambdas(self):
         vehicles = [_vehicle(0, 8), _vehicle(1, 8, codes=1)]
@@ -390,8 +399,6 @@ class TestRunRound:
         p0 = ModelParams.init(4, derive_rng(13))
         with pytest.raises(ValueError):
             run_flt_round(p0, [], es, **_round_kwargs())
-        with pytest.raises(ValueError):
-            run_flt_round(p0, [_vehicle(0, 8)], es, **_round_kwargs(local_seeds=[1, 2]))
 
 
 class TestCentralized:

@@ -1,6 +1,7 @@
 """Reception-log ingestion contract."""
 import json
 
+import numpy as np
 import pytest
 
 from fltp.trace import AttackerType, IngestError, ingest_veremi
@@ -50,7 +51,8 @@ def sample_logs(tmp_path):
 
 def test_three_record_fixture(sample_logs):
     msgs, ego = ingest_veremi(*sample_logs)
-    assert [m.truth_attacker for m in msgs] == [
+    assert len(msgs) == 3
+    assert msgs.truth_attacker.tolist() == [
         AttackerType.GENUINE,
         AttackerType.CONSTANT,
         AttackerType.EVENTUAL_STOP,
@@ -60,14 +62,11 @@ def test_three_record_fixture(sample_logs):
 
 def test_fields_carried_and_z_dropped(sample_logs):
     msgs, ego = ingest_veremi(*sample_logs)
-    first = msgs[0]
-    assert first.sender_id == 101
-    assert (first.claimed_pos_x, first.claimed_pos_y) == (100.0, 200.0)
-    assert (first.claimed_spd_x, first.claimed_spd_y) == (5.0, -2.0)
-    assert first.rssi == -60.5
-    assert first.t_snd == 0.0 and first.t_rev == pytest.approx(1e-4)
-    assert first.step == 0
-    assert msgs[2].step == 1
+    assert msgs.sender_id[0] == 101
+    assert msgs.claims[0].tolist() == [100.0, 200.0, 5.0, -2.0, -60.5]  # pos x/y, spd x/y, RSSI
+    assert msgs.t_snd[0] == 0.0 and msgs.t_rev[0] == pytest.approx(1e-4)
+    assert msgs.step[0] == 0
+    assert msgs.step[2] == 1
     assert (ego[0].pos_x, ego[0].pos_y, ego[0].spd_x, ego[0].spd_y) == (10.0, 20.0, 1.0, 2.0)
     assert ego[0].vehicle_id == 7
 
@@ -78,7 +77,8 @@ def test_empty_files(tmp_path):
     log.write_text("", encoding="utf-8")
     gt.write_text("", encoding="utf-8")
     msgs, ego = ingest_veremi(log, gt)
-    assert msgs == [] and ego == []
+    assert len(msgs) == 0 and ego == []
+    assert msgs.claims.shape == (0, 5)
 
 
 def test_malformed_line_reports_line_number(tmp_path, sample_logs):
@@ -122,7 +122,7 @@ def test_custom_code_mapping(tmp_path):
     _write(log, [_bsm(101, 0.0, [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], -50.0)])
     _write(gt, [{"sender": 101, "attackerType": 99}])
     msgs, _ = ingest_veremi(log, gt, attacker_code_map={99: AttackerType.RANDOM})
-    assert msgs[0].truth_attacker is AttackerType.RANDOM
+    assert msgs.truth_attacker.tolist() == [AttackerType.RANDOM]
 
 
 def test_unknown_record_types_skipped(tmp_path, sample_logs):
@@ -137,3 +137,18 @@ def test_unknown_record_types_skipped(tmp_path, sample_logs):
     )
     msgs, ego = ingest_veremi(log, gt)
     assert len(msgs) == 1 and ego == []
+
+
+def test_integer_columns_stay_integers(tmp_path):
+    """Sender ids, steps and classes are int64, exact beyond float precision."""
+    log = tmp_path / "log.json"
+    gt = tmp_path / "gt.json"
+    big = 2**53 + 1
+    _write(log, [_bsm(big, 7.0, [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], -50.0), _bsm(101, 8.0, [0.0] * 3, [0.0] * 3, -50.0)])
+    _write(gt, [{"sender": big, "attackerType": 4}, {"sender": 101, "attackerType": 0}])
+    msgs, _ = ingest_veremi(log, gt)
+    for column in (msgs.sender_id, msgs.step, msgs.truth_attacker):
+        assert column.dtype == np.int64
+    assert msgs.sender_id.tolist() == [big, 101]
+    assert msgs.step.tolist() == [7, 8]
+    assert msgs.truth_attacker.tolist() == [int(AttackerType.RANDOM), int(AttackerType.GENUINE)]

@@ -1,6 +1,6 @@
 """Broadcast simulation: claims, per-link streams, dataset assembly."""
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from fltp.config import config_from_kv
 from fltp.features import NormalizationSpec, WINDOW_SPAN
 from fltp.seeding import TAG_LINK, derive_rng
 from fltp.simulate import assemble_datasets, broadcast_streams, falsified_claims, pooled_training_set
-from fltp.trace import SPEED_OF_LIGHT, AttackerType, Bsm, ChannelConfig, ScenarioConfig, generate_scenario
+from fltp.trace import SPEED_OF_LIGHT, AttackerType, ChannelConfig, Messages, ScenarioConfig, generate_scenario
 from test_features import _reference_windows
 
 
@@ -33,14 +33,21 @@ def _attack(cfg):
     return AttackParams.for_region(cfg.region_side, cfg.v_max)
 
 
+def _truth(scenario, v):
+    """(steps, 4) true [pos_x, pos_y, spd_x, spd_y] of vehicle v."""
+    return np.array([(s.pos_x, s.pos_y, s.spd_x, s.spd_y) for s in scenario.vehicle_track(v)])
+
+
+def _columns(msgs):
+    return {f.name: getattr(msgs, f.name) for f in fields(Messages)}
+
+
 class TestFalsifiedClaims:
     def test_genuine_claims_equal_truth(self):
         sc = _scenario(penetration=0.0)
         claims = falsified_claims(sc, _attack(sc.config))
         for v in range(sc.config.n_vehicles):
-            for step, row in enumerate(sc.states):
-                assert claims[v][step].pos == (row[v].pos_x, row[v].pos_y)
-                assert claims[v][step].spd == (row[v].spd_x, row[v].spd_y)
+            assert claims[v].tobytes() == _truth(sc, v).tobytes()
 
     def test_attackers_diverge_from_truth(self):
         sc = _scenario(penetration=1.0, n_vehicles=6)
@@ -48,23 +55,21 @@ class TestFalsifiedClaims:
         for v, kind in sc.attacker_types.items():
             if kind is AttackerType.GENUINE:
                 continue
-            mismatch = sum(
-                claims[v][step].pos != (row[v].pos_x, row[v].pos_y)
-                for step, row in enumerate(sc.states)
-            )
+            mismatch = (claims[v][:, :2] != _truth(sc, v)[:, :2]).any(axis=1).sum()
             assert mismatch > 0, f"attacker {v} ({kind.name}) never falsified"
 
     def test_claims_cover_all_vehicles_and_steps(self):
         sc = _scenario()
         claims = falsified_claims(sc, _attack(sc.config))
         assert sorted(claims) == list(range(sc.config.n_vehicles))
-        assert all(len(track) == sc.config.n_steps for track in claims.values())
+        assert all(track.shape == (sc.config.n_steps, 4) for track in claims.values())
 
     def test_deterministic(self):
         sc = _scenario()
         a = falsified_claims(sc, _attack(sc.config))
         b = falsified_claims(sc, _attack(sc.config))
-        assert a == b
+        assert list(a) == list(b)
+        assert all(a[v].tobytes() == b[v].tobytes() for v in a)
 
 
 class TestBroadcastStreams:
@@ -74,8 +79,23 @@ class TestBroadcastStreams:
         n = sc.config.n_vehicles
         assert set(streams) == {(s, r) for s in range(n) for r in range(n) if s != r}
         for (s, r), msgs in streams.items():
-            assert [m.step for m in msgs] == list(range(sc.config.n_steps))
-            assert all(m.sender_id == s for m in msgs)
+            assert len(msgs) == sc.config.n_steps
+            assert msgs.step.tolist() == list(range(sc.config.n_steps))
+            assert (msgs.sender_id == s).all()
+
+    def test_columns_are_typed_and_owned(self):
+        """int64 ids, steps and classes; no two streams share a writable array."""
+        sc = _scenario()
+        streams = list(broadcast_streams(sc, _attack(sc.config)).values())
+        for msgs in streams:
+            for name in ("sender_id", "step", "truth_attacker"):
+                assert getattr(msgs, name).dtype == np.int64
+            assert msgs.claims.shape == (sc.config.n_steps, 5)
+        for i, one in enumerate(streams):
+            for other in streams[i + 1 :]:
+                for a in _columns(one).values():
+                    for b in _columns(other).values():
+                        assert not np.shares_memory(a, b) or not (a.flags.writeable or b.flags.writeable)
 
     def test_group_cast_shares_claims(self):
         sc = _scenario(penetration=1.0, n_vehicles=5)
@@ -84,36 +104,34 @@ class TestBroadcastStreams:
             receivers = [r for r in range(5) if r != s]
             first = streams[(s, receivers[0])]
             for r in receivers[1:]:
-                other = streams[(s, r)]
-                for a, b in zip(first, other):
-                    assert (a.claimed_pos_x, a.claimed_pos_y) == (b.claimed_pos_x, b.claimed_pos_y)
-                    assert (a.claimed_spd_x, a.claimed_spd_y) == (b.claimed_spd_x, b.claimed_spd_y)
+                np.testing.assert_array_equal(first.claims[:, :4], streams[(s, r)].claims[:, :4])
 
     def test_rssi_differs_per_link_under_shadowing(self):
         sc = _scenario(n_vehicles=3)
         streams = broadcast_streams(sc, _attack(sc.config))
-        a = [m.rssi for m in streams[(0, 1)]]
-        b = [m.rssi for m in streams[(0, 2)]]
-        assert a != b
+        assert not np.array_equal(streams[(0, 1)].claims[:, 4], streams[(0, 2)].claims[:, 4])
 
     def test_delivery_after_send(self):
         sc = _scenario()
         streams = broadcast_streams(sc, _attack(sc.config))
         for msgs in streams.values():
-            assert all(m.t_rev >= m.t_snd for m in msgs)
-            assert all(m.t_rev - m.t_snd < 1e-3 for m in msgs)  # sub-ms propagation
+            assert (msgs.t_rev >= msgs.t_snd).all()
+            assert (msgs.t_rev - msgs.t_snd < 1e-3).all()  # sub-ms propagation
 
     def test_truth_attacker_tagged(self):
         sc = _scenario(penetration=0.75, n_vehicles=5)
         streams = broadcast_streams(sc, _attack(sc.config))
         for (s, _), msgs in streams.items():
-            assert all(m.truth_attacker is sc.attacker_types[s] for m in msgs)
+            assert (msgs.truth_attacker == int(sc.attacker_types[s])).all()
 
     def test_deterministic(self):
         sc = _scenario()
         a = broadcast_streams(sc, _attack(sc.config))
         b = broadcast_streams(sc, _attack(sc.config))
-        assert a == b
+        assert list(a) == list(b)
+        for key in a:
+            for name, col in _columns(a[key]).items():
+                assert col.tobytes() == getattr(b[key], name).tobytes()
 
 
 class TestAssembleDatasets:
@@ -202,30 +220,28 @@ def _reference_broadcast(scenario, attack):
             if receiver == sender:
                 continue
             link_rng = derive_rng(cfg.rng_seed, TAG_LINK, sender, receiver)
-            stream = []
+            rows = []
             for step, row in enumerate(scenario.states):
                 s_truth = row[sender]
                 r_truth = row[receiver]
                 distance = float(np.hypot(s_truth.pos_x - r_truth.pos_x, s_truth.pos_y - r_truth.pos_y))
-                claim = claims[sender][step]
+                pos_x, pos_y, spd_x, spd_y = claims[sender][step].tolist()
                 t_snd = step * cfg.dt
                 d = max(distance, ch.reference_distance)
                 path_loss = 10.0 * ch.path_loss_exponent * math.log10(d / ch.reference_distance)
-                stream.append(
-                    Bsm(
-                        sender_id=sender,
-                        step=step,
-                        t_snd=t_snd,
-                        t_rev=t_snd + distance / SPEED_OF_LIGHT,
-                        claimed_pos_x=claim.pos[0],
-                        claimed_pos_y=claim.pos[1],
-                        claimed_spd_x=claim.spd[0],
-                        claimed_spd_y=claim.spd[1],
-                        rssi=ch.tx_power_dbm - path_loss + link_rng.normal(0.0, ch.shadowing_sigma),
-                        truth_attacker=scenario.attacker_types[sender],
-                    )
-                )
-            streams[(sender, receiver)] = stream
+                rssi = ch.tx_power_dbm - path_loss + link_rng.normal(0.0, ch.shadowing_sigma)
+                t_rev = t_snd + distance / SPEED_OF_LIGHT
+                rows.append((sender, step, t_snd, t_rev, pos_x, pos_y, spd_x, spd_y, rssi))
+            ids = np.array([r[:2] for r in rows], dtype=np.int64)
+            floats = np.array([r[2:] for r in rows], dtype=float)
+            streams[(sender, receiver)] = Messages(
+                sender_id=ids[:, 0],
+                step=ids[:, 1],
+                t_snd=floats[:, 0],
+                t_rev=floats[:, 1],
+                claims=floats[:, 2:],
+                truth_attacker=np.full(len(rows), int(scenario.attacker_types[sender]), dtype=np.int64),
+            )
     return streams
 
 
@@ -268,10 +284,10 @@ class TestMatchesMessageByMessageBuild:
         expected = _reference_broadcast(scenario, cfg.attack)
         assert list(got) == list(expected)
         for key, stream in expected.items():
-            assert got[key] == stream
-            assert [type(v) for m in got[key] for v in vars(m).values()] == [
-                type(v) for m in stream for v in vars(m).values()
-            ]
+            for name, col in _columns(stream).items():
+                got_col = getattr(got[key], name)
+                assert got_col.dtype == col.dtype and got_col.shape == col.shape
+                assert got_col.tobytes() == col.tobytes()
 
     def test_assembled_arrays_byte_equal(self, profile, n_vehicles, seed):
         scenario, cfg = _profile_scenario(profile, n_vehicles, seed)

@@ -9,6 +9,7 @@ from fltp.trace import (
     ATTACK_CLASSES,
     AttackerType,
     ChannelConfig,
+    Messages,
     ScenarioConfig,
     VehicleState,
     attacker_count,
@@ -19,6 +20,26 @@ from fltp.trace import (
 )
 
 SPEED_OF_LIGHT = 299_792_458.0
+
+
+def _messages(n, n_claims=None):
+    ids = np.arange(n, dtype=np.int64)
+    return Messages(ids, ids, ids * 1.0, ids + 1e-6, np.zeros((n if n_claims is None else n_claims, 5)), ids)
+
+
+class TestMessages:
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_len_is_row_count(self, n):
+        assert len(_messages(n)) == n
+
+    def test_columns_of_different_lengths_rejected(self):
+        with pytest.raises(ValueError, match="length 3"):
+            _messages(3, n_claims=4)
+        ids = np.arange(3, dtype=np.int64)
+        with pytest.raises(ValueError):
+            Messages(ids, ids, np.zeros(2), ids * 1.0, np.zeros((3, 5)), ids)
+        with pytest.raises(ValueError):
+            Messages(ids, ids, ids * 1.0, ids * 1.0, np.zeros((3, 4)), ids)
 
 
 class TestSynthRssi:

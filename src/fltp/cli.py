@@ -23,7 +23,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--profile", choices=("desk", "paper"), default=None, help="scale preset applied under the config file")
     run_p.add_argument("--seed", type=int, default=None, help="override master_seed")
     run_p.add_argument("--out", default=None, help="override out_dir")
-    run_p.add_argument("--threads", type=int, default=1, help="worker threads for sweep cells")
+    run_p.add_argument("--threads", type=int, default=1, help="worker threads; each runs all methods of one data seed")
 
     sum_p = sub.add_parser("summarize", help="rebuild summary.csv from per-round CSVs")
     sum_p.add_argument("--in", dest="in_dir", required=True, help="directory holding rounds_*.csv")

@@ -1,6 +1,7 @@
-"""Sweep execution: every (method, penetration, vehicle count, repeat) cell
-runs on its own deterministically derived seed, methods within a cell share
-the scenario, and all artifacts are byte-reproducible for any worker count."""
+"""Sweep execution: every (penetration, vehicle count, repeat) data seed is
+built once and runs every method on that build, so methods are compared on
+the same scenario, datasets and initial model; all artifacts are
+byte-reproducible for any worker count."""
 from __future__ import annotations
 
 import csv
@@ -16,7 +17,6 @@ from .config import ExperimentConfig
 from .federated import (
     EvalSet,
     VehicleData,
-    run_centralized,
     run_fedavg_round,
     run_flt_round,
     save_checkpoint,
@@ -119,6 +119,7 @@ def run_method_rounds(
     checkpoint_dir: Path | None = None,
 ) -> list[RoundReport]:
     """Drive one method over cfg.train.global_rounds rounds on prepared data.
+    Centralized is fed-avg over one client, id 0, holding the pooled set.
 
     Raises ValueError as soon as a round's loss or trajectory error is not
     finite, or the loss exceeds DIVERGENCE_FACTOR times the initial model's
@@ -126,7 +127,7 @@ def run_method_rounds(
     """
     common = dict(train=cfg.train, norm=cfg.norm, seed=seed, judgment_threshold=cfg.judgment_threshold)
     if method == "centralized":
-        pooled_x, pooled_y = pooled_training_set(vehicles)
+        vehicles = [VehicleData(0, *pooled_training_set(vehicles))]
     elif method not in ("fl-tp", "fed-avg"):
         raise ValueError(f"unknown method: {method!r}")
 
@@ -146,18 +147,10 @@ def run_method_rounds(
                 influence=cfg.influence,
                 **common,
             )
-        elif method == "fed-avg":
-            params, report = run_fedavg_round(params, vehicles, eval_set, round_idx=round_idx, **common)
         else:
-            params, report = run_centralized(
-                pooled_x,
-                pooled_y,
-                eval_set,
-                episodes=cfg.train.local_episodes,
-                initial=params,
-                round_idx=round_idx,
-                **common,
-            )
+            params, report = run_fedavg_round(params, vehicles, eval_set, round_idx=round_idx, **common)
+            if method == "centralized":
+                report = replace(report, method=method, mode=method)
         if not (report.loss <= loss_limit and np.isfinite(report.prediction_error)):
             raise ValueError(
                 f"{method} diverged at round {round_idx} (cell seed {seed}): "
@@ -170,16 +163,25 @@ def run_method_rounds(
     return reports
 
 
+def run_cells(cfg: ExperimentConfig, cells: list[SweepCell]) -> list[list[RoundReport]]:
+    """Build the data of one data seed once and run each cell's method on it,
+    in the given order. The cells share penetration, vehicle count and repeat."""
+    first = cells[0]
+    seed = cell_seed(cfg.master_seed, first.pen_idx, first.veh_idx, first.repeat)
+    _, vehicles, eval_set, initial = build_cell_data(cfg, first.penetration, first.n_vehicles, seed)
+    all_reports = []
+    for cell in cells:
+        checkpoint_dir = None
+        if cfg.checkpoints:
+            checkpoint_dir = Path(cfg.out_dir) / "checkpoints" / cell.run_id
+        t0 = time.perf_counter()
+        all_reports.append(run_method_rounds(cfg, cell.method, vehicles, eval_set, initial, seed, checkpoint_dir))
+        log.info("cell %s finished in %.1fs", cell.run_id, time.perf_counter() - t0)
+    return all_reports
+
+
 def run_cell(cfg: ExperimentConfig, cell: SweepCell) -> list[RoundReport]:
-    seed = cell_seed(cfg.master_seed, cell.pen_idx, cell.veh_idx, cell.repeat)
-    _, vehicles, eval_set, initial = build_cell_data(cfg, cell.penetration, cell.n_vehicles, seed)
-    checkpoint_dir = None
-    if cfg.checkpoints:
-        checkpoint_dir = Path(cfg.out_dir) / "checkpoints" / cell.run_id
-    t0 = time.perf_counter()
-    reports = run_method_rounds(cfg, cell.method, vehicles, eval_set, initial, seed, checkpoint_dir)
-    log.info("cell %s finished in %.1fs", cell.run_id, time.perf_counter() - t0)
-    return reports
+    return run_cells(cfg, [cell])[0]
 
 
 def _fmt(x: float) -> str:
@@ -224,8 +226,9 @@ def sweep_cells(cfg: ExperimentConfig) -> list[SweepCell]:
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[Path]:
     """Execute the full sweep; returns the paths of all files written.
 
-    Cells may run on several worker threads; outputs are identical for any
-    worker count because every cell is seeded and written independently.
+    The cells of one data seed share one build (run_cells); data seeds may
+    run on several worker threads, and outputs are identical for any worker
+    count because every data seed is seeded and written independently.
     out_dir is created once every cell has finished, so a failed run leaves
     none behind (checkpoints make their own directories). The summary is
     rebuilt from the rounds files this run wrote, by the same reader as
@@ -235,19 +238,25 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[Path]:
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     cells = sweep_cells(cfg)
+    groups: dict[tuple[int, int, int], list[SweepCell]] = {}
+    for cell in cells:  # method-major, so each group keeps cfg.methods order
+        groups.setdefault((cell.pen_idx, cell.veh_idx, cell.repeat), []).append(cell)
 
     if threads == 1:
-        all_reports = [run_cell(cfg, cell) for cell in cells]
+        group_reports = [run_cells(cfg, group) for group in groups.values()]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            all_reports = list(pool.map(lambda c: run_cell(cfg, c), cells))
+            group_reports = list(pool.map(lambda g: run_cells(cfg, g), groups.values()))
+    reports_of: dict[SweepCell, list[RoundReport]] = {}
+    for group, reports in zip(groups.values(), group_reports):
+        reports_of.update(zip(group, reports))
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    for cell, reports in zip(cells, all_reports):
+    for cell in cells:
         path = out_dir / f"rounds_{cell.run_id}.csv"
-        write_rounds_csv(path, cell, reports)
+        write_rounds_csv(path, cell, reports_of[cell])
         written.append(path)
 
     summary_path = out_dir / "summary.csv"

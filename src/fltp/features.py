@@ -53,7 +53,7 @@ class NormalizationSpec:
             raise ValueError(f"rssi_min must be < rssi_max, got [{self.rssi_min}, {self.rssi_max}]")
 
 
-def _state_columns(states: Sequence[VehicleState]) -> tuple[np.ndarray, np.ndarray]:
+def track_columns(states: Sequence[VehicleState]) -> tuple[np.ndarray, np.ndarray]:
     """Steps (L,) and kinematics (L, 4) = [pos_x, pos_y, spd_x, spd_y] of a track."""
     table = np.array([(s.t, s.pos_x, s.pos_y, s.spd_x, s.spd_y) for s in states], dtype=float).reshape(-1, 5)
     return table[:, 0].astype(np.int64), table[:, 1:]
@@ -96,34 +96,46 @@ def windows_from_stream(
     attacker: AttackerType,
     spec: NormalizationSpec,
 ) -> tuple[np.ndarray, np.ndarray]:
+    """windows_from_columns with both tracks given as VehicleState lists."""
+    return windows_from_columns(msgs, track_columns(ego_states), track_columns(sender_states), attacker, spec)
+
+
+def windows_from_columns(
+    msgs: Messages,
+    ego_track: tuple[np.ndarray, np.ndarray],
+    sender_track: tuple[np.ndarray, np.ndarray],
+    attacker: AttackerType,
+    spec: NormalizationSpec,
+) -> tuple[np.ndarray, np.ndarray]:
     """Slide a stride-1 window over one sender's stream.
 
-    ego_states and sender_states are full per-step tracks indexed by step
-    (state.t == index). Returns features (K, 10, 9) and labels (K, 5, 3). A
-    gapless stream of length L yields K = max(0, L - 14) windows; windows
-    spanning a step gap or running past either track are skipped. Each
-    message is normalized once; the windows are gathered from those rows.
+    ego_track and sender_track are full per-step tracks indexed by step
+    (step == index), as track_columns returns them. Returns features
+    (K, 10, 9) and labels (K, 5, 3). A gapless stream of length L yields
+    K = max(0, L - 14) windows; windows spanning a step gap or running past
+    either track are skipped. Each message is normalized once; the windows
+    are gathered from those rows.
 
     Raises ValueError for the first offending window inside both tracks: one
-    that mixes senders, or a gapless one whose ego states (state.t != message
-    step) or future truth states (not consecutive) are misaligned.
+    that mixes senders, or a gapless one whose ego steps (!= message step)
+    or future truth steps (not consecutive) are misaligned.
     """
     spec.validate()
+    ego_t, ego_kin = ego_track
+    truth_t, truth_kin = sender_track
     n_windows = max(0, len(msgs) - (WINDOW_SPAN - 1))
     senders, steps, claims = msgs.sender_id, msgs.step, msgs.claims
     idx = np.arange(n_windows)[:, None] + np.arange(WINDOW_INPUT_STEPS)
     win_steps = steps[idx]
     in_tracks = (
         (win_steps[:, 0] >= 0)
-        & (win_steps[:, -1] + WINDOW_LABEL_STEPS < len(sender_states))
-        & (win_steps[:, 0] + WINDOW_INPUT_STEPS <= len(ego_states))
+        & (win_steps[:, -1] + WINDOW_LABEL_STEPS < len(truth_t))
+        & (win_steps[:, 0] + WINDOW_INPUT_STEPS <= len(ego_t))
     )
     mixed = (senders[idx] != senders[idx[:, :1]]).any(axis=1)
     kept = np.flatnonzero(in_tracks & (np.diff(win_steps, axis=1) == 1).all(axis=1))
 
     # every step of a kept window indexes both tracks
-    ego_t, ego_kin = _state_columns(ego_states)
-    truth_t, truth_kin = _state_columns(sender_states)
     kept_steps = win_steps[kept]
     label_idx = kept_steps[:, -1:] + np.arange(1, 1 + WINDOW_LABEL_STEPS)
     misaligned = (ego_t[kept_steps] != kept_steps).any(axis=1)
@@ -138,7 +150,7 @@ def windows_from_stream(
     if not kept.size:
         return np.empty((0, WINDOW_INPUT_STEPS, FEATURE_DIM)), np.empty((0, WINDOW_LABEL_STEPS, LABEL_DIM))
 
-    rows = _feature_rows(claims, ego_kin[np.clip(steps, 0, len(ego_states) - 1)], spec)
+    rows = _feature_rows(claims, ego_kin[np.clip(steps, 0, len(ego_t) - 1)], spec)
     return rows[idx[kept]], _label_rows(truth_kin, attacker, spec)[label_idx]
 
 

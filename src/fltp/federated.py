@@ -1,5 +1,6 @@
 """Federated aggregation: attack-aware MrE weighting with an accuracy gate,
-plus the uniform-average baseline and a pooled centralized trainer."""
+plus the uniform-average baseline, which over one client holding the pooled
+data is the centralized baseline."""
 from __future__ import annotations
 
 import json
@@ -14,7 +15,7 @@ import numpy as np
 from .features import NormalizationSpec
 from .metrics import RoundReport, attack_judgments, prediction_accuracy, prediction_error
 from .model import ModelParams, TrainConfig, forward, loss, save_params, train_local
-from .seeding import TAG_GATE, TAG_INIT, TAG_TRAIN, derive_rng
+from .seeding import TAG_GATE, TAG_TRAIN, derive_rng
 from .trace import ATTACK_CLASSES, AttackerType
 
 #: lower clamp for a vehicle's cleanliness score before normalization
@@ -272,7 +273,8 @@ def run_fedavg_round(
     judgment_threshold: float = 0.5,
 ) -> tuple[ModelParams, RoundReport]:
     """Plain federated averaging: run_flt_round with the accuracy gate seeing
-    0.0 against a 1.0 threshold, so every round averages uniformly."""
+    0.0 against a 1.0 threshold, so every round averages uniformly. Over one
+    client the weight is 1.0, and the round is that client's local training."""
     return run_flt_round(
         global_params,
         vehicles,
@@ -287,52 +289,6 @@ def run_fedavg_round(
         judgment_threshold=judgment_threshold,
         method="fed-avg",
     )
-
-
-def run_centralized(
-    features: np.ndarray,
-    labels: np.ndarray,
-    eval_set: EvalSet,
-    *,
-    episodes: int,
-    train: TrainConfig,
-    norm: NormalizationSpec,
-    seed: int,
-    judgment_threshold: float = 0.5,
-    initial: ModelParams | None = None,
-    round_idx: int = 0,
-) -> tuple[ModelParams, RoundReport]:
-    """Train one model on the pooled data of all vehicles and evaluate it.
-
-    The training stream derives from (seed, round_idx), so repeated calls
-    that carry the parameters forward make a multi-round centralized run.
-    With episodes = 0 the (possibly freshly initialized) parameters are
-    returned unchanged apart from evaluation.
-    """
-    t0 = time.perf_counter()
-    params = initial.copy() if initial is not None else ModelParams.init(train.hidden_size, derive_rng(seed, TAG_INIT))
-    params, _ = train_local(
-        params,
-        features,
-        labels,
-        episodes=episodes,
-        batch_size=train.batch_size,
-        learning_rate=train.learning_rate,
-        momentum=train.momentum,
-        rng=derive_rng(seed, TAG_TRAIN, round_idx, 0),
-    )
-    err, acc, per_type, loss_value = evaluate_global(params, eval_set, norm, judgment_threshold)
-    report = RoundReport(
-        round_idx=round_idx,
-        method="centralized",
-        mode="centralized",
-        prediction_error=err,
-        prediction_accuracy=acc,
-        loss=loss_value,
-        per_type_accuracy=per_type,
-        wall_clock_s=time.perf_counter() - t0,
-    )
-    return params, report
 
 
 def save_checkpoint(

@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from .attacks import AttackerMemory, AttackParams, inject
-from .features import NormalizationSpec, windows_from_stream
+from .features import NormalizationSpec, track_columns, windows_from_columns
 from .federated import EvalSet, VehicleData
 from .seeding import TAG_ATTACK, TAG_LINK, derive_rng
 from .trace import Messages, Scenario, delivery_time, synth_rssi
@@ -85,7 +85,7 @@ def assemble_datasets(
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     streams = broadcast_streams(scenario, attack)
     n = scenario.config.n_vehicles
-    tracks = [scenario.vehicle_track(v) for v in range(n)]
+    tracks = [track_columns(scenario.vehicle_track(v)) for v in range(n)]
 
     vehicles: list[VehicleData] = []
     eval_x: list[np.ndarray] = []
@@ -96,7 +96,7 @@ def assemble_datasets(
         for sender in range(n):
             if sender == receiver:
                 continue
-            x, y = windows_from_stream(
+            x, y = windows_from_columns(
                 streams[(sender, receiver)],
                 tracks[receiver],
                 tracks[sender],

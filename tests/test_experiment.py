@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from fltp import experiment
 from fltp.cli import main as cli_main
 from fltp.config import config_from_kv
 from fltp.experiment import (
@@ -17,10 +18,16 @@ from fltp.experiment import (
     cell_seed,
     error_improvement_pct,
     export_summary,
+    run_cell,
     run_experiment,
     run_method_rounds,
     sweep_cells,
+    write_rounds_csv,
 )
+from fltp.federated import evaluate_global
+from fltp.model import load_params, train_local
+from fltp.seeding import TAG_TRAIN, derive_rng
+from fltp.simulate import pooled_training_set
 
 
 def _tiny_cfg(out_dir, **overrides):
@@ -133,6 +140,33 @@ class TestRunMethodRounds:
         central = run_method_rounds(cfg, "centralized", vehicles, eval_set, initial, seed)
         assert all(r.mode == "centralized" for r in central)
 
+    def test_centralized_is_pooled_training(self, tmp_path):
+        """Reference: train_local on the pooled set with vehicle 0's training
+        stream of each round, then evaluate_global, bit for bit."""
+        cfg = config_from_kv({"global_rounds": "3"}, profile="desk")
+        seed = cell_seed(cfg.master_seed, 0, 0, 0)
+        _, vehicles, eval_set, initial = build_cell_data(cfg, 0.75, 4, seed)
+        reports = run_method_rounds(cfg, "centralized", vehicles, eval_set, initial, seed, tmp_path)
+        pooled_x, pooled_y = pooled_training_set(vehicles)
+        params = initial
+        for r, rep in enumerate(reports, start=1):
+            params, _ = train_local(
+                params,
+                pooled_x,
+                pooled_y,
+                episodes=cfg.train.local_episodes,
+                batch_size=cfg.train.batch_size,
+                learning_rate=cfg.train.learning_rate,
+                momentum=cfg.train.momentum,
+                rng=derive_rng(seed, TAG_TRAIN, r, 0),
+            )
+            err, acc, per_type, loss_value = evaluate_global(params, eval_set, cfg.norm, cfg.judgment_threshold)
+            assert (rep.round_idx, rep.method, rep.mode) == (r, "centralized", "centralized")
+            assert (rep.prediction_error, rep.prediction_accuracy, rep.loss) == (err, acc, loss_value)
+            assert rep.per_type_accuracy == per_type
+            assert (load_params(tmp_path / f"round_{r:04d}.params").flatten() == params.flatten()).all()
+        assert len(reports) == 3
+
     def test_unknown_method(self, tmp_path):
         cfg = _tiny_cfg(tmp_path)
         seed = cell_seed(cfg.master_seed, 0, 0, 0)
@@ -194,6 +228,28 @@ class TestRunExperiment:
         assert [p.name for p in files_a] == [p.name for p in files_b]
         for pa, pb in zip(files_a, files_b):
             assert pa.read_bytes() == pb.read_bytes(), pa.name
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_one_build_per_data_seed(self, tmp_path, monkeypatch, threads):
+        seeds = []
+        build = experiment.build_cell_data
+
+        def counted(cfg, penetration, n_vehicles, seed):
+            seeds.append(seed)
+            return build(cfg, penetration, n_vehicles, seed)
+
+        monkeypatch.setattr(experiment, "build_cell_data", counted)
+        cfg = _tiny_cfg(tmp_path / "out", penetrations="0.25, 0.75", global_rounds="1")
+        run_experiment(cfg, threads=threads)
+        assert len(seeds) == len(set(seeds)) == 4  # 3 methods x 2 penetrations x 2 repeats
+
+    def test_run_cell_writes_the_sweeps_bytes(self, tmp_path):
+        cfg = _tiny_cfg(tmp_path / "out")
+        run_experiment(cfg)
+        for cell in sweep_cells(cfg):
+            alone = tmp_path / f"alone_{cell.run_id}.csv"
+            write_rounds_csv(alone, cell, run_cell(cfg, cell))
+            assert alone.read_bytes() == (tmp_path / "out" / f"rounds_{cell.run_id}.csv").read_bytes(), cell.run_id
 
     def test_summary_row_count_scales_with_grid(self, tmp_path):
         cfg = _tiny_cfg(

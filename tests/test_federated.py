@@ -19,13 +19,12 @@ from fltp.federated import (
     decide_mode,
     evaluate_global,
     mre_weights,
-    run_centralized,
     run_fedavg_round,
     run_flt_round,
     save_checkpoint,
 )
 from fltp.model import ModelParams, TrainConfig, flat_length, forward, load_params, train_local
-from fltp.seeding import TAG_TRAIN, derive_rng
+from fltp.seeding import TAG_INIT, TAG_TRAIN, derive_rng
 from fltp.trace import AttackerType
 
 NORM = NormalizationSpec(region_side=10_000.0, v_max=40.0)
@@ -402,25 +401,29 @@ class TestRunRound:
 
 
 class TestCentralized:
+    """The centralized baseline is run_fedavg_round over one client, id 0,
+    that holds the pooled data: its weight is 1.0."""
+
     def test_zero_episodes_keeps_initial(self):
         vd = _vehicle(0, 8)
         es = _eval_set([0])
-        train = TrainConfig(hidden_size=4, learning_rate=1e-3)
+        train = TrainConfig(hidden_size=4, learning_rate=1e-3, local_episodes=0)
         p0 = ModelParams.init(4, derive_rng(14))
-        out, rep = run_centralized(
-            vd.features, vd.labels, es, episodes=0, train=train, norm=NORM, seed=1, initial=p0
-        )
+        out, rep = run_fedavg_round(p0, [vd], es, round_idx=0, train=train, norm=NORM, seed=1)
         np.testing.assert_array_equal(out.flatten(), p0.flatten())
-        assert rep.method == "centralized"
-        assert rep.mode == "centralized"
+        assert rep.lambdas == (1.0,)
+        err, acc, _, loss_value = evaluate_global(p0, es, NORM)
+        assert (rep.prediction_error, rep.prediction_accuracy, rep.loss) == (err, acc, loss_value)
 
     def test_deterministic_and_seed_sensitive(self):
         vd = _vehicle(0, 12)
         es = _eval_set([0])
         train = TrainConfig(hidden_size=4, learning_rate=1e-3, batch_size=4, local_episodes=2)
-        a, _ = run_centralized(vd.features, vd.labels, es, episodes=2, train=train, norm=NORM, seed=5)
-        b, _ = run_centralized(vd.features, vd.labels, es, episodes=2, train=train, norm=NORM, seed=5)
-        c, _ = run_centralized(vd.features, vd.labels, es, episodes=2, train=train, norm=NORM, seed=6)
+        p0 = ModelParams.init(4, derive_rng(5, TAG_INIT))
+        kwargs = dict(round_idx=0, train=train, norm=NORM)
+        a, _ = run_fedavg_round(p0, [vd], es, seed=5, **kwargs)
+        b, _ = run_fedavg_round(p0, [vd], es, seed=5, **kwargs)
+        c, _ = run_fedavg_round(p0, [vd], es, seed=6, **kwargs)
         np.testing.assert_array_equal(a.flatten(), b.flatten())
         assert not np.array_equal(a.flatten(), c.flatten())
 
@@ -429,12 +432,13 @@ class TestCentralized:
         es = _eval_set([0])
         train = TrainConfig(hidden_size=4, learning_rate=1e-3, batch_size=4, local_episodes=2)
         p0 = ModelParams.init(4, derive_rng(16))
-        kwargs = dict(episodes=2, train=train, norm=NORM, seed=5, initial=p0)
-        a, rep_a = run_centralized(vd.features, vd.labels, es, round_idx=3, **kwargs)
-        b, _ = run_centralized(vd.features, vd.labels, es, round_idx=4, **kwargs)
+        kwargs = dict(train=train, norm=NORM, seed=5)
+        a, rep_a = run_fedavg_round(p0, [vd], es, round_idx=3, **kwargs)
+        b, _ = run_fedavg_round(p0, [vd], es, round_idx=4, **kwargs)
         assert rep_a.round_idx == 3
         assert not np.array_equal(a.flatten(), b.flatten())
-        # the round's stream is the one a local update of vehicle 0 would use
+        # the round's stream is the one a local update of vehicle 0 would use,
+        # and weight 1.0 hands that update through unchanged
         trained, _ = train_local(
             p0,
             vd.features,

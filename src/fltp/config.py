@@ -101,6 +101,8 @@ KEYS: tuple[ConfigKey, ...] = (
     _key("batch_size", "128", _int, "train.batch_size"),
     _key("local_episodes", "10", _int, "train.local_episodes"),
     _key("global_rounds", "300", _int, "train.global_rounds"),
+    # the dtype of local training; aggregation and evaluation stay float64
+    _key("precision", "float64", _str, "train.precision"),
     _key("gate_strategy", "accuracy", _strategy, "gate.strategy"),
     _key("gate_threshold", "0.2", _float, "gate.threshold"),
     _key("influence_constant", "1.0", _float, "influence.constant"),
@@ -125,7 +127,7 @@ DEFAULTS: dict[str, str] = {key.name: key.default for key in KEYS}
 
 #: profile overrides; "desk" is the CI-scale protocol
 PROFILES: dict[str, dict[str, str]] = {
-    "paper": {},
+    "paper": {"precision": "float32"},
     "desk": {
         "vehicle_counts": "4",
         "global_rounds": "30",
@@ -288,6 +290,7 @@ def config_from_kv(kv_in: dict[str, str], profile: str | None = None) -> Experim
             batch_size=v["batch_size"],
             local_episodes=v["local_episodes"],
             global_rounds=v["global_rounds"],
+            precision=v["precision"],
         ),
         gate=GateConfig(strategy=v["gate_strategy"], threshold=v["gate_threshold"]),
         influence=influence,

@@ -96,7 +96,9 @@ def error_improvement_pct(value: float, baseline: float) -> float:
 
 
 def build_cell_data(cfg: ExperimentConfig, penetration: float, n_vehicles: int, seed: int):
-    """Scenario + datasets + initial model for one cell seed."""
+    """Scenario + datasets + initial model for one cell seed. The vehicles'
+    features and labels are in cfg.train.precision, which local training
+    follows; the pool and the initial model stay float64."""
     scen_cfg = replace(
         cfg.scenario,
         n_vehicles=n_vehicles,
@@ -104,7 +106,7 @@ def build_cell_data(cfg: ExperimentConfig, penetration: float, n_vehicles: int, 
         rng_seed=derive_seed(seed, TAG_SCENARIO),
     )
     scenario = generate_scenario(scen_cfg)
-    vehicles, eval_set = assemble_datasets(scenario, cfg.attack, cfg.norm, cfg.train_fraction)
+    vehicles, eval_set = assemble_datasets(scenario, cfg.attack, cfg.norm, cfg.train_fraction, cfg.train.precision)
     initial = ModelParams.init(cfg.train.hidden_size, derive_rng(seed, TAG_INIT))
     return scenario, vehicles, eval_set, initial
 

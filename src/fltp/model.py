@@ -4,7 +4,13 @@ head, written directly on numpy with a hand-derived backward pass.
 Input is a (10, 9) feature window (or a batch of them); output is a (5, 3)
 block: five future normalized positions plus the attack-class regression
 value replicated per step. Gate order inside stacked parameters is
-input, forget, cell, output. All math is float64.
+input, forget, cell, output.
+
+The compute dtype follows the input windows: float32 windows run in float32,
+anything else in float64. Parameters, the optimizer's velocity, saved blobs
+and losses are float64; a float64 model applied to float32 windows is cast
+once per call, and train_local keeps float64 master weights while each batch
+runs on a float32 copy.
 """
 from __future__ import annotations
 
@@ -24,6 +30,9 @@ _MAGIC = b"FLTP"
 
 #: windows per pass of the cache-free forward over a large batch
 PREDICT_CHUNK = 512
+
+#: accepted TrainConfig.precision values, the dtype local training runs in
+PRECISIONS = ("float64", "float32")
 
 
 def _shapes(hidden_size: int) -> tuple[tuple[int, ...], ...]:
@@ -101,6 +110,7 @@ class TrainConfig:
     batch_size: int = 128
     local_episodes: int = 10
     global_rounds: int = 300
+    precision: str = "float64"
 
     def validate(self) -> None:
         if self.hidden_size < 1:
@@ -115,6 +125,8 @@ class TrainConfig:
             raise ValueError(f"local_episodes must be >= 0, got {self.local_episodes}")
         if self.global_rounds < 1:
             raise ValueError(f"global_rounds must be >= 1, got {self.global_rounds}")
+        if self.precision not in PRECISIONS:
+            raise ValueError(f"precision must be one of {PRECISIONS}, got {self.precision!r}")
 
 
 @dataclass
@@ -152,7 +164,10 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _as_batch(window: np.ndarray) -> tuple[np.ndarray, bool]:
-    x = np.asarray(window, dtype=float)
+    """The window as a (B, T, D) batch in the compute dtype: float32 stays
+    float32, anything else becomes float64."""
+    x = np.asarray(window)
+    x = x.astype(np.float32 if x.dtype == np.float32 else np.float64, copy=False)
     single = x.ndim == 2
     if single:
         x = x[None, :, :]
@@ -168,14 +183,15 @@ def _time_major(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.transpose(1, 0, 2))
 
 
-def _scratch(pool: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """A contiguous (uninitialized) array of the given shape on pool[name],
-    which grows as needed. Reusing one pool across calls spares the page
-    faults of fresh allocations; each call overwrites what the last one left."""
+def _scratch(pool: dict[str, np.ndarray], name: str, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    """A contiguous (uninitialized) array of the given shape and dtype on
+    pool[name], which grows as needed and is replaced when the dtype changes.
+    Reusing one pool across calls spares the page faults of fresh
+    allocations; each call overwrites what the last one left."""
     size = math.prod(shape)
     block = pool.get(name)
-    if block is None or block.size < size:
-        block = pool[name] = np.empty(size)
+    if block is None or block.size < size or block.dtype != dtype:
+        block = pool[name] = np.empty(size, dtype)
     return block[:size].reshape(shape)
 
 
@@ -189,20 +205,25 @@ def _lstm(
     returned. Working arrays come from pool (see _scratch), so a returned
     cache is valid until the next call on the same pool. Initial hidden and
     cell states are zero; the head reads the final hidden state only.
+    Everything runs in xt's dtype; params of another dtype are cast to it,
+    and the cache holds the cast copy.
     """
     steps, batch, _ = xt.shape
     h_size = params.hidden_size
+    dtype = xt.dtype
+    if params.w_x.dtype != dtype:
+        params = ModelParams.view(params.flatten().astype(dtype), h_size)
     kept = steps if keep else 1
     pool = {} if pool is None else pool
-    gates = _scratch(pool, "gates", (kept, 4, batch, h_size))
-    cell = _scratch(pool, "cell", (kept, batch, h_size))
-    tanh_cell = _scratch(pool, "tanh_cell", (kept, batch, h_size))
-    hidden = _scratch(pool, "hidden", (kept, batch, h_size))
-    z = _scratch(pool, "z", (batch, 4 * h_size))
-    ig = _scratch(pool, "ig", (batch, h_size))
+    gates = _scratch(pool, "gates", (kept, 4, batch, h_size), dtype)
+    cell = _scratch(pool, "cell", (kept, batch, h_size), dtype)
+    tanh_cell = _scratch(pool, "tanh_cell", (kept, batch, h_size), dtype)
+    hidden = _scratch(pool, "hidden", (kept, batch, h_size), dtype)
+    z = _scratch(pool, "z", (batch, 4 * h_size), dtype)
+    ig = _scratch(pool, "ig", (batch, h_size), dtype)
 
     # input projection of every step in one GEMM
-    zx = _scratch(pool, "zx", (steps, batch, 4 * h_size))
+    zx = _scratch(pool, "zx", (steps, batch, 4 * h_size), dtype)
     np.matmul(xt.reshape(steps * batch, INPUT_DIM), params.w_x.T, out=zx.reshape(steps * batch, 4 * h_size))
     z_gates = z.reshape(batch, 4, h_size).transpose(1, 0, 2)  # (4, B, H) view of z
     for t in range(steps):
@@ -283,17 +304,21 @@ def loss(pred: np.ndarray, labels: np.ndarray) -> float:
 
 def backward(cache: ForwardCache, labels: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Gradient of loss() w.r.t. the flattened parameters, via backprop
-    through time over the cached activations. Written into out (a flat
-    vector of flat_length(H) values) when given, else into a new array."""
+    through time over the cached activations, in the cache's dtype. Written
+    into out (a flat vector of flat_length(H) values of that dtype) when
+    given, else into a new array."""
     params = cache.params
-    y = np.asarray(labels, dtype=float)
+    dtype = cache.xt.dtype
+    y = np.asarray(labels, dtype=dtype)
     if y.ndim == 2:
         y = y[None]
     steps, batch = cache.xt.shape[0], cache.xt.shape[1]
     h_size = params.hidden_size
     if y.shape != cache.pred.shape:
         raise ValueError(f"label shape {y.shape} does not match cached prediction {cache.pred.shape}")
-    grad = np.empty(flat_length(h_size)) if out is None else out
+    if out is not None and out.dtype != dtype:
+        raise ValueError(f"gradient buffer is {out.dtype}, the cache computes in {dtype}")
+    grad = np.empty(flat_length(h_size), dtype) if out is None else out
     grad.fill(0.0)
     g_params = ModelParams.view(grad, h_size)
 
@@ -302,8 +327,8 @@ def backward(cache: ForwardCache, labels: np.ndarray, out: np.ndarray | None = N
     np.sum(d_pred, axis=0, out=g_params.b_head)
     d_h = d_pred @ params.w_head
 
-    d_c = np.zeros((batch, h_size))
-    d_z = np.empty((batch, 4 * h_size))
+    d_c = np.zeros((batch, h_size), dtype)
+    d_z = np.empty((batch, 4 * h_size), dtype)
     d_i, d_f, d_g, d_o = (d_z[:, k * h_size : (k + 1) * h_size] for k in range(4))
     for t in range(steps - 1, -1, -1):
         i, f, g, o = cache.gates[t]
@@ -353,28 +378,35 @@ def train_local(
 
     Each episode reshuffles the sample order with the supplied rng and sweeps
     batches of at most batch_size (the trailing partial batch is kept).
-    Returns the trained parameters and the full-dataset loss afterwards.
-    The values equal a loop of forward_cached, backward and sgd_step bit for
-    bit; here the parameters, gradient and velocity are flat buffers updated
-    in place.
+    Returns the trained float64 parameters and the full-dataset loss
+    afterwards. The precision follows the features (see _as_batch): the
+    parameters and velocity are float64 master copies, and with float32
+    features each batch's forward and backward run on a float32 copy of the
+    parameters, whose float32 gradient is added into the float64 velocity.
+    The values equal a loop of forward_cached, backward and sgd_step with a
+    float64 OptimizerState bit for bit; here the parameters, gradient and
+    velocity are flat buffers updated in place.
     """
-    x = np.asarray(features, dtype=float)
-    y = np.asarray(labels, dtype=float)
+    x = np.asarray(features)
     if x.ndim != 3 or x.shape[0] == 0:
         raise ValueError(f"expected a non-empty (N, {WINDOW_INPUT_STEPS}, {INPUT_DIM}) feature array, got {x.shape}")
+    x, _ = _as_batch(x)  # compute dtype, shape and finiteness, once for every batch drawn from x
+    y = np.asarray(labels, dtype=x.dtype)
     if y.shape != (x.shape[0], WINDOW_LABEL_STEPS, LABEL_DIM):
         raise ValueError(f"label shape {y.shape} does not match {x.shape[0]} samples")
     if episodes < 0:
         raise ValueError(f"episodes must be >= 0, got {episodes}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    x, _ = _as_batch(x)  # shape and finiteness, once for every batch drawn from x
 
-    theta = params.flatten()
-    params = ModelParams.view(theta, params.hidden_size)
-    grad = np.empty_like(theta)
+    h_size = params.hidden_size
+    theta = params.flatten().astype(np.float64, copy=False)
     velocity = np.zeros_like(theta)
     step = np.empty_like(theta)
+    # the weights each batch runs on: theta itself, or its copy in x's dtype
+    weights = theta if x.dtype == theta.dtype else np.empty(theta.shape, x.dtype)
+    batch_params = ModelParams.view(weights, h_size)
+    grad = np.empty_like(weights)
     xt = _time_major(x)
     pool: dict[str, np.ndarray] = {}
     n = x.shape[0]
@@ -382,13 +414,17 @@ def train_local(
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
-            _, cache = _lstm(params, xt[:, idx], keep=True, pool=pool)
+            if weights is not theta:
+                np.copyto(weights, theta)
+            _, cache = _lstm(batch_params, xt[:, idx], keep=True, pool=pool)
             backward(cache, y[idx], out=grad)
             velocity *= momentum
             velocity += grad
             np.multiply(velocity, learning_rate, out=step)
             theta -= step
-    return params, loss(_predict(params, x, pool), y)
+    if weights is not theta:
+        np.copyto(weights, theta)
+    return ModelParams.view(theta, h_size), loss(_predict(batch_params, x, pool), y)
 
 
 def save_params(params: ModelParams, path: str | Path) -> None:

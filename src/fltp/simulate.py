@@ -73,10 +73,12 @@ def assemble_datasets(
     attack: AttackParams,
     norm: NormalizationSpec,
     train_fraction: float = 0.8,
+    dtype: str | np.dtype = np.float64,
 ) -> tuple[list[VehicleData], EvalSet]:
     """Split every (sender -> receiver) stream's windows by time: the leading
     train_fraction goes into the receiver's local set, the rest into the
-    shared evaluation pool.
+    shared evaluation pool. The local sets are cast to dtype as they are
+    concatenated; the pool stays float64.
 
     Raises ValueError when the scenario is too short to give every vehicle
     at least one training window and the pool at least one window.
@@ -109,13 +111,13 @@ def assemble_datasets(
             # copies, so that a stream's training windows are freed with its receiver
             eval_x.append(x[n_train:].copy())
             eval_y.append(y[n_train:].copy())
-        features = np.concatenate(feats)
+        features = np.concatenate(feats, dtype=dtype)
         if not len(features):
             raise ValueError(
                 f"vehicle {receiver} got no training windows; "
                 f"increase n_steps (= {scenario.config.n_steps}) or train_fraction"
             )
-        vehicles.append(VehicleData(vehicle_id=receiver, features=features, labels=np.concatenate(labels)))
+        vehicles.append(VehicleData(receiver, features, np.concatenate(labels, dtype=dtype)))
     pool = EvalSet(features=np.concatenate(eval_x), labels=np.concatenate(eval_y))
     if not len(pool.features):
         raise ValueError("evaluation pool is empty; increase n_steps or lower train_fraction")

@@ -66,6 +66,7 @@ class TestDefaults:
         assert cfg.train_fraction == 0.8
         assert cfg.judgment_threshold == 0.5
         assert cfg.checkpoints is False
+        assert cfg.train.precision == "float64"
 
     def test_all_default_keys_resolve(self):
         # every documented key round-trips through the resolver unchanged
@@ -84,9 +85,11 @@ class TestProfiles:
         # untouched keys keep their defaults
         assert cfg.penetrations == [0.25, 0.5, 0.75]
         assert cfg.scenario.region_side == 10_000.0
+        assert cfg.train.precision == "float64"
 
     def test_paper_profile_is_defaults(self):
-        assert config_from_kv({}, profile="paper") == config_from_kv({})
+        # the paper profile is the defaults with float32 local training
+        assert config_from_kv({}, profile="paper") == config_from_kv({"precision": "float32"})
 
     def test_unknown_profile(self):
         with pytest.raises(ConfigError, match="unknown profile"):
@@ -118,6 +121,7 @@ class TestValidation:
             ("n_steps", "0"),
             ("hidden_size", "0"),
             ("momentum", "1.0"),
+            ("precision", "float16"),
         ],
     )
     def test_bad_value_mentions_key(self, key, value):
@@ -197,6 +201,7 @@ NON_DEFAULTS = {
     "batch_size": "64",
     "local_episodes": "3",
     "global_rounds": "12",
+    "precision": "float32",
     "gate_strategy": "random",
     "gate_threshold": "0.4",
     "influence_constant": "0.5",

@@ -4,9 +4,10 @@ import hashlib
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fltp import experiment
+from fltp import experiment, federated
 from fltp.cli import main as cli_main
 from fltp.config import config_from_kv
 from fltp.experiment import (
@@ -19,13 +20,14 @@ from fltp.experiment import (
     error_improvement_pct,
     export_summary,
     run_cell,
+    run_cells,
     run_experiment,
     run_method_rounds,
     sweep_cells,
     write_rounds_csv,
 )
-from fltp.federated import evaluate_global
-from fltp.model import load_params, train_local
+from fltp.federated import evaluate_global, run_flt_round
+from fltp.model import flat_length, load_params, train_local
 from fltp.seeding import TAG_TRAIN, derive_rng
 from fltp.simulate import pooled_training_set
 
@@ -301,6 +303,77 @@ class TestRunExperiment:
         cfg = _tiny_cfg(tmp_path / "out")
         with pytest.raises(ValueError):
             run_experiment(cfg, threads=0)
+
+
+class TestPrecision:
+    """precision = float32 trains on float32 vehicle sets; the pool, the
+    initial model, aggregation, evaluation and checkpoints stay float64."""
+
+    def test_build_casts_only_the_vehicle_sets(self, tmp_path):
+        seed = cell_seed(7, 0, 0, 0)
+        _, veh64, eval64, init64 = build_cell_data(_tiny_cfg(tmp_path), 0.5, 4, seed)
+        _, veh32, eval32, init32 = build_cell_data(_tiny_cfg(tmp_path, precision="float32"), 0.5, 4, seed)
+        for a, b in zip(veh64, veh32):
+            assert (b.features.dtype, b.labels.dtype) == (np.float32, np.float32)
+            assert (b.features == a.features.astype(np.float32)).all()
+            assert (b.labels == a.labels.astype(np.float32)).all()
+            assert b.attack_histogram() == a.attack_histogram()
+        assert (eval32.features.dtype, eval32.labels.dtype, init32.flatten().dtype) == (np.float64,) * 3
+        assert (eval32.features == eval64.features).all() and (eval32.labels == eval64.labels).all()
+        assert (init32.flatten() == init64.flatten()).all()
+
+    def test_centralized_trains_on_a_float32_pool(self, tmp_path, monkeypatch):
+        dtypes = []
+        train = federated.train_local
+
+        def recorded(params, features, labels, **kw):
+            dtypes.append((features.dtype, labels.dtype))
+            return train(params, features, labels, **kw)
+
+        monkeypatch.setattr(federated, "train_local", recorded)
+        cfg = _tiny_cfg(tmp_path, precision="float32", global_rounds="1")
+        seed = cell_seed(cfg.master_seed, 0, 0, 0)
+        _, vehicles, eval_set, initial = build_cell_data(cfg, 0.5, 4, seed)
+        run_method_rounds(cfg, "centralized", vehicles, eval_set, initial, seed)
+        assert dtypes == [(np.float32, np.float32)]
+
+    def test_checkpoints_are_float64(self, tmp_path):
+        cfg = _tiny_cfg(tmp_path, precision="float32")
+        seed = cell_seed(cfg.master_seed, 0, 0, 0)
+        _, vehicles, eval_set, initial = build_cell_data(cfg, 0.5, 4, seed)
+        reports = run_method_rounds(cfg, "fl-tp", vehicles, eval_set, initial, seed, tmp_path / "ck")
+        params, prev_accuracy = initial, 0.0
+        for r, rep in enumerate(reports, start=1):
+            params, again = run_flt_round(
+                params, vehicles, eval_set, round_idx=r, prev_accuracy=prev_accuracy, gate=cfg.gate,
+                influence=cfg.influence, train=cfg.train, norm=cfg.norm, seed=seed,
+                judgment_threshold=cfg.judgment_threshold,
+            )
+            prev_accuracy = again.prediction_accuracy
+            blob = tmp_path / "ck" / f"round_{r:04d}.params"
+            assert blob.stat().st_size == 16 + 8 * flat_length(cfg.train.hidden_size)
+            loaded = load_params(blob).flatten()
+            assert loaded.dtype == params.flatten().dtype == np.float64
+            assert (loaded == params.flatten()).all()
+            assert (rep.prediction_error, rep.prediction_accuracy, rep.loss) == (
+                again.prediction_error, again.prediction_accuracy, again.loss
+            )
+        assert len(reports) == 2
+
+    def test_float32_desk_cell_stays_close_to_float64(self):
+        # bounds fixed before any run: 1e-5 relative on the final trajectory
+        # error and loss, 0.01 absolute on the final attack accuracy
+        finals = {}
+        for precision in ("float64", "float32"):
+            cfg = config_from_kv({"penetrations": "0.75", "repeats": "1", "precision": precision}, profile="desk")
+            cells = sweep_cells(cfg)
+            finals[precision] = {c.method: r[-1] for c, r in zip(cells, run_cells(cfg, cells))}
+        assert list(finals["float32"]) == ["fl-tp", "fed-avg", "centralized"]
+        for method, ref in finals["float64"].items():
+            got = finals["float32"][method]
+            assert got.prediction_error == pytest.approx(ref.prediction_error, rel=1e-5), method
+            assert got.loss == pytest.approx(ref.loss, rel=1e-5), method
+            assert abs(got.prediction_accuracy - ref.prediction_accuracy) <= 0.01, method
 
 
 class TestExportSummary:

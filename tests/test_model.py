@@ -11,6 +11,7 @@ from fltp.model import (
     OUTPUT_DIM,
     PREDICT_CHUNK,
     TrainConfig,
+    _scratch,
     _sigmoid,
     backward,
     flat_length,
@@ -327,9 +328,10 @@ class TestTrainLocal:
         expected = p0.flatten() - 1e-3 * grad
         np.testing.assert_allclose(a.flatten(), expected, rtol=1e-12, atol=1e-15)
 
-    def test_equals_forward_backward_sgd_loop(self):
-        # 21 samples in batches of 8: the last batch of each episode is partial
-        x, y = self._data(n=21, seed=3)
+    def _check_equals_kernel_loop(self, x, y):
+        """train_local against forward_cached, backward and sgd_step with a
+        float64 OptimizerState, bit for bit; 21 samples in batches of 8, so
+        the last batch of each episode is partial."""
         p0 = ModelParams.init(5, derive_rng(406))
         kw = dict(episodes=3, batch_size=8, learning_rate=0.05, momentum=0.7)
         trained, final = train_local(p0, x, y, rng=derive_rng(7), **kw)
@@ -342,10 +344,21 @@ class TestTrainLocal:
             for start in range(0, 21, kw["batch_size"]):
                 idx = order[start : start + kw["batch_size"]]
                 _, cache = forward_cached(params, x[idx])
-                params, opt = sgd_step(params, opt, backward(cache, y[idx]))
+                grad = backward(cache, y[idx])
+                assert grad.dtype == x.dtype
+                params, opt = sgd_step(params, opt, grad)
+        assert trained.flatten().dtype == opt.velocity.dtype == np.float64
         np.testing.assert_array_equal(trained.flatten(), params.flatten())
         assert final == loss(forward(params, x), y)
         np.testing.assert_array_equal(p0.flatten(), ModelParams.init(5, derive_rng(406)).flatten())
+
+    def test_equals_forward_backward_sgd_loop(self):
+        self._check_equals_kernel_loop(*self._data(n=21, seed=3))
+
+    def test_float32_equals_forward_backward_sgd_loop(self):
+        # float32 data: each batch runs in float32 on float64 master weights
+        x, y = self._data(n=21, seed=3)
+        self._check_equals_kernel_loop(x.astype(np.float32), y.astype(np.float32))
 
     def test_rejects_non_finite_feature(self):
         x, y = self._data()
@@ -365,6 +378,44 @@ class TestTrainLocal:
             train_local(p0, x, y, episodes=1, batch_size=0, learning_rate=0.1, momentum=0.5, rng=derive_rng(1))
 
 
+class TestPrecision:
+    """The compute dtype follows the input windows: float32 stays float32,
+    anything else is float64; parameters and velocity stay float64."""
+
+    def test_float32_gradient_matches_float64(self):
+        p = ModelParams.init(16, derive_rng(600))
+        x, y = _sample(12, batch=32)
+        grad64 = backward(forward_cached(p, x)[1], y)
+        _, cache = forward_cached(p, x.astype(np.float32))
+        grad32 = backward(cache, y.astype(np.float32))
+        assert (cache.pred.dtype, grad32.dtype) == (np.float32, np.float32)
+        # float32's unit roundoff is 2**-24 (6e-8); 1e-5 of the largest entry
+        # leaves room for the roundings of ten recurrent steps over 32 windows
+        np.testing.assert_allclose(grad32, grad64, rtol=0, atol=1e-5 * np.abs(grad64).max())
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_other_inputs_compute_in_float64(self, dtype):
+        p = ModelParams.init(4, derive_rng(601))
+        x = np.arange(2 * 10 * INPUT_DIM).reshape(2, 10, INPUT_DIM) % 3
+        pred, cache = forward_cached(p, x.astype(dtype))
+        assert (pred.dtype, cache.xt.dtype, cache.params.w_x.dtype) == (np.float64,) * 3
+        assert backward(cache, np.zeros((2, 5, 3), dtype)).dtype == np.float64
+        np.testing.assert_array_equal(forward(p, x.astype(dtype)), forward(p, x.astype(float)))
+
+    def test_gradient_buffer_must_match_the_cache(self):
+        p = ModelParams.init(4, derive_rng(602))
+        x, y = _sample(13, batch=2)
+        _, cache = forward_cached(p, x.astype(np.float32))
+        with pytest.raises(ValueError, match="float64"):
+            backward(cache, y, out=np.empty(flat_length(4)))
+
+    def test_scratch_pool_follows_dtype(self):
+        pool = {}
+        assert _scratch(pool, "a", (6,), np.float64).dtype == np.float64
+        block = _scratch(pool, "a", (2, 2), np.float32)
+        assert block.dtype == np.float32 and pool["a"].dtype == np.float32
+
+
 class TestTrainConfig:
     def test_defaults(self):
         cfg = TrainConfig()
@@ -382,6 +433,7 @@ class TestTrainConfig:
             ("batch_size", 0),
             ("local_episodes", -1),
             ("global_rounds", 0),
+            ("precision", "float16"),
         ],
     )
     def test_rejects_bad_values(self, field, value):

@@ -38,8 +38,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             cfg = load_config(args.config, profile=args.profile)
             if args.seed is not None:
-                if args.seed < 0:
-                    raise ConfigError(f"master_seed: must be >= 0, got {args.seed}")
                 cfg.master_seed = args.seed
             if args.out is not None:
                 cfg.out_dir = args.out

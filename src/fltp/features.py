@@ -15,15 +15,19 @@ rssi     affine [rssi_min, rssi_max] dBm -> [0, 1], clamped
 The label block is a (5, 3) float array: the sender's ground-truth positions
 for the next five steps normalized by R, with the attacker-class code
 replicated in the third column.
+
+The ego and sender ground truth come as column tracks, steps (L,) int64 and
+kinematics (L, 4) = [pos_x, pos_y, spd_x, spd_y], the form
+Scenario.vehicle_track and ingest_veremi return; windows_from_stream is the
+one windowing entry point.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .trace import AttackerType, Messages, VehicleState
+from .trace import AttackerType, Messages
 
 WINDOW_INPUT_STEPS = 10
 WINDOW_LABEL_STEPS = 5
@@ -51,12 +55,6 @@ class NormalizationSpec:
             raise ValueError(f"v_max must be > 0, got {self.v_max}")
         if self.rssi_min >= self.rssi_max:
             raise ValueError(f"rssi_min must be < rssi_max, got [{self.rssi_min}, {self.rssi_max}]")
-
-
-def track_columns(states: Sequence[VehicleState]) -> tuple[np.ndarray, np.ndarray]:
-    """Steps (L,) and kinematics (L, 4) = [pos_x, pos_y, spd_x, spd_y] of a track."""
-    table = np.array([(s.t, s.pos_x, s.pos_y, s.spd_x, s.spd_y) for s in states], dtype=float).reshape(-1, 5)
-    return table[:, 0].astype(np.int64), table[:, 1:]
 
 
 def _clamp(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -91,17 +89,6 @@ def _label_rows(truth: np.ndarray, attacker: AttackerType, spec: NormalizationSp
 
 def windows_from_stream(
     msgs: Messages,
-    ego_states: Sequence[VehicleState],
-    sender_states: Sequence[VehicleState],
-    attacker: AttackerType,
-    spec: NormalizationSpec,
-) -> tuple[np.ndarray, np.ndarray]:
-    """windows_from_columns with both tracks given as VehicleState lists."""
-    return windows_from_columns(msgs, track_columns(ego_states), track_columns(sender_states), attacker, spec)
-
-
-def windows_from_columns(
-    msgs: Messages,
     ego_track: tuple[np.ndarray, np.ndarray],
     sender_track: tuple[np.ndarray, np.ndarray],
     attacker: AttackerType,
@@ -109,8 +96,9 @@ def windows_from_columns(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Slide a stride-1 window over one sender's stream.
 
-    ego_track and sender_track are full per-step tracks indexed by step
-    (step == index), as track_columns returns them. Returns features
+    ego_track and sender_track are full per-step tracks, steps (L,) and
+    kinematics (L, 4) = pos_x, pos_y, spd_x, spd_y, indexed by step (step ==
+    index), as Scenario.vehicle_track returns them. Returns features
     (K, 10, 9) and labels (K, 5, 3). A gapless stream of length L yields
     K = max(0, L - 14) windows; windows spanning a step gap or running past
     either track are skipped. Each message is normalized once; the windows

@@ -7,10 +7,10 @@ from __future__ import annotations
 import numpy as np
 
 from .attacks import AttackerMemory, AttackParams, inject
-from .features import NormalizationSpec, track_columns, windows_from_columns
+from .features import NormalizationSpec, windows_from_stream
 from .federated import EvalSet, VehicleData
 from .seeding import TAG_ATTACK, TAG_LINK, derive_rng
-from .trace import Messages, Scenario, delivery_time, synth_rssi
+from .trace import Messages, Scenario, VehicleState, delivery_time, synth_rssi
 
 
 def falsified_claims(scenario: Scenario, attack: AttackParams) -> dict[int, np.ndarray]:
@@ -24,11 +24,11 @@ def falsified_claims(scenario: Scenario, attack: AttackParams) -> dict[int, np.n
     for v in sorted(scenario.attacker_types):
         attacker = scenario.attacker_types[v]
         rng = derive_rng(seed, TAG_ATTACK, v)
-        spawn = scenario.states[0][v]
-        memory = AttackerMemory(spawn.pos_x, spawn.pos_y)
+        truth = scenario.kinematics[:, v].tolist()
+        memory = AttackerMemory(*truth[0][:2])
         track = []
-        for row in scenario.states:
-            pos, spd, memory = inject(attacker, row[v], memory, attack, rng)
+        for step, row in enumerate(truth):
+            pos, spd, memory = inject(attacker, VehicleState(v, step, *row), memory, attack, rng)
             track.append((*pos, *spd))
         claims[v] = np.array(track, dtype=float).reshape(-1, 4)
     return claims
@@ -45,8 +45,8 @@ def broadcast_streams(scenario: Scenario, attack: AttackParams) -> dict[tuple[in
     cfg = scenario.config
     claims = falsified_claims(scenario, attack)
     n = cfg.n_vehicles
-    pos = np.array([[(s.pos_x, s.pos_y) for s in row] for row in scenario.states])  # (steps, n, 2)
-    steps = len(scenario.states)
+    pos = scenario.kinematics[:, :, :2]
+    steps = len(pos)
     t_snd = np.arange(steps) * cfg.dt
     streams: dict[tuple[int, int], Messages] = {}
     for sender in range(n):
@@ -87,7 +87,7 @@ def assemble_datasets(
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     streams = broadcast_streams(scenario, attack)
     n = scenario.config.n_vehicles
-    tracks = [track_columns(scenario.vehicle_track(v)) for v in range(n)]
+    tracks = [scenario.vehicle_track(v) for v in range(n)]
 
     vehicles: list[VehicleData] = []
     eval_x: list[np.ndarray] = []
@@ -98,7 +98,7 @@ def assemble_datasets(
         for sender in range(n):
             if sender == receiver:
                 continue
-            x, y = windows_from_columns(
+            x, y = windows_from_stream(
                 streams[(sender, receiver)],
                 tracks[receiver],
                 tracks[sender],

@@ -56,7 +56,8 @@ class IngestError(ValueError):
 
 @dataclass(frozen=True)
 class VehicleState:
-    """Ground-truth kinematic state of one vehicle at one time step."""
+    """Ground-truth kinematic state of one vehicle at one time step: the
+    per-message truth attacks.inject reads (a row of Scenario.kinematics)."""
 
     vehicle_id: int
     t: int
@@ -146,14 +147,17 @@ class ScenarioConfig:
 
 @dataclass
 class Scenario:
-    """Generated ground truth: per-step states plus the fixed attacker map."""
+    """Generated ground truth plus the fixed attacker map. kinematics is
+    (steps, n_vehicles, 4) = pos_x, pos_y, spd_x, spd_y per step and vehicle."""
 
     config: ScenarioConfig
     attacker_types: dict[int, AttackerType]
-    states: list[list[VehicleState]]  # states[step][vehicle_id]
+    kinematics: np.ndarray
 
-    def vehicle_track(self, vehicle_id: int) -> list[VehicleState]:
-        return [row[vehicle_id] for row in self.states]
+    def vehicle_track(self, vehicle_id: int) -> tuple[np.ndarray, np.ndarray]:
+        """Steps (L,) int64 and kinematics (L, 4) of one vehicle; the
+        kinematics are a view into self.kinematics."""
+        return np.arange(len(self.kinematics), dtype=np.int64), self.kinematics[:, vehicle_id]
 
 
 def _check_distance(distance: float | np.ndarray) -> None:
@@ -194,25 +198,20 @@ def delivery_time(
     return t_snd + distance / spd_msg
 
 
-def step_kinematics(state: VehicleState, config: ScenarioConfig, rng: np.random.Generator) -> VehicleState:
-    """Advance one vehicle by one step: constant velocity plus acceleration
-    noise, speed clamped to ±v_max, position clamped to [0, R] with the
-    velocity component reflected at the boundary."""
-    ax, ay = rng.normal(0.0, config.accel_sigma, size=2)
-    sx = min(max(state.spd_x + ax * config.dt, -config.v_max), config.v_max)
-    sy = min(max(state.spd_y + ay * config.dt, -config.v_max), config.v_max)
-    px = state.pos_x + sx * config.dt
-    py = state.pos_y + sy * config.dt
-    r = config.region_side
-    if px < 0.0:
-        px, sx = 0.0, -sx
-    elif px > r:
-        px, sx = r, -sx
-    if py < 0.0:
-        py, sy = 0.0, -sy
-    elif py > r:
-        py, sy = r, -sy
-    return VehicleState(state.vehicle_id, state.t + 1, px, py, sx, sy)
+def step_kinematics(kinematics: np.ndarray, config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
+    """Advance every vehicle of an (n, 4) kinematics array by one step:
+    constant velocity plus acceleration noise, speed clamped to ±v_max,
+    position clamped to [0, R] with the velocity component reflected at the
+    boundary. The noise is one (n, 2) draw, vehicle by vehicle."""
+    accel = rng.normal(0.0, config.accel_sigma, size=(len(kinematics), 2))
+    spd = np.minimum(np.maximum(kinematics[:, 2:] + accel * config.dt, -config.v_max), config.v_max)
+    pos = kinematics[:, :2] + spd * config.dt
+    low = pos < 0.0
+    high = pos > config.region_side
+    out = np.empty_like(kinematics)
+    out[:, :2] = np.where(low, 0.0, np.where(high, config.region_side, pos))
+    out[:, 2:] = np.where(low | high, -spd, spd)
+    return out
 
 
 def attacker_count(penetration: float, n_vehicles: int) -> int:
@@ -232,12 +231,10 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
     config.validate()
     rng = np.random.default_rng(config.rng_seed)
     n = config.n_vehicles
+    r, v_max = config.region_side, config.v_max
 
-    current: list[VehicleState] = []
-    for v in range(n):
-        px, py = rng.uniform(0.0, config.region_side, size=2)
-        sx, sy = rng.uniform(-config.v_max, config.v_max, size=2)
-        current.append(VehicleState(v, 0, float(px), float(py), float(sx), float(sy)))
+    kinematics = np.empty((config.n_steps, n, 4))
+    kinematics[0] = rng.uniform((0.0, 0.0, -v_max, -v_max), (r, r, v_max, v_max), size=(n, 4))
 
     types = {v: AttackerType.GENUINE for v in range(n)}
     k = attacker_count(config.penetration, n)
@@ -246,11 +243,9 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
         for idx, v in enumerate(chosen):
             types[v] = ATTACK_CLASSES[idx % len(ATTACK_CLASSES)]
 
-    rows = [current]
-    for _ in range(1, config.n_steps):
-        current = [step_kinematics(s, config, rng) for s in current]
-        rows.append(current)
-    return Scenario(config=config, attacker_types=types, states=rows)
+    for step in range(1, config.n_steps):
+        kinematics[step] = step_kinematics(kinematics[step - 1], config, rng)
+    return Scenario(config=config, attacker_types=types, kinematics=kinematics)
 
 
 def _require(record: dict, key: str, path: Path, line_no: int):
@@ -265,18 +260,22 @@ def ingest_veremi(
     *,
     dt: float = 1.0,
     attacker_code_map: Mapping[int, AttackerType] | None = None,
-) -> tuple[Messages, list[VehicleState]]:
+) -> tuple[Messages, tuple[np.ndarray, np.ndarray]]:
     """Read a JSON-Lines reception log plus a ground-truth file.
 
     Log records with type 3 become the rows of the returned Messages (z
     components of pos/spd are dropped); records with type 2 are the receiving
-    vehicle's own GPS track and become VehicleState entries; other type codes
-    are skipped. Steps are derived as round(time / dt).
+    vehicle's own GPS track, returned as steps (L,) int64 and kinematics
+    (L, 4) = pos_x, pos_y, spd_x, spd_y; other type codes are skipped. Steps
+    are derived as round(time / dt).
 
-    Raises IngestError with the file name and line number for unparseable or
-    inconsistent lines, including senders absent from the ground truth and
-    attackerType codes absent from the mapping.
+    Raises ValueError for dt <= 0, and IngestError with the file name and
+    line number for unparseable or inconsistent lines, including senders
+    absent from the ground truth and attackerType codes absent from the
+    mapping.
     """
+    if dt <= 0:
+        raise ValueError(f"dt must be > 0, got {dt}")
     log_path = Path(log_path)
     ground_truth_path = Path(ground_truth_path)
     code_map = dict(DEFAULT_ATTACKER_CODE_MAP if attacker_code_map is None else attacker_code_map)
@@ -296,7 +295,8 @@ def ingest_veremi(
     ids: list[tuple[int, int, int]] = []  # sender, step, attacker class
     times: list[tuple[float, float]] = []  # sent, received
     claims: list[tuple[float, ...]] = []
-    ego_states: list[VehicleState] = []
+    ego_steps: list[int] = []
+    ego_kinematics: list[tuple[float, ...]] = []
     with open(log_path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -310,16 +310,8 @@ def ingest_veremi(
                 pos = _require(rec, "pos", log_path, line_no)
                 spd = _require(rec, "spd", log_path, line_no)
                 t_rcv = float(_require(rec, "rcvTime", log_path, line_no))
-                ego_states.append(
-                    VehicleState(
-                        vehicle_id=int(rec.get("sender", -1)),
-                        t=round(t_rcv / dt),
-                        pos_x=float(pos[0]),
-                        pos_y=float(pos[1]),
-                        spd_x=float(spd[0]),
-                        spd_y=float(spd[1]),
-                    )
-                )
+                ego_steps.append(round(t_rcv / dt))
+                ego_kinematics.append((float(pos[0]), float(pos[1]), float(spd[0]), float(spd[1])))
             elif rec_type == LOG_TYPE_BSM:
                 sender = int(_require(rec, "sender", log_path, line_no))
                 if sender not in truth_codes:
@@ -345,4 +337,5 @@ def ingest_veremi(
         claims=np.array(claims, dtype=float).reshape(-1, 5),
         truth_attacker=id_cols[:, 2],
     )
-    return messages, ego_states
+    ego_track = np.array(ego_steps, dtype=np.int64), np.array(ego_kinematics, dtype=float).reshape(-1, 4)
+    return messages, ego_track

@@ -1,5 +1,5 @@
 """Feature/label normalization and sliding-window construction."""
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,18 +15,29 @@ from fltp.features import (
     denormalize_pos,
     windows_from_stream,
 )
-from fltp.trace import AttackerType, Messages, VehicleState
+from fltp.trace import AttackerType, Messages
 
 R = 10_000.0
 V_MAX = 40.0
 SPEC = NormalizationSpec(region_side=R, v_max=V_MAX)
 
 
-def _track(vehicle_id, n, x0=1000.0, y0=2000.0, sx=10.0, sy=-5.0):
-    return [
-        VehicleState(vehicle_id, t, x0 + sx * t, y0 + sy * t, sx, sy)
-        for t in range(n)
-    ]
+def _track(n, x0=1000.0, y0=2000.0, sx=10.0, sy=-5.0):
+    """A straight-line column track: steps 0..n-1 and kinematics (n, 4)."""
+    t = np.arange(n, dtype=np.int64)
+    kin = np.column_stack([x0 + sx * t, y0 + sy * t, np.full(n, sx), np.full(n, sy)]).reshape(-1, 4)
+    return t, kin
+
+
+def _still(n, x, y):
+    """A track parked at (x, y) for n steps."""
+    return np.arange(n, dtype=np.int64), np.tile([x, y, 0.0, 0.0], (n, 1))
+
+
+def _cut(track, keep):
+    """The rows of a column track at the given indices (slice or mask)."""
+    steps, kin = track
+    return steps[keep], kin[keep]
 
 
 def _messages(sender_ids, steps, claims, attacker=AttackerType.GENUINE):
@@ -42,12 +53,14 @@ def _messages(sender_ids, steps, claims, attacker=AttackerType.GENUINE):
     )
 
 
-def _stream(track, rssi=-70.0, claimed=None, attacker=AttackerType.GENUINE):
-    """Message stream echoing a truth track, optionally with claimed overrides."""
-    claims = [
-        ((s.pos_x, s.pos_y) if claimed is None else claimed(s)) + (s.spd_x, s.spd_y, rssi) for s in track
-    ]
-    return _messages([s.vehicle_id for s in track], [s.t for s in track], claims, attacker)
+def _stream(track, rssi=-70.0, claimed_pos=None, attacker=AttackerType.GENUINE):
+    """Sender 1's message stream echoing a truth track, optionally claiming a
+    fixed position."""
+    steps, kin = track
+    claims = np.column_stack([kin, np.full(len(steps), rssi)])
+    if claimed_pos is not None:
+        claims[:, 0:2] = claimed_pos
+    return _messages(np.ones(len(steps)), steps, claims, attacker)
 
 
 def _rows(msgs, keep):
@@ -57,8 +70,8 @@ def _rows(msgs, keep):
 
 def _first_window(sender, ego, **kw):
     """x[0] and y[0] of windows_from_stream over a 15-message stream echoing
-    the 15-state sender track."""
-    assert len(sender) == WINDOW_SPAN
+    the 15-step sender track."""
+    assert len(sender[0]) == WINDOW_SPAN
     x, y = windows_from_stream(_stream(sender, **kw), ego, sender, kw.get("attacker", AttackerType.GENUINE), SPEC)
     assert len(x) == 1
     return x[0], y[0]
@@ -68,29 +81,27 @@ class TestBuildFeatureWindow:
     """The (10, 9) feature block of a stream's first window."""
 
     def test_shape(self):
-        ego = _track(0, 15, x0=500.0, y0=500.0, sx=0.0, sy=0.0)
-        fw, _ = _first_window(_track(1, 15), ego)
+        ego = _track(15, x0=500.0, y0=500.0, sx=0.0, sy=0.0)
+        fw, _ = _first_window(_track(15), ego)
         assert fw.shape == (WINDOW_INPUT_STEPS, FEATURE_DIM)
 
     def test_coincident_sender_and_ego(self):
-        track = _track(1, 15)
-        ego = [VehicleState(0, s.t, s.pos_x, s.pos_y, s.spd_x, s.spd_y) for s in track]
+        track = _track(15)
+        ego = (track[0].copy(), track[1].copy())
         fw, _ = _first_window(track, ego)
         np.testing.assert_array_equal(fw[:, 4:8], 0.0)  # disChg and SpdChg vanish
 
     def test_region_corner_normalizes_to_one(self):
-        track = [VehicleState(1, t, R, R, 0.0, 0.0) for t in range(15)]
-        fw, _ = _first_window(track, _track(0, 15))
+        fw, _ = _first_window(_still(15, R, R), _track(15))
         np.testing.assert_allclose(fw[:, 0:2], 1.0)
 
     def test_centre_normalizes_to_half(self):
-        track = [VehicleState(1, t, R / 2, R / 2, 0.0, 0.0) for t in range(15)]
-        fw, _ = _first_window(track, _track(0, 15))
+        fw, _ = _first_window(_still(15, R / 2, R / 2), _track(15))
         np.testing.assert_allclose(fw[:, 0:2], 0.5)
 
     def test_rssi_affine_endpoints_and_clamp(self):
-        track = _track(1, 15)
-        ego = _track(0, 15)
+        track = _track(15)
+        ego = _track(15)
         assert _first_window(track, ego, rssi=-100.0)[0][0, 8] == 0.0
         assert _first_window(track, ego, rssi=-40.0)[0][0, 8] == 1.0
         assert _first_window(track, ego, rssi=-70.0)[0][0, 8] == pytest.approx(0.5)
@@ -98,41 +109,41 @@ class TestBuildFeatureWindow:
         assert _first_window(track, ego, rssi=-10.0)[0][0, 8] == 1.0
 
     def test_out_of_region_claim_clamped(self):
-        fw, _ = _first_window(_track(1, 15), _track(0, 15), claimed=lambda s: (R + 500.0, -500.0))
+        fw, _ = _first_window(_track(15), _track(15), claimed_pos=(R + 500.0, -500.0))
         np.testing.assert_array_equal(fw[:, 0], 1.0)
         np.testing.assert_array_equal(fw[:, 1], 0.0)
         assert np.all(fw[:, 4] <= 1.0) and np.all(fw[:, 5] >= -1.0)
 
     def test_gap_raises_window_error(self):
         """A window over a step gap is skipped, not built."""
-        sender = _track(1, 16)
+        sender = _track(16)
         msgs = _stream(sender)
         gapped = _rows(msgs, np.arange(16) != 5)  # 15 messages, step 5 missing
-        x, y = windows_from_stream(gapped, _track(0, 16), sender, AttackerType.GENUINE, SPEC)
+        x, y = windows_from_stream(gapped, _track(16), sender, AttackerType.GENUINE, SPEC)
         assert len(x) == len(y) == 0
-        x, _ = windows_from_stream(_rows(msgs, slice(0, 15)), _track(0, 16), sender, AttackerType.GENUINE, SPEC)
+        x, _ = windows_from_stream(_rows(msgs, slice(0, 15)), _track(16), sender, AttackerType.GENUINE, SPEC)
         assert len(x) == 1
 
     def test_mixed_senders_rejected(self):
-        sender = _track(1, 15)
+        sender = _track(15)
         msgs = _stream(sender)
         msgs.sender_id[9] = 2
         with pytest.raises(ValueError, match="different senders"):
-            windows_from_stream(msgs, _track(0, 15), sender, AttackerType.GENUINE, SPEC)
+            windows_from_stream(msgs, _track(15), sender, AttackerType.GENUINE, SPEC)
 
     def test_wrong_length_rejected(self):
         """Fewer than 15 messages, or fewer than 10 ego states, give no window."""
-        sender = _track(1, 15)
-        x, _ = windows_from_stream(_stream(sender[:14]), _track(0, 15), sender, AttackerType.GENUINE, SPEC)
+        sender = _track(15)
+        x, _ = windows_from_stream(_stream(_cut(sender, slice(0, 14))), _track(15), sender, AttackerType.GENUINE, SPEC)
         assert len(x) == 0
-        x, _ = windows_from_stream(_stream(sender), _track(0, 9), sender, AttackerType.GENUINE, SPEC)
+        x, _ = windows_from_stream(_stream(sender), _track(9), sender, AttackerType.GENUINE, SPEC)
         assert len(x) == 0
-        x, _ = windows_from_stream(_stream(sender), _track(0, 10), sender, AttackerType.GENUINE, SPEC)
+        x, _ = windows_from_stream(_stream(sender), _track(10), sender, AttackerType.GENUINE, SPEC)
         assert len(x) == 1
 
     def test_misaligned_ego_rejected(self):
-        sender = _track(1, 15)
-        ego = _track(0, 16)[1:]  # ego[k].t == k + 1 against message steps 0..14
+        sender = _track(15)
+        ego = _cut(_track(16), slice(1, None))  # ego step k + 1 at index k against message steps 0..14
         with pytest.raises(ValueError, match="misaligned"):
             windows_from_stream(_stream(sender), ego, sender, AttackerType.GENUINE, SPEC)
 
@@ -141,27 +152,26 @@ class TestBuildLabel:
     """The (5, 3) label block of a stream's first window."""
 
     def test_shape_and_replication(self):
-        _, lb = _first_window(_track(1, 15), _track(0, 15), attacker=AttackerType.RANDOM)
+        _, lb = _first_window(_track(15), _track(15), attacker=AttackerType.RANDOM)
         assert lb.shape == (WINDOW_LABEL_STEPS, LABEL_DIM)
         np.testing.assert_array_equal(lb[:, 2], float(AttackerType.RANDOM))
 
     def test_positions_normalized(self):
-        track = [VehicleState(1, t, 2500.0, 7500.0, 0.0, 0.0) for t in range(15)]
-        _, lb = _first_window(track, _track(0, 15))
+        _, lb = _first_window(_still(15, 2500.0, 7500.0), _track(15))
         np.testing.assert_allclose(lb[:, 0], 0.25)
         np.testing.assert_allclose(lb[:, 1], 0.75)
 
     def test_non_consecutive_truth_rejected(self):
-        track = _track(1, 16)
-        truth = track[:12] + track[13:]  # label steps 10..14 read t = 10, 11, 13, 14, 15
+        track = _track(16)
+        truth = _cut(track, np.arange(16) != 12)  # label steps 10..14 read t = 10, 11, 13, 14, 15
         with pytest.raises(ValueError, match="consecutive"):
-            windows_from_stream(_stream(track[:15]), _track(0, 15), truth, AttackerType.GENUINE, SPEC)
+            windows_from_stream(_stream(_cut(track, slice(0, 15))), _track(15), truth, AttackerType.GENUINE, SPEC)
 
 
 class TestWindowsFromStream:
     def _windows(self, length, **kw):
-        sender = _track(1, length)
-        ego = _track(0, length, x0=4000.0, y0=4000.0, sx=-3.0, sy=2.0)
+        sender = _track(length)
+        ego = _track(length, x0=4000.0, y0=4000.0, sx=-3.0, sy=2.0)
         return windows_from_stream(_stream(sender, **kw), ego, sender, AttackerType.GENUINE, SPEC)
 
     @pytest.mark.parametrize("length,expected", [(0, 0), (5, 0), (14, 0), (15, 1), (30, 16), (100, 86)])
@@ -178,8 +188,8 @@ class TestWindowsFromStream:
 
     def test_gap_skips_spanning_windows(self):
         length = 40
-        sender = _track(1, length)
-        ego = _track(0, length)
+        sender = _track(length)
+        ego = _track(length)
         msgs = _rows(_stream(sender), np.arange(length) != 20)  # gap at step 20
         x, _ = windows_from_stream(msgs, ego, sender, AttackerType.GENUINE, SPEC)
         # every window covering step 20 is gone; trailing windows shifted but intact
@@ -187,20 +197,20 @@ class TestWindowsFromStream:
 
     def test_labels_are_truth_futures(self):
         length = 20
-        sender = _track(1, length)
-        ego = _track(0, length)
+        sender = _track(length)
+        ego = _track(length)
         _, y = windows_from_stream(_stream(sender), ego, sender, AttackerType.GENUINE, SPEC)
         lb = y[0]
-        expected = np.array([[s.pos_x / R, s.pos_y / R] for s in sender[10:15]])
+        expected = sender[1][10:15, :2] / R
         np.testing.assert_allclose(lb[:, :2], expected)
 
     def test_labels_ignore_falsification(self):
         length = 20
-        sender = _track(1, length)
-        ego = _track(0, length)
+        sender = _track(length)
+        ego = _track(length)
         honest_x, honest_y = windows_from_stream(_stream(sender), ego, sender, AttackerType.GENUINE, SPEC)
         lying_x, lying_y = windows_from_stream(
-            _stream(sender, claimed=lambda s: (R / 2, R / 2), attacker=AttackerType.CONSTANT),
+            _stream(sender, claimed_pos=(R / 2, R / 2), attacker=AttackerType.CONSTANT),
             ego,
             sender,
             AttackerType.CONSTANT,
@@ -211,15 +221,15 @@ class TestWindowsFromStream:
         assert not np.array_equal(honest_x[0], lying_x[0])
 
     def test_mixed_senders_rejected(self):
-        sender = _track(1, 30)
+        sender = _track(30)
         msgs = _stream(sender)
         msgs.sender_id[12] = 2
         with pytest.raises(ValueError, match="different senders"):
-            windows_from_stream(msgs, _track(0, 30), sender, AttackerType.GENUINE, SPEC)
+            windows_from_stream(msgs, _track(30), sender, AttackerType.GENUINE, SPEC)
 
     def test_misaligned_ego_rejected(self):
-        sender = _track(1, 30)
-        ego = _track(0, 31)[1:]  # ego[k].t == k + 1
+        sender = _track(30)
+        ego = _cut(_track(31), slice(1, None))  # ego step k + 1 at index k
         with pytest.raises(ValueError, match="misaligned"):
             windows_from_stream(_stream(sender), ego, sender, AttackerType.GENUINE, SPEC)
 
@@ -232,47 +242,51 @@ class _Gap(Exception):
 
 
 def _reference_feature_window(msgs, ego_states, spec):
-    """msgs: ten (sender, step, claims) rows."""
+    """msgs: ten (sender, step, claims) rows; ego_states: ten (step,
+    [pos_x, pos_y, spd_x, spd_y]) rows."""
     sender = msgs[0][0]
     if any(m[0] != sender for m in msgs):
         raise ValueError("window mixes messages from different senders")
     for prev, cur in zip(msgs, msgs[1:]):
         if cur[1] != prev[1] + 1:
             raise _Gap
-    if any(e.t != m[1] for e, m in zip(ego_states, msgs)):
+    if any(t != m[1] for (t, _), m in zip(ego_states, msgs)):
         raise ValueError("ego states misaligned with message steps")
     r = spec.region_side
     v = spec.v_max
     rssi_span = spec.rssi_max - spec.rssi_min
     out = np.empty((WINDOW_INPUT_STEPS, FEATURE_DIM))
-    for k, ((_, _, (px, py, sx, sy, rssi)), ego) in enumerate(zip(msgs, ego_states)):
+    for k, ((_, _, (px, py, sx, sy, rssi)), (_, (ex, ey, esx, esy))) in enumerate(zip(msgs, ego_states)):
         out[k, 0] = min(max(px / r, 0.0), 1.0)
         out[k, 1] = min(max(py / r, 0.0), 1.0)
         out[k, 2] = min(max(sx / v, -1.0), 1.0)
         out[k, 3] = min(max(sy / v, -1.0), 1.0)
-        out[k, 4] = min(max((px - ego.pos_x) / r, -1.0), 1.0)
-        out[k, 5] = min(max((py - ego.pos_y) / r, -1.0), 1.0)
-        out[k, 6] = min(max((sx - ego.spd_x) / v, -1.0), 1.0)
-        out[k, 7] = min(max((sy - ego.spd_y) / v, -1.0), 1.0)
+        out[k, 4] = min(max((px - ex) / r, -1.0), 1.0)
+        out[k, 5] = min(max((py - ey) / r, -1.0), 1.0)
+        out[k, 6] = min(max((sx - esx) / v, -1.0), 1.0)
+        out[k, 7] = min(max((sy - esy) / v, -1.0), 1.0)
         out[k, 8] = min(max((rssi - spec.rssi_min) / rssi_span, 0.0), 1.0)
     return out
 
 
 def _reference_label(truth_states, attacker, spec):
-    for prev, cur in zip(truth_states, truth_states[1:]):
-        if cur.t != prev.t + 1:
+    """truth_states: five (step, [pos_x, pos_y, spd_x, spd_y]) rows."""
+    for (prev, _), (cur, _) in zip(truth_states, truth_states[1:]):
+        if cur != prev + 1:
             raise ValueError("truth states must cover consecutive steps")
     out = np.empty((WINDOW_LABEL_STEPS, LABEL_DIM))
-    for k, s in enumerate(truth_states):
-        out[k, 0] = s.pos_x / spec.region_side
-        out[k, 1] = s.pos_y / spec.region_side
+    for k, (_, (px, py, _, _)) in enumerate(truth_states):
+        out[k, 0] = px / spec.region_side
+        out[k, 1] = py / spec.region_side
         out[k, 2] = float(attacker)
     return out
 
 
-def _reference_windows(msgs, ego_states, sender_states, attacker, spec):
+def _reference_windows(msgs, ego_track, sender_track, attacker, spec):
     """(features (K, 10, 9), labels (K, 5, 3)) built one window at a time."""
     rows = list(zip(msgs.sender_id.tolist(), msgs.step.tolist(), msgs.claims.tolist()))
+    ego_states = list(zip(ego_track[0].tolist(), ego_track[1].tolist()))
+    sender_states = list(zip(sender_track[0].tolist(), sender_track[1].tolist()))
     feats, labels = [], []
     for k in range(max(0, len(rows) - 14)):
         chunk = rows[k : k + WINDOW_INPUT_STEPS]
@@ -313,10 +327,10 @@ def _edited_stream(draw):
     ego_len = max(0, horizon - draw(st.integers(min_value=0, max_value=30)))
     sender_len = max(0, horizon - draw(st.integers(min_value=0, max_value=30)))
 
-    def track(vid, n):
+    def track(n):
         pos = rng.uniform(-0.2 * R, 1.2 * R, size=(n, 2))
         spd = rng.uniform(-1.5 * V_MAX, 1.5 * V_MAX, size=(n, 2))
-        return [VehicleState(vid, t, *map(float, pos[t]), *map(float, spd[t])) for t in range(n)]
+        return np.arange(n, dtype=np.int64), np.column_stack([pos, spd]).reshape(-1, 4)
 
     claims = rng.uniform(-0.2 * R, 1.2 * R, size=(len(steps), 5))
     claims[:, 2:4] = rng.uniform(-1.5 * V_MAX, 1.5 * V_MAX, size=(len(steps), 2))
@@ -324,7 +338,7 @@ def _edited_stream(draw):
     edge = rng.random(claims.shape) < 0.1
     claims[edge] = rng.choice(_EDGE_VALUES, size=int(edge.sum()))
     msgs = _messages(np.ones(len(steps)), steps, claims, AttackerType.RANDOM)
-    return msgs, track(0, ego_len), track(1, sender_len)
+    return msgs, track(ego_len), track(sender_len)
 
 
 class TestWindowsMatchReference:
@@ -354,10 +368,9 @@ class TestWindowsMatchReference:
         for kind, at in corruptions:
             if kind == "sender" and len(msgs):
                 msgs.sender_id[at % len(msgs)] = 2
-            track = {"ego": ego, "truth": sender}.get(kind)
-            if track:
-                i = at % len(track)
-                track[i] = replace(track[i], t=track[i].t + 1)
+            steps = {"ego": ego[0], "truth": sender[0]}.get(kind)
+            if steps is not None and len(steps):
+                steps[at % len(steps)] += 1
         try:
             expected = _reference_windows(msgs, ego, sender, AttackerType.RANDOM, SPEC)
         except ValueError as exc:

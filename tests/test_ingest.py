@@ -50,25 +50,25 @@ def sample_logs(tmp_path):
 
 
 def test_three_record_fixture(sample_logs):
-    msgs, ego = ingest_veremi(*sample_logs)
+    msgs, (ego_steps, ego_kin) = ingest_veremi(*sample_logs)
     assert len(msgs) == 3
     assert msgs.truth_attacker.tolist() == [
         AttackerType.GENUINE,
         AttackerType.CONSTANT,
         AttackerType.EVENTUAL_STOP,
     ]
-    assert len(ego) == 1
+    assert ego_steps.shape == (1,) and ego_kin.shape == (1, 4)
 
 
 def test_fields_carried_and_z_dropped(sample_logs):
-    msgs, ego = ingest_veremi(*sample_logs)
+    msgs, (ego_steps, ego_kin) = ingest_veremi(*sample_logs)
     assert msgs.sender_id[0] == 101
     assert msgs.claims[0].tolist() == [100.0, 200.0, 5.0, -2.0, -60.5]  # pos x/y, spd x/y, RSSI
     assert msgs.t_snd[0] == 0.0 and msgs.t_rev[0] == pytest.approx(1e-4)
     assert msgs.step[0] == 0
     assert msgs.step[2] == 1
-    assert (ego[0].pos_x, ego[0].pos_y, ego[0].spd_x, ego[0].spd_y) == (10.0, 20.0, 1.0, 2.0)
-    assert ego[0].vehicle_id == 7
+    assert ego_steps.dtype == np.int64 and ego_steps.tolist() == [0]
+    assert ego_kin.tolist() == [[10.0, 20.0, 1.0, 2.0]]  # pos x/y, spd x/y
 
 
 def test_empty_files(tmp_path):
@@ -76,9 +76,9 @@ def test_empty_files(tmp_path):
     gt = tmp_path / "gt.json"
     log.write_text("", encoding="utf-8")
     gt.write_text("", encoding="utf-8")
-    msgs, ego = ingest_veremi(log, gt)
-    assert len(msgs) == 0 and ego == []
-    assert msgs.claims.shape == (0, 5)
+    msgs, (ego_steps, ego_kin) = ingest_veremi(log, gt)
+    assert len(msgs) == 0 and len(ego_steps) == 0
+    assert msgs.claims.shape == (0, 5) and ego_kin.shape == (0, 4)
 
 
 def test_malformed_line_reports_line_number(tmp_path, sample_logs):
@@ -135,8 +135,8 @@ def test_unknown_record_types_skipped(tmp_path, sample_logs):
             _bsm(101, 0.0, [1.0, 2.0, 0.0], [0.0, 0.0, 0.0], -50.0),
         ],
     )
-    msgs, ego = ingest_veremi(log, gt)
-    assert len(msgs) == 1 and ego == []
+    msgs, (ego_steps, _) = ingest_veremi(log, gt)
+    assert len(msgs) == 1 and len(ego_steps) == 0
 
 
 def test_integer_columns_stay_integers(tmp_path):
@@ -152,3 +152,23 @@ def test_integer_columns_stay_integers(tmp_path):
     assert msgs.sender_id.tolist() == [big, 101]
     assert msgs.step.tolist() == [7, 8]
     assert msgs.truth_attacker.tolist() == [int(AttackerType.RANDOM), int(AttackerType.GENUINE)]
+
+
+def test_gps_steps_follow_dt(tmp_path):
+    log = tmp_path / "log.json"
+    gt = tmp_path / "gt.json"
+    gps = {"type": 2, "rcvTime": 3.0, "pos": [1.0, 2.0, 0.0], "spd": [3.0, 4.0, 0.0]}
+    _write(log, [gps, _bsm(101, 3.0, [0.0] * 3, [0.0] * 3, -50.0)])
+    _write(gt, [{"sender": 101, "attackerType": 0}])
+    msgs, (ego_steps, _) = ingest_veremi(log, gt, dt=0.5)
+    assert ego_steps.tolist() == [6] and msgs.step.tolist() == [6]
+
+
+@pytest.mark.parametrize("dt", [0.0, -1.0])
+def test_non_positive_dt_rejected(tmp_path, dt):
+    log = tmp_path / "log.json"
+    gt = tmp_path / "gt.json"
+    _write(log, [_bsm(101, 1.0, [0.0] * 3, [0.0] * 3, -50.0)])
+    _write(gt, [{"sender": 101, "attackerType": 0}])
+    with pytest.raises(ValueError, match="dt"):
+        ingest_veremi(log, gt, dt=dt)

@@ -35,7 +35,7 @@ def _attack(cfg):
 
 def _truth(scenario, v):
     """(steps, 4) true [pos_x, pos_y, spd_x, spd_y] of vehicle v."""
-    return np.array([(s.pos_x, s.pos_y, s.spd_x, s.spd_y) for s in scenario.vehicle_track(v)])
+    return scenario.vehicle_track(v)[1]
 
 
 def _columns(msgs):
@@ -221,10 +221,9 @@ def _reference_broadcast(scenario, attack):
                 continue
             link_rng = derive_rng(cfg.rng_seed, TAG_LINK, sender, receiver)
             rows = []
-            for step, row in enumerate(scenario.states):
-                s_truth = row[sender]
-                r_truth = row[receiver]
-                distance = float(np.hypot(s_truth.pos_x - r_truth.pos_x, s_truth.pos_y - r_truth.pos_y))
+            for step, row in enumerate(scenario.kinematics.tolist()):
+                (s_x, s_y, _, _), (r_x, r_y, _, _) = row[sender], row[receiver]
+                distance = float(np.hypot(s_x - r_x, s_y - r_y))
                 pos_x, pos_y, spd_x, spd_y = claims[sender][step].tolist()
                 t_snd = step * cfg.dt
                 d = max(distance, ch.reference_distance)

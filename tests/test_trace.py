@@ -1,17 +1,17 @@
 """Channel, kinematics, and scenario-generation contracts."""
-import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from fltp.config import config_from_kv
 from fltp.trace import (
     ATTACK_CLASSES,
     AttackerType,
     ChannelConfig,
     Messages,
     ScenarioConfig,
-    VehicleState,
     attacker_count,
     delivery_time,
     generate_scenario,
@@ -140,50 +140,49 @@ def _cfg(**kw):
     return ScenarioConfig(**defaults)
 
 
+def _step(kinematics, cfg, rng):
+    return step_kinematics(np.array(kinematics, dtype=float).reshape(-1, 4), cfg, rng)
+
+
 class TestStepKinematics:
     def test_stationary_without_noise(self):
         cfg = _cfg(accel_sigma=0.0)
-        s = VehicleState(0, 0, 500.0, 600.0, 0.0, 0.0)
-        out = step_kinematics(s, cfg, np.random.default_rng(0))
-        assert (out.pos_x, out.pos_y) == (500.0, 600.0)
-        assert out.t == 1
+        out = _step([500.0, 600.0, 0.0, 0.0], cfg, np.random.default_rng(0))
+        assert out.shape == (1, 4)
+        assert out[0].tolist() == [500.0, 600.0, 0.0, 0.0]
 
     def test_straight_line_without_noise(self):
         cfg = _cfg(accel_sigma=0.0)
-        s = VehicleState(0, 0, 100.0, 100.0, 10.0, 0.0)
-        out = step_kinematics(s, cfg, np.random.default_rng(0))
-        assert (out.pos_x, out.pos_y) == (110.0, 100.0)
+        out = _step([100.0, 100.0, 10.0, 0.0], cfg, np.random.default_rng(0))
+        assert out[0, :2].tolist() == [110.0, 100.0]
 
     def test_reflection_at_upper_bound(self):
         cfg = _cfg(accel_sigma=0.0)
-        s = VehicleState(0, 0, cfg.region_side, 50.0, 10.0, 0.0)
-        out = step_kinematics(s, cfg, np.random.default_rng(0))
-        assert out.pos_x <= cfg.region_side
-        assert out.spd_x < 0
+        out = _step([cfg.region_side, 50.0, 10.0, 0.0], cfg, np.random.default_rng(0))
+        assert out[0, 0] <= cfg.region_side
+        assert out[0, 2] < 0
 
     def test_reflection_at_lower_bound(self):
         cfg = _cfg(accel_sigma=0.0)
-        s = VehicleState(0, 0, 0.0, 50.0, -10.0, 0.0)
-        out = step_kinematics(s, cfg, np.random.default_rng(0))
-        assert out.pos_x >= 0.0
-        assert out.spd_x > 0
+        out = _step([0.0, 50.0, -10.0, 0.0], cfg, np.random.default_rng(0))
+        assert out[0, 0] >= 0.0
+        assert out[0, 2] > 0
 
     def test_speed_clamped(self):
         cfg = _cfg(accel_sigma=30.0)  # huge noise to force the clamp
-        s = VehicleState(0, 0, 5000.0, 5000.0, 39.0, -39.0)
+        kin = np.array([[5000.0, 5000.0, 39.0, -39.0]])
         rng = np.random.default_rng(1)
         for _ in range(50):
-            s = step_kinematics(s, cfg, rng)
-            assert abs(s.spd_x) <= cfg.v_max and abs(s.spd_y) <= cfg.v_max
+            kin = step_kinematics(kin, cfg, rng)
+            assert (np.abs(kin[:, 2:]) <= cfg.v_max).all()
 
     def test_bounds_hold_over_long_walk(self):
         cfg = _cfg(accel_sigma=2.0)
-        s = VehicleState(0, 0, 9990.0, 3.0, 35.0, -35.0)
+        kin = np.array([[9990.0, 3.0, 35.0, -35.0]])
         rng = np.random.default_rng(9)
         for _ in range(500):
-            s = step_kinematics(s, cfg, rng)
-            assert 0.0 <= s.pos_x <= cfg.region_side
-            assert 0.0 <= s.pos_y <= cfg.region_side
+            kin = step_kinematics(kin, cfg, rng)
+            assert ((kin[:, :2] >= 0.0) & (kin[:, :2] <= cfg.region_side)).all()
 
 
 class TestAttackerCount:
@@ -207,15 +206,20 @@ class TestAttackerCount:
 class TestGenerateScenario:
     def test_shapes_and_bounds(self):
         cfg = _cfg()
+        kin = generate_scenario(cfg).kinematics
+        assert kin.shape == (cfg.n_steps, cfg.n_vehicles, 4)
+        assert kin.dtype == np.float64
+        assert ((kin[..., :2] >= 0.0) & (kin[..., :2] <= cfg.region_side)).all()
+        assert (np.abs(kin[..., 2:]) <= cfg.v_max).all()
+
+    def test_vehicle_track_is_column_track(self):
+        cfg = _cfg()
         scen = generate_scenario(cfg)
-        assert len(scen.states) == cfg.n_steps
-        for row in scen.states:
-            assert len(row) == cfg.n_vehicles
-            for s in row:
-                assert 0.0 <= s.pos_x <= cfg.region_side
-                assert 0.0 <= s.pos_y <= cfg.region_side
-                assert abs(s.spd_x) <= cfg.v_max
-                assert abs(s.spd_y) <= cfg.v_max
+        for v in range(cfg.n_vehicles):
+            steps, kin = scen.vehicle_track(v)
+            assert steps.dtype == np.int64
+            assert steps.tolist() == list(range(cfg.n_steps))
+            assert kin.tobytes() == scen.kinematics[:, v].tobytes()
 
     def test_ego_is_never_an_attacker(self):
         for seed in range(10):
@@ -240,12 +244,12 @@ class TestGenerateScenario:
         a = generate_scenario(_cfg(rng_seed=11))
         b = generate_scenario(_cfg(rng_seed=11))
         assert a.attacker_types == b.attacker_types
-        assert a.states == b.states
+        assert a.kinematics.tobytes() == b.kinematics.tobytes()
 
     def test_different_seeds_differ(self):
         a = generate_scenario(_cfg(rng_seed=1))
         b = generate_scenario(_cfg(rng_seed=2))
-        assert a.states != b.states
+        assert not np.array_equal(a.kinematics, b.kinematics)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -254,3 +258,71 @@ class TestGenerateScenario:
             generate_scenario(_cfg(penetration=1.5))
         with pytest.raises(ValueError):
             generate_scenario(_cfg(dt=0.0))
+
+
+# The per-vehicle scalar stepping the array version replaced: one vehicle and
+# one step at a time with Python min/max and branches. Kept as the reference
+# generate_scenario must reproduce byte for byte.
+def _reference_step(state, cfg, rng):
+    px, py, sx, sy = state
+    ax, ay = rng.normal(0.0, cfg.accel_sigma, size=2)
+    sx = min(max(sx + ax * cfg.dt, -cfg.v_max), cfg.v_max)
+    sy = min(max(sy + ay * cfg.dt, -cfg.v_max), cfg.v_max)
+    px = px + sx * cfg.dt
+    py = py + sy * cfg.dt
+    r = cfg.region_side
+    if px < 0.0:
+        px, sx = 0.0, -sx
+    elif px > r:
+        px, sx = r, -sx
+    if py < 0.0:
+        py, sy = 0.0, -sy
+    elif py > r:
+        py, sy = r, -sy
+    return px, py, sx, sy
+
+
+def _reference_scenario(cfg):
+    """(kinematics (steps, n, 4), attacker types) as the scalar generator built them."""
+    rng = np.random.default_rng(cfg.rng_seed)
+    n = cfg.n_vehicles
+    current = []
+    for _ in range(n):
+        px, py = rng.uniform(0.0, cfg.region_side, size=2)
+        sx, sy = rng.uniform(-cfg.v_max, cfg.v_max, size=2)
+        current.append((float(px), float(py), float(sx), float(sy)))
+    types = {v: AttackerType.GENUINE for v in range(n)}
+    k = attacker_count(cfg.penetration, n)
+    if k:
+        chosen = sorted(int(v) for v in rng.choice(np.arange(1, n), size=k, replace=False))
+        for idx, v in enumerate(chosen):
+            types[v] = ATTACK_CLASSES[idx % len(ATTACK_CLASSES)]
+    rows = [current]
+    for _ in range(1, cfg.n_steps):
+        current = [_reference_step(s, cfg, rng) for s in current]
+        rows.append(current)
+    return np.array(rows, dtype=float), types
+
+
+class TestMatchesScalarStepping:
+    @pytest.mark.parametrize("profile,n_vehicles", [("desk", 4), ("paper", 10), ("paper", 20)])
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    def test_profile_scenarios_byte_equal(self, profile, n_vehicles, seed):
+        base = config_from_kv({}, profile=profile).scenario
+        cfg = replace(base, n_vehicles=n_vehicles, penetration=0.75, rng_seed=seed)
+        scen = generate_scenario(cfg)
+        kin, types = _reference_scenario(cfg)
+        assert scen.attacker_types == types
+        assert scen.kinematics.shape == kin.shape
+        assert scen.kinematics.tobytes() == kin.tobytes()
+
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_reflections_at_both_bounds_byte_equal(self, seed):
+        """A 60 m region crossed at up to 40 m/s: every vehicle hits walls."""
+        cfg = _cfg(n_vehicles=6, n_steps=200, region_side=60.0, accel_sigma=8.0, rng_seed=seed)
+        kin, _ = _reference_scenario(cfg)
+        pos = kin[..., :2]
+        assert (pos == 0.0).sum() > 20 and (pos == cfg.region_side).sum() > 20  # both bounds, many times
+        assert ((pos[..., 0] == 0.0).any() and (pos[..., 0] == cfg.region_side).any()
+                and (pos[..., 1] == 0.0).any() and (pos[..., 1] == cfg.region_side).any())
+        assert generate_scenario(cfg).kinematics.tobytes() == kin.tobytes()

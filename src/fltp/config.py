@@ -3,9 +3,14 @@ overrides, and the resolved ExperimentConfig object.
 
 Precedence, lowest to highest: built-in defaults, --profile overrides,
 keys in the config file, CLI flags (--seed / --out / --threads).
+
+Adding a key is one KEYS entry, whose dotted path (e.g. "train.hidden_size")
+names the dataclass field its value fills: config_from_kv builds each section
+from the keys under its path, and dump_config reads the same paths back.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
@@ -47,8 +52,15 @@ def _list(conv: Callable[[str], Any]) -> Callable[[str, str], list]:
 
 _BOOLS = {"true": True, "1": True, "yes": True, "on": True, "false": False, "0": False, "no": False, "off": False}
 
+
+def _finite(text: str) -> float:
+    if not math.isfinite(value := float(text)):
+        raise ValueError(text)
+    return value
+
+
 _int = _scalar(int, "not an integer:")
-_float = _scalar(float, "not a number:")
+_float = _scalar(_finite, "not a finite number:")
 _bool = _scalar(lambda text: _BOOLS[text.lower()], "not a boolean:")
 _strategy = _scalar(lambda text: GateStrategy(text.lower()), "unknown strategy")
 
@@ -63,17 +75,21 @@ def _float_or_none(key: str, text: str) -> float | None:
 
 class ConfigKey(NamedTuple):
     """One flat config key: its text default, the parser turning text into a
-    value, and the getter reading that value back off an ExperimentConfig."""
+    value, and where that value lives on an ExperimentConfig. A dotted path
+    names the dataclass field the value fills; a callable reads back a value
+    config_from_kv derives by hand."""
 
     name: str
     default: str
     parse: Callable[[str, str], Any]
-    get: Callable[["ExperimentConfig"], Any]
+    path: str | Callable[["ExperimentConfig"], Any]
+
+    def get(self, cfg: "ExperimentConfig") -> Any:
+        return self.path(cfg) if callable(self.path) else attrgetter(self.path)(cfg)
 
 
 def _key(name: str, default: str, parse: Callable[[str, str], Any], path: str | Callable | None = None) -> ConfigKey:
-    get = path if callable(path) else attrgetter(path or name)
-    return ConfigKey(name, default, parse, get)
+    return ConfigKey(name, default, parse, path or name)
 
 
 #: every config key, in dump order
@@ -213,6 +229,12 @@ def parse_kv_text(text: str, source: str = "<config>") -> dict[str, str]:
     return out
 
 
+def _section(values: dict[str, Any], path: str) -> dict[str, Any]:
+    """The values whose path names a field directly under `path` ("" for
+    ExperimentConfig itself), keyed by field name."""
+    return {p.rpartition(".")[2]: value for p, value in values.items() if p.rpartition(".")[0] == path}
+
+
 def config_from_kv(kv_in: dict[str, str], profile: str | None = None) -> ExperimentConfig:
     """Resolve raw key/value strings (plus optional profile) to a validated
     ExperimentConfig. Unknown keys are errors."""
@@ -226,78 +248,31 @@ def config_from_kv(kv_in: dict[str, str], profile: str | None = None) -> Experim
         kv.update(PROFILES[profile])
     kv.update(kv_in)
     v = {key.name: key.parse(key.name, kv[key.name]) for key in KEYS}
+    values = {key.path: v[key.name] for key in KEYS if isinstance(key.path, str)}
 
-    if not v["vehicle_counts"]:
-        raise ConfigError("vehicle_counts: at least one value required")
-    region_side = v["region_side"]
-    centre = region_side / 2.0
+    channel = ChannelConfig(**_section(values, "scenario.channel"))
+    scenario = ScenarioConfig(**_section(values, "scenario"), channel=channel)
+    region = {"region_side": scenario.region_side, "v_max": scenario.v_max}
+    centre = scenario.region_side / 2.0
     try:
         attack = AttackParams(
-            region_side=region_side,
-            v_max=v["v_max"],
-            fixed_point=(
-                centre if v["attack_fixed_x"] is None else v["attack_fixed_x"],
-                centre if v["attack_fixed_y"] is None else v["attack_fixed_y"],
-            ),
+            **region,
+            fixed_point=tuple(centre if c is None else c for c in (v["attack_fixed_x"], v["attack_fixed_y"])),
             fixed_offset=(v["attack_offset_x"], v["attack_offset_y"]),
-            random_offset_max=v["attack_random_offset_max"],
             stop_probabilities=(1.0 - v["attack_stop_probability"], v["attack_stop_probability"]),
+            **_section(values, "attack"),
         )
-        influence = InfluenceTable(
-            constant=v["influence_constant"],
-            constant_offset=v["influence_constant_offset"],
-            random=v["influence_random"],
-            random_offset=v["influence_random_offset"],
-            eventual_stop=v["influence_eventual_stop"],
+        cfg = ExperimentConfig(
+            **_section(values, ""),
+            scenario=scenario,
+            attack=attack,
+            norm=NormalizationSpec(**region, **_section(values, "norm")),
+            train=TrainConfig(**_section(values, "train")),
+            gate=GateConfig(**_section(values, "gate")),
+            influence=InfluenceTable(**_section(values, "influence")),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    cfg = ExperimentConfig(
-        methods=v["methods"],
-        penetrations=v["penetrations"],
-        vehicle_counts=v["vehicle_counts"],
-        repeats=v["repeats"],
-        master_seed=v["master_seed"],
-        out_dir=v["out_dir"],
-        scenario=ScenarioConfig(
-            n_vehicles=max(2, v["vehicle_counts"][0]),
-            penetration=0.0,
-            region_side=region_side,
-            dt=v["dt"],
-            n_steps=v["n_steps"],
-            v_max=v["v_max"],
-            accel_sigma=v["accel_sigma"],
-            rng_seed=0,
-            channel=ChannelConfig(
-                tx_power_dbm=v["tx_power_dbm"],
-                path_loss_exponent=v["path_loss_exponent"],
-                reference_distance=v["reference_distance"],
-                shadowing_sigma=v["shadowing_sigma"],
-            ),
-        ),
-        attack=attack,
-        norm=NormalizationSpec(
-            region_side=region_side,
-            v_max=v["v_max"],
-            rssi_min=v["rssi_min"],
-            rssi_max=v["rssi_max"],
-        ),
-        train=TrainConfig(
-            hidden_size=v["hidden_size"],
-            learning_rate=v["learning_rate"],
-            momentum=v["momentum"],
-            batch_size=v["batch_size"],
-            local_episodes=v["local_episodes"],
-            global_rounds=v["global_rounds"],
-            precision=v["precision"],
-        ),
-        gate=GateConfig(strategy=v["gate_strategy"], threshold=v["gate_threshold"]),
-        influence=influence,
-        train_fraction=v["train_fraction"],
-        judgment_threshold=v["judgment_threshold"],
-        checkpoints=v["checkpoints"],
-    )
     cfg.validate()
     return cfg
 

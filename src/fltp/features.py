@@ -87,6 +87,13 @@ def _label_rows(truth: np.ndarray, attacker: AttackerType, spec: NormalizationSp
     return out
 
 
+def _origin(steps: np.ndarray) -> int:
+    """The step a track's row 0 stands for: min(step - index), which is the
+    first step of a strictly rising track; a first row off its step does not
+    shift the rows after it. 0 for an empty track."""
+    return int((steps - np.arange(len(steps))).min()) if len(steps) else 0
+
+
 def windows_from_stream(
     msgs: Messages,
     ego_track: tuple[np.ndarray, np.ndarray],
@@ -97,36 +104,40 @@ def windows_from_stream(
     """Slide a stride-1 window over one sender's stream.
 
     ego_track and sender_track are full per-step tracks, steps (L,) and
-    kinematics (L, 4) = pos_x, pos_y, spd_x, spd_y, indexed by step (step ==
-    index), as Scenario.vehicle_track returns them. Returns features
-    (K, 10, 9) and labels (K, 5, 3). A gapless stream of length L yields
-    K = max(0, L - 14) windows; windows spanning a step gap or running past
-    either track are skipped. Each message is normalized once; the windows
-    are gathered from those rows.
+    kinematics (L, 4) = pos_x, pos_y, spd_x, spd_y, each indexed from its own
+    first step (step == first step + index), as Scenario.vehicle_track and
+    ingest_veremi return them. Returns features (K, 10, 9) and labels
+    (K, 5, 3). A gapless stream of length L yields K = max(0, L - 14)
+    windows; windows spanning a step gap or running past either track are
+    skipped, and an empty track yields none. Each message is normalized once;
+    the windows are gathered from those rows.
 
     Raises ValueError for the first offending window inside both tracks: one
-    that mixes senders, or a gapless one whose ego steps (!= message step)
-    or future truth steps (not consecutive) are misaligned.
+    that mixes senders, or a gapless one whose ego steps (!= message step,
+    or none: the window starts before the ego track) or future truth steps
+    (not consecutive) are misaligned.
     """
     spec.validate()
     ego_t, ego_kin = ego_track
     truth_t, truth_kin = sender_track
-    n_windows = max(0, len(msgs) - (WINDOW_SPAN - 1))
+    n_windows = max(0, len(msgs) - (WINDOW_SPAN - 1)) if len(ego_t) and len(truth_t) else 0
     senders, steps, claims = msgs.sender_id, msgs.step, msgs.claims
     idx = np.arange(n_windows)[:, None] + np.arange(WINDOW_INPUT_STEPS)
     win_steps = steps[idx]
+    ego_origin, truth_origin = _origin(ego_t), _origin(truth_t)  # a step's row is step - origin
     in_tracks = (
-        (win_steps[:, 0] >= 0)
-        & (win_steps[:, -1] + WINDOW_LABEL_STEPS < len(truth_t))
-        & (win_steps[:, 0] + WINDOW_INPUT_STEPS <= len(ego_t))
+        (win_steps[:, 0] >= truth_origin)
+        & (win_steps[:, -1] + (WINDOW_LABEL_STEPS - truth_origin) < len(truth_t))
+        & (win_steps[:, 0] + (WINDOW_INPUT_STEPS - ego_origin) <= len(ego_t))
     )
     mixed = (senders[idx] != senders[idx[:, :1]]).any(axis=1)
     kept = np.flatnonzero(in_tracks & (np.diff(win_steps, axis=1) == 1).all(axis=1))
 
-    # every step of a kept window indexes both tracks
+    # every step of a kept window has a row in the truth track, and in the ego
+    # track from its first row on; a row before that reads ego_t[0] > step
     kept_steps = win_steps[kept]
-    label_idx = kept_steps[:, -1:] + np.arange(1, 1 + WINDOW_LABEL_STEPS)
-    misaligned = (ego_t[kept_steps] != kept_steps).any(axis=1)
+    label_idx = kept_steps[:, -1:] + (np.arange(1, 1 + WINDOW_LABEL_STEPS) - truth_origin)
+    misaligned = (ego_t[np.maximum(kept_steps - ego_origin, 0)] != kept_steps).any(axis=1)
     label_gap = (np.diff(truth_t[label_idx], axis=1) != 1).any(axis=1)
     bad = in_tracks & mixed
     bad[kept] |= misaligned | label_gap
@@ -138,7 +149,7 @@ def windows_from_stream(
     if not kept.size:
         return np.empty((0, WINDOW_INPUT_STEPS, FEATURE_DIM)), np.empty((0, WINDOW_LABEL_STEPS, LABEL_DIM))
 
-    rows = _feature_rows(claims, ego_kin[np.clip(steps, 0, len(ego_t) - 1)], spec)
+    rows = _feature_rows(claims, ego_kin[np.clip(steps - ego_origin, 0, len(ego_t) - 1)], spec)
     return rows[idx[kept]], _label_rows(truth_kin, attacker, spec)[label_idx]
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
@@ -56,18 +56,13 @@ class InfluenceTable:
     eventual_stop: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("constant", "constant_offset", "random", "random_offset", "eventual_stop"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"influence factor {name} must be >= 0, got {getattr(self, name)}")
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError(f"influence factor {f.name} must be >= 0, got {getattr(self, f.name)}")
 
     def value_for(self, attacker: AttackerType) -> float:
-        return {
-            AttackerType.CONSTANT: self.constant,
-            AttackerType.CONSTANT_OFFSET: self.constant_offset,
-            AttackerType.RANDOM: self.random,
-            AttackerType.RANDOM_OFFSET: self.random_offset,
-            AttackerType.EVENTUAL_STOP: self.eventual_stop,
-        }[attacker]
+        """The factor of the field named after the attack class."""
+        return getattr(self, attacker.name.lower())
 
     @classmethod
     def zeros(cls) -> "InfluenceTable":

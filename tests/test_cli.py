@@ -93,6 +93,15 @@ class TestRun:
         assert main(["run", "--config", str(path), "--profile", "desk", "--out", str(out)]) == 1
         assert not out.exists()
 
+    def test_non_finite_config_value_is_error(self, tmp_path, capsys):
+        # a NaN threshold would judge every window wrong rather than fail
+        path = tmp_path / "nan.cfg"
+        path.write_text("judgment_threshold = nan\n", encoding="utf-8")
+        out = tmp_path / "results"
+        assert main(["run", "--config", str(path), "--profile", "desk", "--out", str(out)]) == 1
+        assert "error: judgment_threshold: not a finite number: 'nan'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_profile_rejected_by_argparse(self, tiny_config):
         with pytest.raises(SystemExit):
             main(["run", "--config", str(tiny_config), "--profile", "mainframe"])

@@ -4,6 +4,7 @@ import pytest
 from fltp.config import (
     ConfigError,
     DEFAULTS,
+    KEYS,
     PROFILES,
     config_from_kv,
     dump_config,
@@ -101,6 +102,19 @@ class TestProfiles:
         assert cfg.scenario.n_steps == 64  # other profile keys still apply
 
 
+#: every key read by the float parser
+FLOAT_KEYS = (
+    "region_side", "dt", "v_max", "accel_sigma",
+    "tx_power_dbm", "path_loss_exponent", "reference_distance", "shadowing_sigma",
+    "rssi_min", "rssi_max", "learning_rate", "momentum", "gate_threshold",
+    "influence_constant", "influence_constant_offset", "influence_random",
+    "influence_random_offset", "influence_eventual_stop",
+    "attack_fixed_x", "attack_fixed_y", "attack_offset_x", "attack_offset_y",
+    "attack_random_offset_max", "attack_stop_probability",
+    "train_fraction", "judgment_threshold",
+)
+
+
 class TestValidation:
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="unknown config key: penetration"):
@@ -136,7 +150,8 @@ class TestValidation:
             ("checkpoints", "maybe"),
             ("vehicle_counts", "4, five"),
             ("gate_strategy", "psychic"),
-        ],
+        ]
+        + [(key, value) for key in FLOAT_KEYS for value in ("nan", "inf", "-inf")],
     )
     def test_unparseable_value_names_key(self, key, value):
         with pytest.raises(ConfigError, match=key):
@@ -228,6 +243,24 @@ class TestKeyTable:
     @pytest.mark.parametrize("key", sorted(NON_DEFAULTS))
     def test_each_key_reaches_the_config(self, key):
         assert config_from_kv({key: NON_DEFAULTS[key]}) != config_from_kv({})
+
+    @pytest.mark.parametrize("key", KEYS, ids=lambda key: key.name)
+    def test_each_key_fills_its_own_field(self, key):
+        """A key's value lands where its getter reads it, and nowhere else:
+        every other key still reads its default (an empty fixed point
+        follows the region centre)."""
+        cfg = config_from_kv({key.name: NON_DEFAULTS[key.name]})
+        base = config_from_kv({})
+        assert key.get(cfg) == key.parse(key.name, NON_DEFAULTS[key.name])
+        for other in KEYS:
+            if other.name in ("attack_fixed_x", "attack_fixed_y") and key.name == "region_side":
+                assert other.get(cfg) == cfg.scenario.region_side / 2.0
+            elif other is not key:
+                assert other.get(cfg) == other.get(base), other.name
+
+    def test_no_two_keys_share_a_path(self):
+        paths = [key.path for key in KEYS if isinstance(key.path, str)]
+        assert len(set(paths)) == len(paths)
 
     def test_all_keys_changed_round_trip(self, tmp_path):
         cfg = config_from_kv(NON_DEFAULTS)

@@ -186,6 +186,19 @@ class TestWindowsFromStream:
         x, _ = self._windows(length)
         assert len(x) == max(0, length - 14)
 
+    @pytest.mark.parametrize("empty", ["ego", "sender"])
+    def test_empty_track_yields_no_windows(self, empty):
+        sender = ego = _track(30)
+        no_track = _track(0)
+        x, y = windows_from_stream(
+            _stream(sender),
+            no_track if empty == "ego" else ego,
+            no_track if empty == "sender" else sender,
+            AttackerType.GENUINE,
+            SPEC,
+        )
+        assert x.shape == (0, WINDOW_INPUT_STEPS, FEATURE_DIM) and y.shape == (0, WINDOW_LABEL_STEPS, LABEL_DIM)
+
     def test_gap_skips_spanning_windows(self):
         length = 40
         sender = _track(length)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from fltp.features import NormalizationSpec, windows_from_stream
 from fltp.trace import AttackerType, IngestError, ingest_veremi
 
 
@@ -172,3 +173,30 @@ def test_non_positive_dt_rejected(tmp_path, dt):
     _write(gt, [{"sender": 101, "attackerType": 0}])
     with pytest.raises(ValueError, match="dt"):
         ingest_veremi(log, gt, dt=dt)
+
+
+def _windows_of_log(tmp_path, t0):
+    """Windows of a log whose 30 GPS records and 30 messages of one genuine
+    sender run over rcvTime t0 .. t0 + 29; the sender's truth track is its
+    claimed kinematics."""
+    log = tmp_path / f"log_{t0}.json"
+    gt = tmp_path / "gt.json"
+    records = []
+    for k in range(30):
+        t = float(t0 + k)
+        records.append({"type": 2, "rcvTime": t, "pos": [1000.0 + 5 * k, 2000.0, 0.0], "spd": [5.0, 0.0, 0.0]})
+        records.append(_bsm(101, t, [3000.0 - 8 * k, 2500.0 + k, 0.0], [-8.0, 1.0, 0.0], -60.0 - k))
+    _write(log, records)
+    _write(gt, [{"sender": 101, "attackerType": 0}])
+    msgs, ego = ingest_veremi(log, gt)
+    sender = (msgs.step, msgs.claims[:, :4])
+    return windows_from_stream(msgs, ego, sender, AttackerType.GENUINE, NormalizationSpec(region_side=10_000.0, v_max=40.0))
+
+
+def test_log_late_start_windows_like_one_at_zero(tmp_path):
+    """Tracks are indexed from their own first step: a log starting at
+    rcvTime 100 gives the windows of the same log starting at 0."""
+    late_x, late_y = _windows_of_log(tmp_path, 100)
+    x, y = _windows_of_log(tmp_path, 0)
+    assert len(x) == 30 - 14
+    assert late_x.tobytes() == x.tobytes() and late_y.tobytes() == y.tobytes()

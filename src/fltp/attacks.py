@@ -1,23 +1,14 @@
-"""Message falsification: the five attacker behaviours applied to outgoing
-claimed kinematics. Pure functions over explicit per-attacker memory."""
+"""Message falsification: the five attacker behaviours applied to a
+sender's outgoing claimed kinematics, one call per sender track."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .trace import AttackerType, VehicleState
+from .trace import AttackerType
 
 Vec2 = tuple[float, float]
-
-
-@dataclass(frozen=True)
-class AttackerMemory:
-    """Per-attacker carry-over: the last truthful position (for eventual-stop
-    replay). Initialize with the vehicle's spawn position."""
-
-    prev_x: float
-    prev_y: float
 
 
 @dataclass
@@ -51,50 +42,46 @@ class AttackParams:
 
 def inject(
     attacker: AttackerType,
-    truth: VehicleState,
-    memory: AttackerMemory,
+    truth: np.ndarray,
     params: AttackParams,
     rng: np.random.Generator,
-) -> tuple[Vec2, Vec2, AttackerMemory]:
-    """Produce (claimed_pos, claimed_spd, updated_memory) for one message.
+) -> np.ndarray:
+    """Claimed kinematics of one sender's whole track: truth is (L, 4) =
+    pos_x, pos_y, spd_x, spd_y per step, and so is the result.
 
     Claimed positions: Constant sends the fixed point; the offset attacks add
-    the fixed offset, or a fresh uniform draw in [−δ_max, δ_max] per axis, to
-    the truth (not clamped to the region); Random draws uniformly over
-    [0, R] per axis; EventualStop reports truth with probability P1 and
-    replays the stored position with P2.
+    the fixed offset, or a fresh uniform draw in [−δ_max, δ_max] per axis and
+    step, to the truth (not clamped to the region); Random draws uniformly
+    over [0, R] per axis; EventualStop reports truth with probability P1 and
+    replays the previous step's true position with P2 (step 0 replays its
+    own).
 
     Claimed-speed policy per class: Constant and the stop branch of
     EventualStop claim (0, 0); Random claims a fresh uniform draw in
     [−v_max, v_max] per axis; offset attacks reuse the position offset scaled
-    by v_max/R. Memory always advances to the current truth position.
+    by v_max/R.
+
+    Each class makes at most one rng call per track, drawing the values in
+    the order one call per step would: a (L, 2) offset, a (L, 4) draw whose
+    rows are position then speed, or one stop draw per step.
     """
-    speed_scale = params.v_max / params.region_side
+    pos, spd = truth[:, :2], truth[:, 2:]
+    n = len(truth)
     if attacker is AttackerType.GENUINE:
-        pos = (truth.pos_x, truth.pos_y)
-        spd = (truth.spd_x, truth.spd_y)
-    elif attacker is AttackerType.CONSTANT:
-        pos = params.fixed_point
-        spd = (0.0, 0.0)
-    elif attacker in (AttackerType.CONSTANT_OFFSET, AttackerType.RANDOM_OFFSET):
+        return truth.copy()
+    if attacker is AttackerType.CONSTANT:
+        return np.tile((*params.fixed_point, 0.0, 0.0), (n, 1))
+    if attacker in (AttackerType.CONSTANT_OFFSET, AttackerType.RANDOM_OFFSET):
         if attacker is AttackerType.CONSTANT_OFFSET:
-            dx, dy = params.fixed_offset
+            offset = np.array(params.fixed_offset, dtype=float)
         else:
-            dx, dy = map(float, rng.uniform(-params.random_offset_max, params.random_offset_max, size=2))
-        pos = (truth.pos_x + dx, truth.pos_y + dy)
-        spd = (truth.spd_x + dx * speed_scale, truth.spd_y + dy * speed_scale)
-    elif attacker is AttackerType.RANDOM:
-        x, y = rng.uniform(0.0, params.region_side, size=2)
-        sx, sy = rng.uniform(-params.v_max, params.v_max, size=2)
-        pos = (float(x), float(y))
-        spd = (float(sx), float(sy))
-    elif attacker is AttackerType.EVENTUAL_STOP:
-        if rng.random() < params.stop_probabilities[1]:
-            pos = (memory.prev_x, memory.prev_y)
-            spd = (0.0, 0.0)
-        else:
-            pos = (truth.pos_x, truth.pos_y)
-            spd = (truth.spd_x, truth.spd_y)
-    else:
-        raise ValueError(f"unknown attacker type: {attacker!r}")
-    return pos, spd, AttackerMemory(truth.pos_x, truth.pos_y)
+            offset = rng.uniform(-params.random_offset_max, params.random_offset_max, size=(n, 2))
+        return np.hstack([pos + offset, spd + offset * (params.v_max / params.region_side)])
+    if attacker is AttackerType.RANDOM:
+        r, v = params.region_side, params.v_max
+        return rng.uniform((0.0, 0.0, -v, -v), (r, r, v, v), size=(n, 4))
+    if attacker is AttackerType.EVENTUAL_STOP:
+        stop = (rng.random(n) < params.stop_probabilities[1])[:, None]
+        prev = np.concatenate([pos[:1], pos[:-1]])
+        return np.hstack([np.where(stop, prev, pos), np.where(stop, 0.0, spd)])
+    raise ValueError(f"unknown attacker type: {attacker!r}")

@@ -4,7 +4,6 @@ data is the centralized baseline."""
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
@@ -219,7 +218,6 @@ def run_flt_round(
     """
     if not vehicles:
         raise ValueError("no vehicles")
-    t0 = time.perf_counter()
     updates: list[LocalUpdate] = []
     for vd in sorted(vehicles, key=lambda v: v.vehicle_id):
         trained, _ = train_local(
@@ -251,7 +249,6 @@ def run_flt_round(
         loss=loss_value,
         lambdas=tuple(float(w) for w in weights),
         per_type_accuracy=per_type,
-        wall_clock_s=time.perf_counter() - t0,
     )
     return new_global, report
 

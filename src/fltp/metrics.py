@@ -22,7 +22,6 @@ class RoundReport:
     loss: float
     lambdas: tuple[float, ...] = ()
     per_type_accuracy: dict[int, float] = field(default_factory=dict)
-    wall_clock_s: float = 0.0
 
 
 class MetricSummary(NamedTuple):

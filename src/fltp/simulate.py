@@ -6,11 +6,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .attacks import AttackerMemory, AttackParams, inject
+from .attacks import AttackParams, inject
 from .features import NormalizationSpec, windows_from_stream
 from .federated import EvalSet, VehicleData
 from .seeding import TAG_ATTACK, TAG_LINK, derive_rng
-from .trace import Messages, Scenario, VehicleState, delivery_time, synth_rssi
+from .trace import Messages, Scenario, delivery_time, synth_rssi
 
 
 def falsified_claims(scenario: Scenario, attack: AttackParams) -> dict[int, np.ndarray]:
@@ -19,19 +19,11 @@ def falsified_claims(scenario: Scenario, attack: AttackParams) -> dict[int, np.n
     An attacker broadcasts the same falsified values to all receivers; the
     falsification stream of sender v derives from (scenario seed, v).
     """
-    claims: dict[int, np.ndarray] = {}
     seed = scenario.config.rng_seed
-    for v in sorted(scenario.attacker_types):
-        attacker = scenario.attacker_types[v]
-        rng = derive_rng(seed, TAG_ATTACK, v)
-        truth = scenario.kinematics[:, v].tolist()
-        memory = AttackerMemory(*truth[0][:2])
-        track = []
-        for step, row in enumerate(truth):
-            pos, spd, memory = inject(attacker, VehicleState(v, step, *row), memory, attack, rng)
-            track.append((*pos, *spd))
-        claims[v] = np.array(track, dtype=float).reshape(-1, 4)
-    return claims
+    return {
+        v: inject(attacker, scenario.kinematics[:, v], attack, derive_rng(seed, TAG_ATTACK, v))
+        for v, attacker in sorted(scenario.attacker_types.items())
+    }
 
 
 def broadcast_streams(scenario: Scenario, attack: AttackParams) -> dict[tuple[int, int], Messages]:

@@ -54,19 +54,6 @@ class IngestError(ValueError):
     """Raised for unreadable or inconsistent reception-log input."""
 
 
-@dataclass(frozen=True)
-class VehicleState:
-    """Ground-truth kinematic state of one vehicle at one time step: the
-    per-message truth attacks.inject reads (a row of Scenario.kinematics)."""
-
-    vehicle_id: int
-    t: int
-    pos_x: float
-    pos_y: float
-    spd_x: float
-    spd_y: float
-
-
 @dataclass(frozen=True, eq=False)
 class Messages:
     """A received stream of basic safety messages as columns, one row per

@@ -10,7 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from fltp.attacks import AttackerMemory, AttackParams, inject
+from fltp.attacks import AttackParams, inject
 from fltp.cli import main as cli_main
 from fltp.config import config_from_kv
 from fltp.experiment import accuracy_improvement_pct, build_cell_data, cell_seed, run_method_rounds
@@ -31,7 +31,7 @@ from fltp.metrics import (
 )
 from fltp.model import ModelParams, backward, forward, forward_cached, loss
 from fltp.seeding import derive_rng
-from fltp.trace import AttackerType, VehicleState
+from fltp.trace import AttackerType
 
 pytestmark = pytest.mark.acceptance
 
@@ -129,41 +129,25 @@ def test_criterion_3_injector_statistics(capsys):
         t0 = time.perf_counter()
         region, v_max, n = 10_000.0, 40.0, 10_000
         params = AttackParams.for_region(region, v_max)
-        truths = [
-            VehicleState(1, t, 4000.0 + 0.1 * t, 6000.0 - 0.1 * t, 5.0, -3.0) for t in range(n)
-        ]
+        t = np.arange(n, dtype=float)
+        truths = np.column_stack([4000.0 + 0.1 * t, 6000.0 - 0.1 * t, np.full(n, 5.0), np.full(n, -3.0)])
 
         # eventual stop: stop frequency within 3 sigma of 0.3 over 10k messages
-        rng = derive_rng(31_337)
-        memory = AttackerMemory(truths[0].pos_x, truths[0].pos_y)
-        stops = 0
-        for s in truths:
-            _, spd, memory = inject(AttackerType.EVENTUAL_STOP, s, memory, params, rng)
-            stops += spd == (0.0, 0.0)
+        claims = inject(AttackerType.EVENTUAL_STOP, truths, params, derive_rng(31_337))
+        stops = np.all(claims[:, 2:] == 0.0, axis=1).sum()
         assert abs(stops / n - 0.3) <= 0.014, f"stop frequency {stops / n:.4f}"
 
         # fully random claims: uniform support and mean within 3 sigma
-        rng = derive_rng(31_338)
-        memory = AttackerMemory(truths[0].pos_x, truths[0].pos_y)
-        ps, ss = [], []
-        for s in truths:
-            pos, spd, memory = inject(AttackerType.RANDOM, s, memory, params, rng)
-            ps.append(pos)
-            ss.append(spd)
-        ps, ss = np.array(ps), np.array(ss)
+        claims = inject(AttackerType.RANDOM, truths, params, derive_rng(31_338))
+        ps, ss = claims[:, :2], claims[:, 2:]
         assert ps.min() >= 0.0 and ps.max() <= region
         assert np.abs(ss).max() <= v_max
         tol = 3.0 * (region / np.sqrt(12.0)) / np.sqrt(n)
         assert np.all(np.abs(ps.mean(axis=0) - region / 2.0) <= tol), ps.mean(axis=0)
 
         # random offset: bounded support, zero-centred within 3 sigma
-        rng = derive_rng(31_339)
-        memory = AttackerMemory(truths[0].pos_x, truths[0].pos_y)
-        offs = []
-        for s in truths:
-            pos, _, memory = inject(AttackerType.RANDOM_OFFSET, s, memory, params, rng)
-            offs.append((pos[0] - s.pos_x, pos[1] - s.pos_y))
-        offs = np.array(offs)
+        claims = inject(AttackerType.RANDOM_OFFSET, truths, params, derive_rng(31_339))
+        offs = claims[:, :2] - truths[:, :2]
         bound = params.random_offset_max
         assert np.abs(offs).max() <= bound
         tol = 3.0 * (2.0 * bound / np.sqrt(12.0)) / np.sqrt(n)

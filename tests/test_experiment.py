@@ -1,5 +1,6 @@
 """Sweep orchestration: seeding, CSV artifacts, summaries, reproducibility."""
 import csv
+import ctypes
 import hashlib
 import math
 from pathlib import Path
@@ -128,6 +129,32 @@ class TestBuildCellData:
         assert not (init_a.flatten() == init_b.flatten()).all()
         assert eval_a.features.shape == eval_b.features.shape
         assert not (eval_a.features == eval_b.features).all()
+
+    def test_outputs_pinned(self):
+        """sha256 over every build_cell_data output on 9 cells: desk n=4
+        (float64) and paper n=10/20 (float32 vehicle sets), penetration
+        0.25/0.75/1.0, master seed 42. The build runs no BLAS GEMM, so unlike
+        test_desk_fingerprint this holds whatever kernel OpenBLAS picks."""
+        h = hashlib.sha256()
+
+        def add(a):
+            a = np.ascontiguousarray(a)
+            h.update(f"{a.dtype.str}{a.shape}".encode())
+            h.update(a.tobytes())
+
+        for profile, veh_idx, n in (("desk", 0, 4), ("paper", 1, 10), ("paper", 2, 20)):
+            cfg = config_from_kv({}, profile=profile)
+            for pen_idx, pen in enumerate((0.25, 0.75, 1.0)):
+                scenario, vehicles, pool, initial = build_cell_data(cfg, pen, n, cell_seed(42, pen_idx, veh_idx, 0))
+                add(scenario.kinematics)
+                add(np.array(sorted(scenario.attacker_types.items()), dtype=np.int64))
+                for vd in vehicles:
+                    add(vd.features)
+                    add(vd.labels)
+                add(pool.features)
+                add(pool.labels)
+                add(initial.flatten())
+        assert h.hexdigest() == "f83597eeae1e2900bd5faf363400c53c4de6c77009d89519e83178364574df03"
 
 
 class TestRunMethodRounds:
@@ -402,6 +429,21 @@ DESK_FINGERPRINT = {
 }
 
 
+def _blas_kernel() -> str:
+    """numpy's BLAS build and the OpenBLAS core type this process runs, the
+    one it picked for the CPU or the one OPENBLAS_CORETYPE named."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    core = "unknown"
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        core = corename().decode()
+    return f"BLAS {blas.get('name')} {blas.get('version')}, OpenBLAS core type {core}"
+
+
 @pytest.mark.acceptance
 def test_desk_fingerprint(tmp_path):
     cfg_file = tmp_path / "desk75.cfg"
@@ -409,4 +451,4 @@ def test_desk_fingerprint(tmp_path):
     out = tmp_path / "out"
     assert cli_main(["run", "--config", str(cfg_file), "--profile", "desk", "--out", str(out)]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
-    assert digests == DESK_FINGERPRINT
+    assert digests == DESK_FINGERPRINT, f"desk outputs differ from the pinned bytes; they were made by {_blas_kernel()}"

@@ -19,11 +19,9 @@ from typing import Any, Callable, NamedTuple
 
 from .attacks import AttackParams
 from .features import NormalizationSpec
-from .federated import GateConfig, GateStrategy, InfluenceTable
+from .federated import METHODS, GateConfig, GateStrategy, InfluenceTable
 from .model import TrainConfig
 from .trace import ChannelConfig, ScenarioConfig
-
-KNOWN_METHODS = ("fl-tp", "fed-avg", "centralized")
 
 
 class ConfigError(ValueError):
@@ -94,7 +92,7 @@ def _key(name: str, default: str, parse: Callable[[str, str], Any], path: str | 
 
 #: every config key, in dump order
 KEYS: tuple[ConfigKey, ...] = (
-    _key("methods", "fl-tp, fed-avg, centralized", _list(str)),
+    _key("methods", ", ".join(METHODS), _list(str)),
     _key("penetrations", "0.25, 0.5, 0.75", _list(float)),
     _key("vehicle_counts", "4, 10, 20", _list(int)),
     _key("repeats", "50", _int),
@@ -179,8 +177,8 @@ class ExperimentConfig:
         if not self.methods:
             raise ConfigError("methods: at least one method required")
         for m in self.methods:
-            if m not in KNOWN_METHODS:
-                raise ConfigError(f"methods: unknown method {m!r} (choose from {KNOWN_METHODS})")
+            if m not in METHODS:
+                raise ConfigError(f"methods: unknown method {m!r} (choose from {tuple(METHODS)})")
         if len(set(self.methods)) != len(self.methods):
             raise ConfigError(f"methods: duplicate entries in {self.methods}")
         if not self.penetrations:

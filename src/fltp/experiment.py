@@ -10,17 +10,12 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from .config import ExperimentConfig
-from .federated import (
-    EvalSet,
-    VehicleData,
-    run_fedavg_round,
-    run_flt_round,
-    save_checkpoint,
-)
+from .federated import METHODS, UNIFORM_GATE, EvalSet, VehicleData, run_flt_round, save_checkpoint
 from .metrics import RoundReport, mean_std
 from .model import ModelParams, forward, loss
 from .seeding import TAG_CELL, TAG_INIT, TAG_SCENARIO, derive_rng, derive_seed
@@ -111,6 +106,13 @@ def build_cell_data(cfg: ExperimentConfig, penetration: float, n_vehicles: int, 
     return scenario, vehicles, eval_set, initial
 
 
+def divergence_limit(initial: ModelParams, eval_set: EvalSet) -> float:
+    """The pool loss above which a round has diverged, even while finite:
+    DIVERGENCE_FACTOR times the initial model's. All methods of a data seed
+    share it."""
+    return DIVERGENCE_FACTOR * loss(forward(initial, eval_set.features), eval_set.labels)
+
+
 def run_method_rounds(
     cfg: ExperimentConfig,
     method: str,
@@ -118,66 +120,71 @@ def run_method_rounds(
     eval_set: EvalSet,
     initial: ModelParams,
     seed: int,
-    checkpoint_dir: Path | None = None,
-) -> list[RoundReport]:
-    """Drive one method over cfg.train.global_rounds rounds on prepared data.
-    Centralized is fed-avg over one client, id 0, holding the pooled set.
+    loss_limit: float,
+) -> Iterator[tuple[ModelParams, RoundReport]]:
+    """Yield (params, report) after each of cfg.train.global_rounds rounds of
+    one method on prepared data; METHODS says how the method trains.
 
     Raises ValueError as soon as a round's loss or trajectory error is not
-    finite, or the loss exceeds DIVERGENCE_FACTOR times the initial model's
-    loss on the pool, so a diverged run never becomes result rows.
+    finite, or the loss exceeds loss_limit, so a diverged run never becomes
+    result rows.
     """
-    common = dict(train=cfg.train, norm=cfg.norm, seed=seed, judgment_threshold=cfg.judgment_threshold)
-    if method == "centralized":
-        vehicles = [VehicleData(0, *pooled_training_set(vehicles))]
-    elif method not in ("fl-tp", "fed-avg"):
+    if method not in METHODS:
         raise ValueError(f"unknown method: {method!r}")
-
-    loss_limit = DIVERGENCE_FACTOR * loss(forward(initial, eval_set.features), eval_set.labels)
+    spec = METHODS[method]
+    if spec.pooled:
+        vehicles = [VehicleData(0, *pooled_training_set(vehicles))]
+    gate = cfg.gate if spec.gated else UNIFORM_GATE
     params = initial
     prev_accuracy = 0.0
-    reports: list[RoundReport] = []
     for round_idx in range(1, cfg.train.global_rounds + 1):
-        if method == "fl-tp":
-            params, report = run_flt_round(
-                params,
-                vehicles,
-                eval_set,
-                round_idx=round_idx,
-                prev_accuracy=prev_accuracy,
-                gate=cfg.gate,
-                influence=cfg.influence,
-                **common,
-            )
-        else:
-            params, report = run_fedavg_round(params, vehicles, eval_set, round_idx=round_idx, **common)
-            if method == "centralized":
-                report = replace(report, method=method, mode=method)
+        params, report = run_flt_round(
+            params,
+            vehicles,
+            eval_set,
+            round_idx=round_idx,
+            prev_accuracy=prev_accuracy,
+            gate=gate,
+            influence=cfg.influence,
+            train=cfg.train,
+            norm=cfg.norm,
+            seed=seed,
+            judgment_threshold=cfg.judgment_threshold,
+            method=method,
+        )
+        if spec.pooled:
+            report = replace(report, mode=method)
         if not (report.loss <= loss_limit and np.isfinite(report.prediction_error)):
             raise ValueError(
                 f"{method} diverged at round {round_idx} (cell seed {seed}): "
                 f"loss {report.loss!r} (limit {loss_limit!r}), pred_error_m {report.prediction_error!r}"
             )
         prev_accuracy = report.prediction_accuracy
-        reports.append(report)
-        if checkpoint_dir is not None:
-            save_checkpoint(checkpoint_dir, round_idx, params, report)
-    return reports
+        yield params, report
 
 
 def run_cells(cfg: ExperimentConfig, cells: list[SweepCell]) -> list[list[RoundReport]]:
     """Build the data of one data seed once and run each cell's method on it,
-    in the given order. The cells share penetration, vehicle count and repeat."""
+    in the given order. The cells share penetration, vehicle count and repeat.
+    With cfg.checkpoints, each round's parameters go to
+    checkpoints/<run_id>/ under out_dir, replacing a previous run's."""
     first = cells[0]
     seed = cell_seed(cfg.master_seed, first.pen_idx, first.veh_idx, first.repeat)
     _, vehicles, eval_set, initial = build_cell_data(cfg, first.penetration, first.n_vehicles, seed)
+    limit = divergence_limit(initial, eval_set)
     all_reports = []
     for cell in cells:
-        checkpoint_dir = None
-        if cfg.checkpoints:
-            checkpoint_dir = Path(cfg.out_dir) / "checkpoints" / cell.run_id
+        checkpoint_dir = Path(cfg.out_dir) / "checkpoints" / cell.run_id
         t0 = time.perf_counter()
-        all_reports.append(run_method_rounds(cfg, cell.method, vehicles, eval_set, initial, seed, checkpoint_dir))
+        reports = []
+        for params, report in run_method_rounds(cfg, cell.method, vehicles, eval_set, initial, seed, limit):
+            if cfg.checkpoints:
+                if report.round_idx == 1:  # a run that fails in round 1 leaves the previous run's files
+                    for stale in (*checkpoint_dir.glob("round_*.params"), *checkpoint_dir.glob("round_*.json")):
+                        stale.unlink()
+                save_checkpoint(checkpoint_dir, report.round_idx, params, report)
+            reports.append(report)
+        all_reports.append(reports)
         log.info("cell %s finished in %.1fs", cell.run_id, time.perf_counter() - t0)
     return all_reports
 

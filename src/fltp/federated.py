@@ -1,13 +1,14 @@
 """Federated aggregation: attack-aware MrE weighting with an accuracy gate,
-plus the uniform-average baseline, which over one client holding the pooled
-data is the centralized baseline."""
+and the table of methods that run it: fl-tp is gated, fed-avg averages
+uniformly, and centralized is fed-avg over one client holding the pooled
+data."""
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,6 +43,25 @@ class GateConfig:
     def validate(self) -> None:
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError(f"gate threshold must be in [0, 1], got {self.threshold}")
+
+
+#: averages uniformly whatever the accuracy: a draw from [0, 1) is below 1.0
+UNIFORM_GATE = GateConfig(GateStrategy.RANDOM, 1.0)
+
+
+class Method(NamedTuple):
+    """How a method trains: every method runs run_flt_round each round."""
+
+    gated: bool  # the config's gate and influence table weigh the updates; else UNIFORM_GATE
+    pooled: bool  # one client, id 0, trains the pooled set; its rounds report the method as their mode
+
+
+#: every method, in the `methods` key's default order
+METHODS: dict[str, Method] = {
+    "fl-tp": Method(gated=True, pooled=False),
+    "fed-avg": Method(gated=False, pooled=False),
+    "centralized": Method(gated=False, pooled=True),
+}
 
 
 @dataclass(frozen=True)
@@ -251,36 +271,6 @@ def run_flt_round(
         per_type_accuracy=per_type,
     )
     return new_global, report
-
-
-def run_fedavg_round(
-    global_params: ModelParams,
-    vehicles: Sequence[VehicleData],
-    eval_set: EvalSet,
-    *,
-    round_idx: int,
-    train: TrainConfig,
-    norm: NormalizationSpec,
-    seed: int,
-    judgment_threshold: float = 0.5,
-) -> tuple[ModelParams, RoundReport]:
-    """Plain federated averaging: run_flt_round with the accuracy gate seeing
-    0.0 against a 1.0 threshold, so every round averages uniformly. Over one
-    client the weight is 1.0, and the round is that client's local training."""
-    return run_flt_round(
-        global_params,
-        vehicles,
-        eval_set,
-        round_idx=round_idx,
-        prev_accuracy=0.0,
-        gate=GateConfig(threshold=1.0),
-        influence=InfluenceTable(),
-        train=train,
-        norm=norm,
-        seed=seed,
-        judgment_threshold=judgment_threshold,
-        method="fed-avg",
-    )
 
 
 def save_checkpoint(

@@ -13,13 +13,18 @@ import pytest
 from fltp.attacks import AttackParams, inject
 from fltp.cli import main as cli_main
 from fltp.config import config_from_kv
-from fltp.experiment import accuracy_improvement_pct, build_cell_data, cell_seed, run_method_rounds
+from fltp.experiment import (
+    accuracy_improvement_pct,
+    build_cell_data,
+    cell_seed,
+    divergence_limit,
+    run_method_rounds,
+)
 from fltp.features import NormalizationSpec
 from fltp.federated import (
     InfluenceTable,
     LocalUpdate,
     mre_weights,
-    run_fedavg_round,
     run_flt_round,
 )
 from fltp.metrics import (
@@ -213,18 +218,11 @@ def test_criterion_5_fedavg_equivalence(capsys):
         seed = cell_seed(cfg.master_seed, 0, 0, 0)
         _, vehicles, eval_set, initial = build_cell_data(cfg, 0.5, 4, seed)
 
-        p_avg = p_flt = initial
+        # fed-avg as the sweep runs it; zip stops its stream after 5 rounds
+        fedavg = run_method_rounds(cfg, "fed-avg", vehicles, eval_set, initial, seed, divergence_limit(initial, eval_set))
+        p_flt = initial
         prev_acc = 0.0
-        for round_idx in range(1, 6):
-            p_avg, rep_avg = run_fedavg_round(
-                p_avg,
-                vehicles,
-                eval_set,
-                round_idx=round_idx,
-                train=cfg.train,
-                norm=cfg.norm,
-                seed=seed,
-            )
+        for round_idx, (p_avg, rep_avg) in zip(range(1, 6), fedavg):
             p_flt, rep_flt = run_flt_round(
                 p_flt,
                 vehicles,
@@ -289,8 +287,9 @@ def test_criterion_7_method_ordering(capsys):
             for master in masters:
                 seed = cell_seed(master, 0, 0, 0)
                 _, vehicles, eval_set, initial = build_cell_data(cfg, pen, 4, seed)
+                limit = divergence_limit(initial, eval_set)
                 for method in finals:
-                    rep = run_method_rounds(cfg, method, vehicles, eval_set, initial, seed)[-1]
+                    rep = list(run_method_rounds(cfg, method, vehicles, eval_set, initial, seed, limit))[-1][1]
                     finals[method].append((rep.prediction_accuracy, rep.prediction_error))
             flt = np.array(finals["fl-tp"])
             avg = np.array(finals["fed-avg"])

@@ -2,6 +2,7 @@
 import csv
 import ctypes
 import hashlib
+import json
 import math
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from fltp.experiment import (
     accuracy_improvement_pct,
     build_cell_data,
     cell_seed,
+    divergence_limit,
     error_improvement_pct,
     export_summary,
     run_cell,
@@ -157,17 +159,23 @@ class TestBuildCellData:
         assert h.hexdigest() == "f83597eeae1e2900bd5faf363400c53c4de6c77009d89519e83178364574df03"
 
 
+def _stream(cfg, method, vehicles, eval_set, initial, seed):
+    return run_method_rounds(cfg, method, vehicles, eval_set, initial, seed, divergence_limit(initial, eval_set))
+
+
 class TestRunMethodRounds:
     def test_round_indices_and_modes(self, tmp_path):
         cfg = _tiny_cfg(tmp_path, global_rounds="3")
         seed = cell_seed(cfg.master_seed, 0, 0, 0)
         _, vehicles, eval_set, initial = build_cell_data(cfg, 0.5, 4, seed)
-        reports = run_method_rounds(cfg, "fl-tp", vehicles, eval_set, initial, seed)
+        reports = [rep for _, rep in _stream(cfg, "fl-tp", vehicles, eval_set, initial, seed)]
         assert [r.round_idx for r in reports] == [1, 2, 3]
         assert reports[0].mode == "uniform"  # no accuracy before the first round
         assert all(r.method == "fl-tp" for r in reports)
-        central = run_method_rounds(cfg, "centralized", vehicles, eval_set, initial, seed)
+        central = [rep for _, rep in _stream(cfg, "centralized", vehicles, eval_set, initial, seed)]
         assert all(r.mode == "centralized" for r in central)
+        fedavg = [rep for _, rep in _stream(cfg, "fed-avg", vehicles, eval_set, initial, seed)]
+        assert all((r.method, r.mode, r.lambdas) == ("fed-avg", "uniform", (0.25,) * 4) for r in fedavg)
 
     def test_centralized_is_pooled_training(self, tmp_path):
         """Reference: train_local on the pooled set with vehicle 0's training
@@ -175,10 +183,10 @@ class TestRunMethodRounds:
         cfg = config_from_kv({"global_rounds": "3"}, profile="desk")
         seed = cell_seed(cfg.master_seed, 0, 0, 0)
         _, vehicles, eval_set, initial = build_cell_data(cfg, 0.75, 4, seed)
-        reports = run_method_rounds(cfg, "centralized", vehicles, eval_set, initial, seed, tmp_path)
+        rounds = list(_stream(cfg, "centralized", vehicles, eval_set, initial, seed))
         pooled_x, pooled_y = pooled_training_set(vehicles)
         params = initial
-        for r, rep in enumerate(reports, start=1):
+        for r, (got, rep) in enumerate(rounds, start=1):
             params, _ = train_local(
                 params,
                 pooled_x,
@@ -193,15 +201,30 @@ class TestRunMethodRounds:
             assert (rep.round_idx, rep.method, rep.mode) == (r, "centralized", "centralized")
             assert (rep.prediction_error, rep.prediction_accuracy, rep.loss) == (err, acc, loss_value)
             assert rep.per_type_accuracy == per_type
-            assert (load_params(tmp_path / f"round_{r:04d}.params").flatten() == params.flatten()).all()
-        assert len(reports) == 3
+            assert (got.flatten() == params.flatten()).all()
+        assert len(rounds) == 3
 
     def test_unknown_method(self, tmp_path):
         cfg = _tiny_cfg(tmp_path)
         seed = cell_seed(cfg.master_seed, 0, 0, 0)
         _, vehicles, eval_set, initial = build_cell_data(cfg, 0.5, 4, seed)
         with pytest.raises(ValueError, match="unknown method"):
-            run_method_rounds(cfg, "gossip", vehicles, eval_set, initial, seed)
+            list(_stream(cfg, "gossip", vehicles, eval_set, initial, seed))
+
+    def test_one_pool_forward_per_data_seed(self, tmp_path, monkeypatch):
+        calls = []
+        pool_forward = experiment.forward
+
+        def counted(params, features, *args, **kwargs):
+            calls.append(features.shape)
+            return pool_forward(params, features, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "forward", counted)
+        cfg = _tiny_cfg(tmp_path, repeats="1")
+        cells = sweep_cells(cfg)
+        assert [c.method for c in cells] == ["fl-tp", "fed-avg", "centralized"]
+        run_cells(cfg, cells)
+        assert len(calls) == 1
 
 
 class TestRunExperiment:
@@ -290,18 +313,45 @@ class TestRunExperiment:
         keys = [(r[0], float(r[1])) for r in srows]
         assert keys == sorted(keys)
 
-    def test_checkpoints_written_when_enabled(self, tmp_path):
+    @pytest.mark.parametrize("method", ["fl-tp", "fed-avg", "centralized"])
+    def test_checkpoints_written_when_enabled(self, tmp_path, method):
         cfg = _tiny_cfg(
-            tmp_path / "out", methods="fl-tp", repeats="1", checkpoints="true"
+            tmp_path / "out", methods=method, repeats="1", checkpoints="true"
         )
         run_experiment(cfg)
-        ckdir = tmp_path / "out" / "checkpoints" / "fl-tp_p0.5_v4_rep0"
+        ckdir = tmp_path / "out" / "checkpoints" / f"{method}_p0.5_v4_rep0"
         assert sorted(p.name for p in ckdir.iterdir()) == [
             "round_0001.json",
             "round_0001.params",
             "round_0002.json",
             "round_0002.params",
         ]
+        _, rows = _read_csv(tmp_path / "out" / f"rounds_{method}_p0.5_v4_rep0.csv")
+        for row in rows:
+            meta = json.loads((ckdir / f"round_{int(row[5]):04d}.json").read_text())
+            assert (meta["method"], meta["mode"]) == (method, row[6])
+            if method != "fl-tp":
+                assert meta["mode"] == {"fed-avg": "uniform", "centralized": "centralized"}[method]
+
+    def test_rerun_replaces_stale_checkpoints(self, tmp_path):
+        """A rerun with fewer rounds into the same out_dir leaves only its
+        own round files, and no other file in the checkpoint directory."""
+        cfg = _tiny_cfg(tmp_path / "out", methods="fl-tp", repeats="1", checkpoints="true", global_rounds="3")
+        run_experiment(cfg)
+        ckdir = tmp_path / "out" / "checkpoints" / "fl-tp_p0.5_v4_rep0"
+        (ckdir / "notes.txt").write_text("kept\n", encoding="utf-8")
+        run_experiment(_tiny_cfg(tmp_path / "out", methods="fl-tp", repeats="1", checkpoints="true", global_rounds="1"))
+        assert sorted(p.name for p in ckdir.iterdir()) == ["notes.txt", "round_0001.json", "round_0001.params"]
+        assert (ckdir / "notes.txt").read_text(encoding="utf-8") == "kept\n"
+        fresh = _tiny_cfg(tmp_path / "fresh", methods="fl-tp", repeats="1", checkpoints="true", global_rounds="1")
+        run_experiment(fresh)
+        for name in ("round_0001.json", "round_0001.params"):
+            assert (ckdir / name).read_bytes() == (tmp_path / "fresh" / "checkpoints" / ckdir.name / name).read_bytes()
+        # a rerun that diverges in round 1 has no checkpoint to write and deletes none
+        before = {p.name: p.read_bytes() for p in ckdir.iterdir()}
+        with pytest.raises(ValueError, match="diverged at round 1 "):
+            run_experiment(_tiny_cfg(tmp_path / "out", methods="fl-tp", repeats="1", checkpoints="true", learning_rate="5000"))
+        assert {p.name: p.read_bytes() for p in ckdir.iterdir()} == before
 
     def test_stale_rounds_files_are_ignored(self, tmp_path):
         cfg = _tiny_cfg(tmp_path / "clean")
@@ -361,14 +411,14 @@ class TestPrecision:
         cfg = _tiny_cfg(tmp_path, precision="float32", global_rounds="1")
         seed = cell_seed(cfg.master_seed, 0, 0, 0)
         _, vehicles, eval_set, initial = build_cell_data(cfg, 0.5, 4, seed)
-        run_method_rounds(cfg, "centralized", vehicles, eval_set, initial, seed)
+        list(_stream(cfg, "centralized", vehicles, eval_set, initial, seed))
         assert dtypes == [(np.float32, np.float32)]
 
     def test_checkpoints_are_float64(self, tmp_path):
-        cfg = _tiny_cfg(tmp_path, precision="float32")
+        cfg = _tiny_cfg(tmp_path, precision="float32", methods="fl-tp", repeats="1", checkpoints="true")
         seed = cell_seed(cfg.master_seed, 0, 0, 0)
         _, vehicles, eval_set, initial = build_cell_data(cfg, 0.5, 4, seed)
-        reports = run_method_rounds(cfg, "fl-tp", vehicles, eval_set, initial, seed, tmp_path / "ck")
+        reports = run_cell(cfg, sweep_cells(cfg)[0])
         params, prev_accuracy = initial, 0.0
         for r, rep in enumerate(reports, start=1):
             params, again = run_flt_round(
@@ -377,7 +427,7 @@ class TestPrecision:
                 judgment_threshold=cfg.judgment_threshold,
             )
             prev_accuracy = again.prediction_accuracy
-            blob = tmp_path / "ck" / f"round_{r:04d}.params"
+            blob = tmp_path / "checkpoints" / "fl-tp_p0.5_v4_rep0" / f"round_{r:04d}.params"
             assert blob.stat().st_size == 16 + 8 * flat_length(cfg.train.hidden_size)
             loaded = load_params(blob).flatten()
             assert loaded.dtype == params.flatten().dtype == np.float64

@@ -9,6 +9,8 @@ from fltp.features import NormalizationSpec
 from fltp.federated import (
     AggregationMode,
     CLEANLINESS_FLOOR,
+    METHODS,
+    UNIFORM_GATE,
     EvalSet,
     GateConfig,
     GateStrategy,
@@ -19,12 +21,11 @@ from fltp.federated import (
     decide_mode,
     evaluate_global,
     mre_weights,
-    run_fedavg_round,
     run_flt_round,
     save_checkpoint,
 )
 from fltp.model import ModelParams, TrainConfig, flat_length, forward, load_params, train_local
-from fltp.seeding import TAG_INIT, TAG_TRAIN, derive_rng
+from fltp.seeding import TAG_GATE, TAG_INIT, TAG_TRAIN, derive_rng
 from fltp.trace import AttackerType
 
 NORM = NormalizationSpec(region_side=10_000.0, v_max=40.0)
@@ -300,6 +301,21 @@ def _round_kwargs(seed=123, **overrides):
     return kw
 
 
+def _fedavg_round(global_params, vehicles, eval_set, **kwargs):
+    """fed-avg's round as its METHODS entry runs it: run_flt_round with
+    UNIFORM_GATE."""
+    return run_flt_round(
+        global_params,
+        vehicles,
+        eval_set,
+        prev_accuracy=0.0,
+        gate=UNIFORM_GATE,
+        influence=InfluenceTable(),
+        method="fed-avg",
+        **kwargs,
+    )
+
+
 class TestRunRound:
     def test_deterministic(self):
         vehicles = [_vehicle(0, 8), _vehicle(1, 8, codes=1)]
@@ -373,9 +389,7 @@ class TestRunRound:
         train = TrainConfig(hidden_size=4, learning_rate=1e-3, batch_size=8, local_episodes=1)
         p_avg = p_flt = ModelParams.init(4, derive_rng(12))
         for r in range(1, 4):
-            p_avg, rep_avg = run_fedavg_round(
-                p_avg, vehicles, es, round_idx=r, train=train, norm=NORM, seed=55
-            )
+            p_avg, rep_avg = _fedavg_round(p_avg, vehicles, es, round_idx=r, train=train, norm=NORM, seed=55)
             p_flt, rep_flt = run_flt_round(
                 p_flt,
                 vehicles,
@@ -393,6 +407,18 @@ class TestRunRound:
             assert rep_avg.prediction_accuracy == rep_flt.prediction_accuracy
             assert rep_avg.loss == rep_flt.loss
 
+    def test_fedavg_gate_is_uniform_at_full_accuracy(self):
+        # an accuracy gate at threshold 1.0 would pick mre here: 1.0 < 1.0 is false
+        assert not METHODS["fed-avg"].gated and not METHODS["centralized"].gated
+        for r in range(1, 50):
+            assert decide_mode(UNIFORM_GATE, 1.0, derive_rng(123, TAG_GATE, r)) is AggregationMode.UNIFORM_AVERAGE
+        vehicles = [_vehicle(0, 8), _vehicle(1, 8, codes=1), _vehicle(2, 8, codes=3)]
+        es = _eval_set([0, 1, 3])
+        p0 = ModelParams.init(4, derive_rng(17))
+        _, rep = run_flt_round(p0, vehicles, es, **_round_kwargs(prev_accuracy=1.0, gate=UNIFORM_GATE))
+        assert rep.mode == "uniform"
+        assert rep.lambdas == (1 / 3,) * 3
+
     def test_validation(self):
         es = _eval_set([0])
         p0 = ModelParams.init(4, derive_rng(13))
@@ -401,7 +427,7 @@ class TestRunRound:
 
 
 class TestCentralized:
-    """The centralized baseline is run_fedavg_round over one client, id 0,
+    """The centralized baseline is fed-avg's round over one client, id 0,
     that holds the pooled data: its weight is 1.0."""
 
     def test_zero_episodes_keeps_initial(self):
@@ -409,7 +435,7 @@ class TestCentralized:
         es = _eval_set([0])
         train = TrainConfig(hidden_size=4, learning_rate=1e-3, local_episodes=0)
         p0 = ModelParams.init(4, derive_rng(14))
-        out, rep = run_fedavg_round(p0, [vd], es, round_idx=0, train=train, norm=NORM, seed=1)
+        out, rep = _fedavg_round(p0, [vd], es, round_idx=0, train=train, norm=NORM, seed=1)
         np.testing.assert_array_equal(out.flatten(), p0.flatten())
         assert rep.lambdas == (1.0,)
         err, acc, _, loss_value = evaluate_global(p0, es, NORM)
@@ -421,9 +447,9 @@ class TestCentralized:
         train = TrainConfig(hidden_size=4, learning_rate=1e-3, batch_size=4, local_episodes=2)
         p0 = ModelParams.init(4, derive_rng(5, TAG_INIT))
         kwargs = dict(round_idx=0, train=train, norm=NORM)
-        a, _ = run_fedavg_round(p0, [vd], es, seed=5, **kwargs)
-        b, _ = run_fedavg_round(p0, [vd], es, seed=5, **kwargs)
-        c, _ = run_fedavg_round(p0, [vd], es, seed=6, **kwargs)
+        a, _ = _fedavg_round(p0, [vd], es, seed=5, **kwargs)
+        b, _ = _fedavg_round(p0, [vd], es, seed=5, **kwargs)
+        c, _ = _fedavg_round(p0, [vd], es, seed=6, **kwargs)
         np.testing.assert_array_equal(a.flatten(), b.flatten())
         assert not np.array_equal(a.flatten(), c.flatten())
 
@@ -433,8 +459,8 @@ class TestCentralized:
         train = TrainConfig(hidden_size=4, learning_rate=1e-3, batch_size=4, local_episodes=2)
         p0 = ModelParams.init(4, derive_rng(16))
         kwargs = dict(train=train, norm=NORM, seed=5)
-        a, rep_a = run_fedavg_round(p0, [vd], es, round_idx=3, **kwargs)
-        b, _ = run_fedavg_round(p0, [vd], es, round_idx=4, **kwargs)
+        a, rep_a = _fedavg_round(p0, [vd], es, round_idx=3, **kwargs)
+        b, _ = _fedavg_round(p0, [vd], es, round_idx=4, **kwargs)
         assert rep_a.round_idx == 3
         assert not np.array_equal(a.flatten(), b.flatten())
         # the round's stream is the one a local update of vehicle 0 would use,

@@ -18,14 +18,17 @@ replicated in the third column.
 
 The ego and sender ground truth come as column tracks, steps (L,) int64 and
 kinematics (L, 4) = [pos_x, pos_y, spd_x, spd_y], the form
-Scenario.vehicle_track and ingest_veremi return; windows_from_stream is the
-one windowing entry point.
+Scenario.vehicle_track and ingest_veremi return. link_windows is the one
+windowing kernel: it windows many same-length links in one pass over the link
+axis, and windows_from_stream is its one-link entry point.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .trace import AttackerType, Messages
 
@@ -65,33 +68,131 @@ def _clamp(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 
 def _feature_rows(claims: np.ndarray, ego: np.ndarray, spec: NormalizationSpec) -> np.ndarray:
-    """Normalized (L, 9) rows from claims (L, 5) = [pos_x, pos_y, spd_x,
-    spd_y, rssi] and the ego kinematics (L, 4) at the same steps."""
+    """Normalized (..., 9) rows from claims (..., 5) = [pos_x, pos_y, spd_x,
+    spd_y, rssi] and the ego kinematics (..., 4) at the same steps."""
     r = spec.region_side
     v = spec.v_max
-    out = np.empty((claims.shape[0], FEATURE_DIM))
-    out[:, 0:2] = _clamp(claims[:, 0:2] / r, 0.0, 1.0)
-    out[:, 2:4] = _clamp(claims[:, 2:4] / v, -1.0, 1.0)
-    out[:, 4:6] = _clamp((claims[:, 0:2] - ego[:, 0:2]) / r, -1.0, 1.0)
-    out[:, 6:8] = _clamp((claims[:, 2:4] - ego[:, 2:4]) / v, -1.0, 1.0)
-    out[:, 8] = _clamp((claims[:, 4] - spec.rssi_min) / (spec.rssi_max - spec.rssi_min), 0.0, 1.0)
+    out = np.empty(claims.shape[:-1] + (FEATURE_DIM,))
+    out[..., 0:2] = _clamp(claims[..., 0:2] / r, 0.0, 1.0)
+    out[..., 2:4] = _clamp(claims[..., 2:4] / v, -1.0, 1.0)
+    out[..., 4:6] = _clamp((claims[..., 0:2] - ego[..., 0:2]) / r, -1.0, 1.0)
+    out[..., 6:8] = _clamp((claims[..., 2:4] - ego[..., 2:4]) / v, -1.0, 1.0)
+    out[..., 8] = _clamp((claims[..., 4] - spec.rssi_min) / (spec.rssi_max - spec.rssi_min), 0.0, 1.0)
     return out
 
 
-def _label_rows(truth: np.ndarray, attacker: AttackerType, spec: NormalizationSpec) -> np.ndarray:
-    """(L, 3) label rows from the truth kinematics (L, 4): positions / R and
-    the attacker-class code."""
-    out = np.empty((truth.shape[0], LABEL_DIM))
-    out[:, 0:2] = truth[:, 0:2] / spec.region_side
-    out[:, 2] = float(attacker)
+def _label_rows(truth: np.ndarray, attackers: np.ndarray, spec: NormalizationSpec) -> np.ndarray:
+    """(V, T, 3) label rows from V truth tracks' kinematics (V, T, 4):
+    positions / R and each track's attacker-class code."""
+    out = np.empty(truth.shape[:-1] + (LABEL_DIM,))
+    out[..., 0:2] = truth[..., 0:2] / spec.region_side
+    out[..., 2] = np.asarray(attackers, dtype=float)[:, None]
     return out
 
 
-def _origin(steps: np.ndarray) -> int:
-    """The step a track's row 0 stands for: min(step - index), which is the
-    first step of a strictly rising track; a first row off its step does not
-    shift the rows after it. 0 for an empty track."""
-    return int((steps - np.arange(len(steps))).min()) if len(steps) else 0
+def _origins(steps: np.ndarray) -> np.ndarray:
+    """(V,) the step each of V tracks' row 0 stands for: min(step - index),
+    which is the first step of a strictly rising track; a first row off its
+    step does not shift the rows after it."""
+    return (steps - np.arange(steps.shape[1])).min(axis=1)
+
+
+def _any_in_run(flags: np.ndarray, width: int, count: int) -> np.ndarray:
+    """(S, count): whether any of flags[:, k : k + width] is set, for k < count."""
+    seen = np.zeros((flags.shape[0], flags.shape[1] + 1), dtype=np.int64)
+    np.cumsum(flags, axis=1, out=seen[:, 1:])
+    return seen[:, width : width + count] > seen[:, :count]
+
+
+class LinkWindows(NamedTuple):
+    """The kept windows of S links, link-major and in stream order within a
+    link, as (K,) int64 positions into the normalized rows (S, L, 9), one per
+    message, and label rows (V, T, 3), one per truth-track step: window i is
+    features rows[link[i], start[i] : start[i] + 10] with labels
+    label_rows[track[i], label_at[i] : label_at[i] + 5]."""
+
+    rows: np.ndarray
+    label_rows: np.ndarray
+    link: np.ndarray
+    start: np.ndarray
+    track: np.ndarray
+    label_at: np.ndarray
+
+    def take(self, sel=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """Features (k, 10, 9) and labels (k, 5, 3) of the windows sel (an
+        index, mask or slice over the K windows) picks, in the rows' dtype."""
+        x = sliding_window_view(self.rows, WINDOW_INPUT_STEPS, axis=1).swapaxes(2, 3)
+        y = sliding_window_view(self.label_rows, WINDOW_LABEL_STEPS, axis=1).swapaxes(2, 3)
+        return x[self.link[sel], self.start[sel]], y[self.track[sel], self.label_at[sel]]
+
+
+def link_windows(
+    senders: np.ndarray,
+    steps: np.ndarray,
+    claims: np.ndarray,
+    ego_tracks: tuple[np.ndarray, np.ndarray],
+    truth_tracks: tuple[np.ndarray, np.ndarray],
+    attackers: np.ndarray,
+    links: np.ndarray,
+    spec: NormalizationSpec,
+) -> LinkWindows:
+    """Slide a stride-1 window over each of S same-length message streams.
+
+    Stream s is the columns senders[s], steps[s] (L,) int64 and claims[s]
+    (L, 5) = pos_x, pos_y, spd_x, spd_y, rssi. Its sender's truth track is
+    truth_tracks row links[s, 0] and its receiver's ego track is ego_tracks
+    row links[s, 1]; each stack is steps (V, T) int64 and kinematics
+    (V, T, 4) = pos_x, pos_y, spd_x, spd_y, every track indexed from its own
+    first step (step == first step + index). attackers (V,) is each truth
+    track's class code. A gapless stream yields max(0, L - 14) windows;
+    windows spanning a step gap or running past either track are skipped,
+    and empty tracks yield none. Every message is normalized once and every
+    truth step labelled once; take() gathers the windows.
+
+    Raises ValueError for the first offending window inside both tracks,
+    streams in order and windows in order within a stream: one that mixes
+    senders, or a gapless one whose ego steps (!= message step, or none: the
+    window starts before the ego track) or future truth steps (not
+    consecutive) are misaligned.
+    """
+    spec.validate()
+    ego_t, ego_kin = ego_tracks
+    truth_t, truth_kin = truth_tracks
+    n_links, length = steps.shape
+    n_windows = max(0, length - (WINDOW_SPAN - 1)) if ego_t.shape[1] and truth_t.shape[1] else 0
+    if not n_windows:  # rows of one window's length, so that take() gathers (0, 10, 9) and (0, 5, 3)
+        none = np.empty(0, dtype=np.int64)
+        rows = np.empty((n_links, WINDOW_INPUT_STEPS, FEATURE_DIM))
+        return LinkWindows(rows, np.empty((0, WINDOW_LABEL_STEPS, LABEL_DIM)), none, none, none, none)
+    track, ego = links[:, 0], links[:, 1]
+    truth_origin = _origins(truth_t)[track][:, None]  # a step's row is step - origin
+    ego_origin = _origins(ego_t)[ego][:, None]
+    first = steps[:, :n_windows]
+    last = steps[:, WINDOW_INPUT_STEPS - 1 : WINDOW_INPUT_STEPS - 1 + n_windows]
+    in_tracks = (
+        (first >= truth_origin)
+        & (last + (WINDOW_LABEL_STEPS - truth_origin) < truth_t.shape[1])
+        & (first + (WINDOW_INPUT_STEPS - ego_origin) <= ego_t.shape[1])
+    )
+    gap = _any_in_run(np.diff(steps, axis=1) != 1, WINDOW_INPUT_STEPS - 1, n_windows)
+    mixed = _any_in_run(senders[:, 1:] != senders[:, :-1], WINDOW_INPUT_STEPS - 1, n_windows)
+    # every step of a kept window has a row in the truth track, and in the ego
+    # track from its first row on; a row before that reads ego_t[0] > step
+    ego_row = np.clip(steps - ego_origin, 0, ego_t.shape[1] - 1)
+    misaligned = _any_in_run(ego_t[ego[:, None], ego_row] != steps, WINDOW_INPUT_STEPS, n_windows)
+    link, start = np.nonzero(in_tracks & ~gap)
+    label_at = last[link, start] + 1 - truth_origin[link, 0]
+    label_steps = truth_t[track[link, None], label_at[:, None] + np.arange(WINDOW_LABEL_STEPS)]
+    bad = in_tracks & (mixed | (~gap & misaligned))
+    bad[link, start] |= (np.diff(label_steps, axis=1) != 1).any(axis=1)
+    if bad.any():  # the first failing window decides, as in a window-by-window pass
+        s, k = np.unravel_index(np.argmax(bad), bad.shape)
+        if mixed[s, k]:
+            raise ValueError(_MIXED)
+        raise ValueError(_MISALIGNED if misaligned[s, k] else _NOT_CONSECUTIVE)
+
+    rows = _feature_rows(claims, ego_kin[ego[:, None], ego_row], spec)
+    return LinkWindows(rows, _label_rows(truth_kin, attackers, spec), link, start, track[link], label_at)
 
 
 def windows_from_stream(
@@ -101,56 +202,26 @@ def windows_from_stream(
     attacker: AttackerType,
     spec: NormalizationSpec,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Slide a stride-1 window over one sender's stream.
+    """Slide a stride-1 window over one sender's stream: link_windows for
+    one link, gathered.
 
     ego_track and sender_track are full per-step tracks, steps (L,) and
     kinematics (L, 4) = pos_x, pos_y, spd_x, spd_y, each indexed from its own
-    first step (step == first step + index), as Scenario.vehicle_track and
-    ingest_veremi return them. Returns features (K, 10, 9) and labels
-    (K, 5, 3). A gapless stream of length L yields K = max(0, L - 14)
-    windows; windows spanning a step gap or running past either track are
-    skipped, and an empty track yields none. Each message is normalized once;
-    the windows are gathered from those rows.
-
-    Raises ValueError for the first offending window inside both tracks: one
-    that mixes senders, or a gapless one whose ego steps (!= message step,
-    or none: the window starts before the ego track) or future truth steps
-    (not consecutive) are misaligned.
+    first step, as Scenario.vehicle_track and ingest_veremi return them.
+    Returns features (K, 10, 9) and labels (K, 5, 3), and raises the
+    ValueErrors of link_windows.
     """
-    spec.validate()
-    ego_t, ego_kin = ego_track
-    truth_t, truth_kin = sender_track
-    n_windows = max(0, len(msgs) - (WINDOW_SPAN - 1)) if len(ego_t) and len(truth_t) else 0
-    senders, steps, claims = msgs.sender_id, msgs.step, msgs.claims
-    idx = np.arange(n_windows)[:, None] + np.arange(WINDOW_INPUT_STEPS)
-    win_steps = steps[idx]
-    ego_origin, truth_origin = _origin(ego_t), _origin(truth_t)  # a step's row is step - origin
-    in_tracks = (
-        (win_steps[:, 0] >= truth_origin)
-        & (win_steps[:, -1] + (WINDOW_LABEL_STEPS - truth_origin) < len(truth_t))
-        & (win_steps[:, 0] + (WINDOW_INPUT_STEPS - ego_origin) <= len(ego_t))
-    )
-    mixed = (senders[idx] != senders[idx[:, :1]]).any(axis=1)
-    kept = np.flatnonzero(in_tracks & (np.diff(win_steps, axis=1) == 1).all(axis=1))
-
-    # every step of a kept window has a row in the truth track, and in the ego
-    # track from its first row on; a row before that reads ego_t[0] > step
-    kept_steps = win_steps[kept]
-    label_idx = kept_steps[:, -1:] + (np.arange(1, 1 + WINDOW_LABEL_STEPS) - truth_origin)
-    misaligned = (ego_t[np.maximum(kept_steps - ego_origin, 0)] != kept_steps).any(axis=1)
-    label_gap = (np.diff(truth_t[label_idx], axis=1) != 1).any(axis=1)
-    bad = in_tracks & mixed
-    bad[kept] |= misaligned | label_gap
-    if bad.any():  # the first failing window decides, as in a window-by-window pass
-        k = int(np.argmax(bad))
-        if mixed[k]:
-            raise ValueError(_MIXED)
-        raise ValueError(_MISALIGNED if misaligned[np.searchsorted(kept, k)] else _NOT_CONSECUTIVE)
-    if not kept.size:
-        return np.empty((0, WINDOW_INPUT_STEPS, FEATURE_DIM)), np.empty((0, WINDOW_LABEL_STEPS, LABEL_DIM))
-
-    rows = _feature_rows(claims, ego_kin[np.clip(steps - ego_origin, 0, len(ego_t) - 1)], spec)
-    return rows[idx[kept]], _label_rows(truth_kin, attacker, spec)[label_idx]
+    (ego_t, ego_kin), (truth_t, truth_kin) = ego_track, sender_track
+    return link_windows(
+        msgs.sender_id[None],
+        msgs.step[None],
+        msgs.claims[None],
+        (ego_t[None], ego_kin[None]),
+        (truth_t[None], truth_kin[None]),
+        np.array([int(attacker)]),
+        np.zeros((1, 2), dtype=np.int64),
+        spec,
+    ).take()
 
 
 def denormalize_pos(norm_xy: np.ndarray, spec: NormalizationSpec) -> np.ndarray:

@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from .attacks import AttackParams, inject
-from .features import NormalizationSpec, windows_from_stream
+from .features import NormalizationSpec, link_windows
 from .federated import EvalSet, VehicleData
 from .seeding import TAG_ATTACK, TAG_LINK, derive_rng
 from .trace import Messages, Scenario, delivery_time, synth_rssi
@@ -26,37 +26,48 @@ def falsified_claims(scenario: Scenario, attack: AttackParams) -> dict[int, np.n
     }
 
 
-def broadcast_streams(scenario: Scenario, attack: AttackParams) -> dict[tuple[int, int], Messages]:
-    """Message streams keyed by (sender, receiver), one message per step.
+def link_columns(scenario: Scenario, attack: AttackParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every (sender, receiver) link of the scenario, receiver-major with the
+    senders ascending: links (S, 2) = sender, receiver; claims (S, steps, 5)
+    = the sender's claimed pos_x, pos_y, spd_x, spd_y and the link's RSSI;
+    and the true sender-receiver distance (S, steps).
 
-    RSSI follows the true sender-receiver distance through the scenario's
-    channel with per-link shadowing; delivery time adds the propagation
-    delay to the send time. Each link's distances, RSSI and receive times
-    are computed as arrays in one pass, and every stream owns its arrays.
+    RSSI follows the distance through the scenario's channel; the shadowing
+    of link (s, r) is drawn from derive_rng(seed, TAG_LINK, s, r), one draw
+    per step in step order.
     """
     cfg = scenario.config
-    claims = falsified_claims(scenario, attack)
     n = cfg.n_vehicles
-    pos = scenario.kinematics[:, :, :2]
-    steps = len(pos)
-    t_snd = np.arange(steps) * cfg.dt
+    links = np.array([(s, r) for r in range(n) for s in range(n) if s != r], dtype=np.int64)
+    sent = falsified_claims(scenario, attack)
+    pos = scenario.kinematics[:, :, :2].swapaxes(0, 1)
+    gap = pos[links[:, 0]] - pos[links[:, 1]]
+    distance = np.hypot(gap[..., 0], gap[..., 1])
+    claims = np.empty(distance.shape + (5,))
+    claims[..., :4] = np.stack([sent[v] for v in range(n)])[links[:, 0]]
+    link_rngs = [derive_rng(cfg.rng_seed, TAG_LINK, sender, receiver) for sender, receiver in links.tolist()]
+    claims[..., 4] = synth_rssi(distance, cfg.channel, link_rngs)
+    return links, claims, distance
+
+
+def broadcast_streams(scenario: Scenario, attack: AttackParams) -> dict[tuple[int, int], Messages]:
+    """Message streams keyed by (sender, receiver), sender-major, one message
+    per step: link_columns' claims and RSSI, and a delivery time that adds
+    the propagation delay to the send time. No two streams share memory."""
+    links, claims, distance = link_columns(scenario, attack)
+    steps = claims.shape[1]
+    t_snd = np.arange(steps) * scenario.config.dt
     streams: dict[tuple[int, int], Messages] = {}
-    for sender in range(n):
-        attacker = int(scenario.attacker_types[sender])
-        for receiver in range(n):
-            if receiver == sender:
-                continue
-            link_rng = derive_rng(cfg.rng_seed, TAG_LINK, sender, receiver)
-            gap = pos[:, sender] - pos[:, receiver]
-            distance = np.hypot(gap[:, 0], gap[:, 1])
-            streams[(sender, receiver)] = Messages(
-                sender_id=np.full(steps, sender, dtype=np.int64),
-                step=np.arange(steps, dtype=np.int64),
-                t_snd=t_snd.copy(),
-                t_rev=delivery_time(t_snd, distance),
-                claims=np.column_stack([claims[sender], synth_rssi(distance, cfg.channel, link_rng)]),
-                truth_attacker=np.full(steps, attacker, dtype=np.int64),
-            )
+    for i in np.lexsort((links[:, 1], links[:, 0])).tolist():
+        sender, receiver = links[i].tolist()
+        streams[(sender, receiver)] = Messages(
+            sender_id=np.full(steps, sender, dtype=np.int64),
+            step=np.arange(steps, dtype=np.int64),
+            t_snd=t_snd.copy(),
+            t_rev=delivery_time(t_snd, distance[i]),
+            claims=claims[i],
+            truth_attacker=np.full(steps, int(scenario.attacker_types[sender]), dtype=np.int64),
+        )
     return streams
 
 
@@ -67,50 +78,44 @@ def assemble_datasets(
     train_fraction: float = 0.8,
     dtype: str | np.dtype = np.float64,
 ) -> tuple[list[VehicleData], EvalSet]:
-    """Split every (sender -> receiver) stream's windows by time: the leading
-    train_fraction goes into the receiver's local set, the rest into the
-    shared evaluation pool. The local sets are cast to dtype as they are
-    concatenated; the pool stays float64.
+    """Window every link_columns link in one link_windows pass and split each
+    link's windows by time: the leading int(K_link * train_fraction) go into
+    the receiver's local set, the rest into the shared evaluation pool, both
+    in receiver-major, sender-ascending link order. The local sets are
+    gathered in dtype; the pool stays float64.
 
     Raises ValueError when the scenario is too short to give every vehicle
     at least one training window and the pool at least one window.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    streams = broadcast_streams(scenario, attack)
+    links, claims, _ = link_columns(scenario, attack)
     n = scenario.config.n_vehicles
-    tracks = [scenario.vehicle_track(v) for v in range(n)]
+    n_links, steps = claims.shape[:2]
+    step = np.broadcast_to(np.arange(steps, dtype=np.int64), (n_links, steps))
+    tracks = np.broadcast_to(step[0], (n, steps)), scenario.kinematics.swapaxes(0, 1)
+    attackers = np.array([int(scenario.attacker_types[v]) for v in range(n)])
+    senders = np.broadcast_to(links[:, :1], (n_links, steps))
+    windows = link_windows(senders, step, claims, tracks, tracks, attackers, links, norm)
 
+    per_link = np.bincount(windows.link, minlength=n_links)
+    link_start = np.cumsum(per_link) - per_link
+    rank = np.arange(len(windows.link)) - link_start[windows.link]
+    train = rank < (per_link * train_fraction).astype(np.int64)[windows.link]
+    local = windows._replace(
+        rows=windows.rows.astype(dtype, copy=False), label_rows=windows.label_rows.astype(dtype, copy=False)
+    )
+    receiver_of = links[windows.link, 1]
     vehicles: list[VehicleData] = []
-    eval_x: list[np.ndarray] = []
-    eval_y: list[np.ndarray] = []
     for receiver in range(n):
-        feats: list[np.ndarray] = []
-        labels: list[np.ndarray] = []
-        for sender in range(n):
-            if sender == receiver:
-                continue
-            x, y = windows_from_stream(
-                streams[(sender, receiver)],
-                tracks[receiver],
-                tracks[sender],
-                scenario.attacker_types[sender],
-                norm,
-            )
-            n_train = int(len(x) * train_fraction)
-            feats.append(x[:n_train])
-            labels.append(y[:n_train])
-            # copies, so that a stream's training windows are freed with its receiver
-            eval_x.append(x[n_train:].copy())
-            eval_y.append(y[n_train:].copy())
-        features = np.concatenate(feats, dtype=dtype)
+        features, labels = local.take(train & (receiver_of == receiver))
         if not len(features):
             raise ValueError(
                 f"vehicle {receiver} got no training windows; "
                 f"increase n_steps (= {scenario.config.n_steps}) or train_fraction"
             )
-        vehicles.append(VehicleData(receiver, features, np.concatenate(labels, dtype=dtype)))
-    pool = EvalSet(features=np.concatenate(eval_x), labels=np.concatenate(eval_y))
+        vehicles.append(VehicleData(receiver, features, labels))
+    pool = EvalSet(*windows.take(~train))
     if not len(pool.features):
         raise ValueError("evaluation pool is empty; increase n_steps or lower train_fraction")
     return vehicles, pool

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -153,14 +153,18 @@ def _check_distance(distance: float | np.ndarray) -> None:
 
 
 def synth_rssi(
-    distance: float | np.ndarray, channel: ChannelConfig, rng: np.random.Generator
+    distance: float | np.ndarray,
+    channel: ChannelConfig,
+    rng: np.random.Generator | Sequence[np.random.Generator],
 ) -> float | np.ndarray:
     """Log-distance path-loss RSSI in dBm with Gaussian shadowing.
 
     rssi = tx − 10·n·log10(d/d0) + N(0, σ); distances below the reference
     distance are clamped to it. A float gives a float; an array gives an
     array, with its shadowing drawn in one call (the same values, in order,
-    as one scalar call per element).
+    as one scalar call per element). A sequence of generators, one per row
+    of a 2-D distance array, draws each row's shadowing from its own
+    generator in one call.
     """
     _check_distance(distance)
     d = np.asarray(distance, dtype=float)
@@ -169,7 +173,12 @@ def synth_rssi(
     # 3 % of inputs, which would change every RSSI feature downstream
     log_ratio = np.array([math.log10(x) for x in ratio.ravel().tolist()]).reshape(d.shape)
     path_loss = 10.0 * channel.path_loss_exponent * log_ratio
-    shadowing = rng.normal(0.0, channel.shadowing_sigma, size=d.shape or None)
+    if isinstance(rng, np.random.Generator):
+        shadowing = rng.normal(0.0, channel.shadowing_sigma, size=d.shape or None)
+    else:
+        if d.ndim != 2 or len(rng) != len(d):
+            raise ValueError(f"need one generator per row of a 2-D distance array, got {len(rng)} for {d.shape}")
+        shadowing = np.stack([g.normal(0.0, channel.shadowing_sigma, size=d.shape[1]) for g in rng])
     rssi = channel.tx_power_dbm - path_loss + shadowing
     return float(rssi) if d.ndim == 0 else rssi
 
@@ -241,6 +250,12 @@ def _require(record: dict, key: str, path: Path, line_no: int):
     return record[key]
 
 
+def _step_of(t: float, dt: float) -> int:
+    """The step of time t: t / dt rounded half up (Python's round would take
+    k + 0.5 to the even neighbour, so two records would share a step)."""
+    return math.floor(t / dt + 0.5)
+
+
 def ingest_veremi(
     log_path: str | Path,
     ground_truth_path: str | Path,
@@ -254,7 +269,8 @@ def ingest_veremi(
     components of pos/spd are dropped); records with type 2 are the receiving
     vehicle's own GPS track, returned as steps (L,) int64 and kinematics
     (L, 4) = pos_x, pos_y, spd_x, spd_y; other type codes are skipped. Steps
-    are derived as round(time / dt).
+    are derived as floor(time / dt + 0.5): halves round up, so a log sampled
+    at k + 0.5 keeps one step per record.
 
     Raises ValueError for dt <= 0, and IngestError with the file name and
     line number for unparseable or inconsistent lines, including senders
@@ -297,7 +313,7 @@ def ingest_veremi(
                 pos = _require(rec, "pos", log_path, line_no)
                 spd = _require(rec, "spd", log_path, line_no)
                 t_rcv = float(_require(rec, "rcvTime", log_path, line_no))
-                ego_steps.append(round(t_rcv / dt))
+                ego_steps.append(_step_of(t_rcv, dt))
                 ego_kinematics.append((float(pos[0]), float(pos[1]), float(spd[0]), float(spd[1])))
             elif rec_type == LOG_TYPE_BSM:
                 sender = int(_require(rec, "sender", log_path, line_no))
@@ -311,7 +327,7 @@ def ingest_veremi(
                 t_snd = float(_require(rec, "sendTime", log_path, line_no))
                 t_rev = float(_require(rec, "rcvTime", log_path, line_no))
                 rssi = float(_require(rec, "RSSI", log_path, line_no))
-                ids.append((sender, round(t_snd / dt), int(code_map[code])))
+                ids.append((sender, _step_of(t_snd, dt), int(code_map[code])))
                 times.append((t_snd, t_rev))
                 claims.append((float(pos[0]), float(pos[1]), float(spd[0]), float(spd[1]), rssi))
     id_cols = np.array(ids, dtype=np.int64).reshape(-1, 3)

@@ -13,6 +13,7 @@ from fltp.features import (
     WINDOW_LABEL_STEPS,
     WINDOW_SPAN,
     denormalize_pos,
+    link_windows,
     windows_from_stream,
 )
 from fltp.trace import AttackerType, Messages
@@ -393,6 +394,134 @@ class TestWindowsMatchReference:
             return
         x, y = windows_from_stream(msgs, ego, sender, AttackerType.RANDOM, SPEC)
         assert x.tobytes() == expected[0].tobytes() and y.tobytes() == expected[1].tobytes()
+
+
+def _stacked_windows(streams, ego_tracks, truth_tracks, attackers, links):
+    """link_windows over same-length streams and same-length track stacks."""
+    return link_windows(
+        np.stack([m.sender_id for m in streams]),
+        np.stack([m.step for m in streams]),
+        np.stack([m.claims for m in streams]),
+        tuple(np.stack(col) for col in zip(*ego_tracks)),
+        tuple(np.stack(col) for col in zip(*truth_tracks)),
+        np.array([int(a) for a in attackers]),
+        np.asarray(links, dtype=np.int64).reshape(-1, 2),
+        SPEC,
+    )
+
+
+def _per_link_windows(streams, ego_tracks, truth_tracks, attackers, links):
+    """The window-by-window reference, one link after another."""
+    feats, labels = [], []
+    for msgs, (truth, ego) in zip(streams, links):
+        x, y = _reference_windows(msgs, ego_tracks[ego], truth_tracks[truth], attackers[truth], SPEC)
+        feats.append(x)
+        labels.append(y)
+    return np.concatenate(feats), np.concatenate(labels)
+
+
+@st.composite
+def _edited_links(draw):
+    """2-4 streams of one length whose steps are shifted, duplicated or
+    skipped in place, each link reading one of 1-3 ego and truth tracks of
+    common lengths; senders, ego steps and truth steps may be corrupted."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n_links = draw(st.integers(min_value=2, max_value=4))
+    length = draw(st.integers(min_value=0, max_value=40))
+    horizon = length + 25
+    ego_len = max(0, horizon - draw(st.integers(min_value=0, max_value=30)))
+    truth_len = max(0, horizon - draw(st.integers(min_value=0, max_value=30)))
+
+    def tracks(n, count):
+        out = []
+        for _ in range(count):
+            kin = np.column_stack([rng.uniform(-0.2 * R, 1.2 * R, size=(n, 2)), rng.uniform(-60.0, 60.0, size=(n, 2))])
+            out.append((np.arange(n, dtype=np.int64), kin.reshape(-1, 4)))
+        return out
+
+    ego_tracks = tracks(ego_len, draw(st.integers(min_value=1, max_value=3)))
+    truth_tracks = tracks(truth_len, draw(st.integers(min_value=1, max_value=3)))
+    links = [(int(rng.integers(len(truth_tracks))), int(rng.integers(len(ego_tracks)))) for _ in range(n_links)]
+    streams = []
+    for _ in range(n_links):
+        steps = np.arange(length, dtype=np.int64) + draw(st.integers(min_value=-2, max_value=3))
+        for at, shift in draw(st.lists(st.tuples(st.integers(0, 99), st.integers(-1, 2)), max_size=3)):
+            if length:
+                steps[at % length] += shift
+        claims = rng.uniform(-0.2 * R, 1.2 * R, size=(length, 5))
+        claims[:, 4] = rng.uniform(-130.0, -10.0, size=length)
+        streams.append(_messages(np.ones(length), steps, claims))
+    corruptions = draw(
+        st.lists(st.tuples(st.sampled_from(["sender", "ego", "truth"]), st.integers(0, 999)), max_size=3)
+    )
+    for kind, at in corruptions:
+        if kind == "sender" and length:
+            streams[at % n_links].sender_id[at % length] = 2
+        stack = {"ego": ego_tracks, "truth": truth_tracks}.get(kind)
+        if stack is not None and len(stack[0][0]):
+            stack[at % len(stack)][0][at % len(stack[0][0])] += 1
+    attackers = [AttackerType(int(a)) for a in rng.integers(0, 6, size=len(truth_tracks))]
+    return streams, ego_tracks, truth_tracks, attackers, links
+
+
+class TestLinkWindows:
+    """link_windows over several links against the per-link reference."""
+
+    @settings(max_examples=300)
+    @given(_edited_links())
+    def test_equals_per_link_pass(self, case):
+        """The same windows link-major, or the error the first failing link
+        raises at its first failing window."""
+        try:
+            expected = _per_link_windows(*case)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                _stacked_windows(*case)
+            assert str(got.value) == str(exc)
+            return
+        x, y = _stacked_windows(*case).take()
+        assert x.shape == expected[0].shape and y.shape == expected[1].shape
+        assert x.tobytes() == expected[0].tobytes() and y.tobytes() == expected[1].tobytes()
+
+    @staticmethod
+    def _corrupt(kind, window, stream, ego, truth):
+        """Make `window` the first of a 30-step link's 16 windows to fail
+        with `kind`: its last message's sender or ego step, or its last label
+        step, is off."""
+        if kind == "different senders":
+            stream.sender_id[window + WINDOW_INPUT_STEPS - 1] = 2
+        elif kind == "misaligned":
+            ego[0][window + WINDOW_INPUT_STEPS - 1] += 1
+        else:
+            truth[0][window + WINDOW_SPAN - 1] += 1
+
+    @pytest.mark.parametrize("first", ["different senders", "misaligned", "consecutive"])
+    @pytest.mark.parametrize("later", ["different senders", "misaligned", "consecutive"])
+    def test_earlier_link_wins_over_later(self, first, later):
+        """Link 0 fails at its window 9, link 1 at its window 0: link 0's
+        error comes out."""
+        sender = _track(30)
+        streams = [_stream(sender), _stream(sender)]
+        egos = [_track(30), _track(30)]
+        truths = [_track(30), _track(30)]
+        self._corrupt(first, 9, streams[0], egos[0], truths[0])
+        self._corrupt(later, 0, streams[1], egos[1], truths[1])
+        with pytest.raises(ValueError, match=first):
+            _stacked_windows(streams, egos, truths, [AttackerType.GENUINE] * 2, [(0, 0), (1, 1)])
+
+    @pytest.mark.parametrize("first", ["different senders", "misaligned", "consecutive"])
+    @pytest.mark.parametrize("later", ["different senders", "misaligned", "consecutive"])
+    def test_earliest_window_within_a_link_wins(self, first, later):
+        """A clean link 0, then link 1 failing at windows 2 and 11: window 2's
+        error comes out."""
+        sender = _track(30)
+        streams = [_stream(sender), _stream(sender)]
+        egos = [_track(30), _track(30)]
+        truths = [_track(30), _track(30)]
+        self._corrupt(later, 11, streams[1], egos[1], truths[1])
+        self._corrupt(first, 2, streams[1], egos[1], truths[1])
+        with pytest.raises(ValueError, match=first):
+            _stacked_windows(streams, egos, truths, [AttackerType.GENUINE] * 2, [(0, 0), (1, 1)])
 
 
 class TestDenormalize:

@@ -200,3 +200,12 @@ def test_log_late_start_windows_like_one_at_zero(tmp_path):
     x, y = _windows_of_log(tmp_path, 0)
     assert len(x) == 30 - 14
     assert late_x.tobytes() == x.tobytes() and late_y.tobytes() == y.tobytes()
+
+
+def test_half_step_log_windows_like_one_on_the_step(tmp_path):
+    """Steps round half up: a log sampled at rcvTime k + 0.5 gets one step
+    per record (round-half-even gave steps 0, 2, 2, 4, ... and no window)."""
+    half_x, half_y = _windows_of_log(tmp_path, 0.5)
+    x, y = _windows_of_log(tmp_path, 0)
+    assert len(half_x) == len(x) == 30 - 14
+    assert half_x.tobytes() == x.tobytes() and half_y.tobytes() == y.tobytes()

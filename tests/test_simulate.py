@@ -208,8 +208,8 @@ class TestPooledTrainingSet:
             offset += vd.n_samples
 
 
-# The per-message broadcast and per-pair assembly that the link-at-a-time
-# versions replaced, kept as the references they must reproduce exactly.
+# The per-message broadcast and per-pair assembly that the array versions
+# replaced, kept as the references they must reproduce exactly.
 def _reference_broadcast(scenario, attack):
     cfg = scenario.config
     ch = cfg.channel
@@ -269,16 +269,29 @@ def _reference_assemble(scenario, attack, norm, train_fraction):
     return per_vehicle, (np.stack(eval_x), np.stack(eval_y))
 
 
-def _profile_scenario(profile, n_vehicles, seed):
+def _profile_scenario(profile, n_vehicles, penetration, seed):
     cfg = config_from_kv({}, profile=profile)
-    scenario = generate_scenario(replace(cfg.scenario, n_vehicles=n_vehicles, penetration=0.75, rng_seed=seed))
+    scenario = generate_scenario(replace(cfg.scenario, n_vehicles=n_vehicles, penetration=penetration, rng_seed=seed))
     return scenario, cfg
 
 
-@pytest.mark.parametrize("profile,n_vehicles,seed", [("desk", 4, 11), ("paper", 10, 12)])
+@pytest.mark.parametrize(
+    "profile,n_vehicles,penetration,seed",
+    [
+        ("desk", 4, 0.75, 11),
+        ("paper", 10, 0.75, 12),
+        ("desk", 4, 0.0, 13),
+        ("paper", 10, 1.0, 14),
+        ("paper", 20, 0.75, 15),
+    ],
+    ids=["desk-4-11", "paper-10-12", "desk-4-13-pen0", "paper-10-14-pen1", "paper-20-15"],
+)
 class TestMatchesMessageByMessageBuild:
-    def test_broadcast_equals_scalar_loop(self, profile, n_vehicles, seed):
-        scenario, cfg = _profile_scenario(profile, n_vehicles, seed)
+    """The desk profile assembles float64 training sets, the paper profile
+    float32 ones (its precision)."""
+
+    def test_broadcast_equals_scalar_loop(self, profile, n_vehicles, penetration, seed):
+        scenario, cfg = _profile_scenario(profile, n_vehicles, penetration, seed)
         got = broadcast_streams(scenario, cfg.attack)
         expected = _reference_broadcast(scenario, cfg.attack)
         assert list(got) == list(expected)
@@ -288,13 +301,17 @@ class TestMatchesMessageByMessageBuild:
                 assert got_col.dtype == col.dtype and got_col.shape == col.shape
                 assert got_col.tobytes() == col.tobytes()
 
-    def test_assembled_arrays_byte_equal(self, profile, n_vehicles, seed):
-        scenario, cfg = _profile_scenario(profile, n_vehicles, seed)
-        vehicles, pool = assemble_datasets(scenario, cfg.attack, cfg.norm, cfg.train_fraction)
+    def test_assembled_arrays_byte_equal(self, profile, n_vehicles, penetration, seed):
+        scenario, cfg = _profile_scenario(profile, n_vehicles, penetration, seed)
+        precision = cfg.train.precision
+        vehicles, pool = assemble_datasets(scenario, cfg.attack, cfg.norm, cfg.train_fraction, precision)
         per_vehicle, (pool_x, pool_y) = _reference_assemble(scenario, cfg.attack, cfg.norm, cfg.train_fraction)
         assert [v.vehicle_id for v in vehicles] == list(range(n_vehicles))
         for vd, (x, y) in zip(vehicles, per_vehicle):
+            x, y = x.astype(precision), y.astype(precision)
+            assert vd.features.dtype == x.dtype and vd.labels.dtype == y.dtype
             assert vd.features.shape == x.shape and vd.labels.shape == y.shape
             assert vd.features.tobytes() == x.tobytes() and vd.labels.tobytes() == y.tobytes()
+        assert pool.features.dtype == pool_x.dtype == np.float64
         assert pool.features.shape == pool_x.shape
         assert pool.features.tobytes() == pool_x.tobytes() and pool.labels.tobytes() == pool_y.tobytes()

@@ -90,6 +90,15 @@ class TestSynthRssi:
         assert got.tolist() == expected
         assert array_rng.random() == scalar_rng.random()  # the same number of draws
 
+    def test_generator_per_row_equals_one_call_per_row(self):
+        ch = ChannelConfig(shadowing_sigma=2.0)
+        d = np.random.default_rng(5).uniform(0.0, 15_000.0, size=(3, 40))
+        got = synth_rssi(d, ch, [np.random.default_rng(k) for k in range(3)])
+        expected = np.stack([synth_rssi(row, ch, np.random.default_rng(k)) for k, row in enumerate(d)])
+        assert got.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError, match="one generator per row"):
+            synth_rssi(d, ch, [np.random.default_rng(0)])
+
     def test_array_with_negative_distance_rejected(self):
         with pytest.raises(ValueError):
             synth_rssi(np.array([3.0, -1.0]), ChannelConfig(), self._rng())

@@ -146,8 +146,9 @@ def link_windows(
     first step (step == first step + index). attackers (V,) is each truth
     track's class code. A gapless stream yields max(0, L - 14) windows;
     windows spanning a step gap or running past either track are skipped,
-    and empty tracks yield none. Every message is normalized once and every
-    truth step labelled once; take() gathers the windows.
+    and an empty ego track or a truth track of fewer than 5 rows yields
+    none. Every message is normalized once and every truth step labelled
+    once; take() gathers the windows.
 
     Raises ValueError for the first offending window inside both tracks,
     streams in order and windows in order within a stream: one that mixes
@@ -159,7 +160,10 @@ def link_windows(
     ego_t, ego_kin = ego_tracks
     truth_t, truth_kin = truth_tracks
     n_links, length = steps.shape
-    n_windows = max(0, length - (WINDOW_SPAN - 1)) if ego_t.shape[1] and truth_t.shape[1] else 0
+    # a window's labels are WINDOW_LABEL_STEPS rows of its truth track, so a
+    # shorter truth track keeps none
+    has_tracks = ego_t.shape[1] > 0 and truth_t.shape[1] >= WINDOW_LABEL_STEPS
+    n_windows = max(0, length - (WINDOW_SPAN - 1)) if has_tracks else 0
     if not n_windows:  # rows of one window's length, so that take() gathers (0, 10, 9) and (0, 5, 3)
         none = np.empty(0, dtype=np.int64)
         rows = np.empty((n_links, WINDOW_INPUT_STEPS, FEATURE_DIM))

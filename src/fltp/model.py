@@ -153,16 +153,6 @@ class ForwardCache:
     pred: np.ndarray  # (B, 5, 3)
 
 
-def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Logistic function as 0.5 * (1 + tanh(x / 2)): finite for every finite
-    x, without the overflow of exp(-x) or a mask per sign."""
-    out = np.multiply(x, 0.5, out=out)
-    np.tanh(out, out=out)
-    out += 1.0
-    out *= 0.5
-    return out
-
-
 def _as_batch(window: np.ndarray) -> tuple[np.ndarray, bool]:
     """The window as a (B, T, D) batch in the compute dtype: float32 stays
     float32, anything else becomes float64."""
@@ -207,12 +197,28 @@ def _lstm(
     cell states are zero; the head reads the final hidden state only.
     Everything runs in xt's dtype; params of another dtype are cast to it,
     and the cache holds the cast copy.
+
+    Each step projects its own input, so the working set is a few (B, 4H)
+    arrays whatever T is. That GEMM runs over an even number of rows: with B
+    odd it takes one row of the next step along (of the previous step at the
+    last one). OpenBLAS's Haswell DGEMM rounds a single leftover row
+    differently from rows it computes in blocks, and at B = 1 the GEMM
+    becomes a GEMV that sums in another order; with the extra row every
+    float64 projection equals that row's in one GEMM over all T·B rows, on
+    the SkylakeX, Haswell and Sandybridge kernels.
+
+    The sigmoid gates use logistic(z) = 0.5 * (1 + tanh(z / 2)), finite for
+    every finite z. A per-call copy of w_x, w_h and b has its i, f and o rows
+    halved, which halves those pre-activations exactly (outside the
+    subnormal range), so one tanh call gives all four gates of a step.
     """
     steps, batch, _ = xt.shape
     h_size = params.hidden_size
     dtype = xt.dtype
     if params.w_x.dtype != dtype:
         params = ModelParams.view(params.flatten().astype(dtype), h_size)
+    half = np.repeat(np.array([0.5, 0.5, 1.0, 0.5], dtype), h_size)  # per gate row: i, f, g, o
+    w_x, w_h, b = params.w_x * half[:, None], params.w_h * half[:, None], params.b * half
     kept = steps if keep else 1
     pool = {} if pool is None else pool
     gates = _scratch(pool, "gates", (kept, 4, batch, h_size), dtype)
@@ -221,24 +227,28 @@ def _lstm(
     hidden = _scratch(pool, "hidden", (kept, batch, h_size), dtype)
     z = _scratch(pool, "z", (batch, 4 * h_size), dtype)
     ig = _scratch(pool, "ig", (batch, h_size), dtype)
+    x_rows = xt.reshape(steps * batch, INPUT_DIM)
+    span = min(batch + batch % 2, steps * batch)  # rows per input projection
+    zx_rows = _scratch(pool, "zx", (span, 4 * h_size), dtype)
 
-    # input projection of every step in one GEMM
-    zx = _scratch(pool, "zx", (steps, batch, 4 * h_size), dtype)
-    np.matmul(xt.reshape(steps * batch, INPUT_DIM), params.w_x.T, out=zx.reshape(steps * batch, 4 * h_size))
     z_gates = z.reshape(batch, 4, h_size).transpose(1, 0, 2)  # (4, B, H) view of z
     for t in range(steps):
         k = t if keep else 0
         prev = k - 1 if keep else 0
+        lo = min(t * batch, steps * batch - span)
+        np.matmul(x_rows[lo : lo + span], w_x.T, out=zx_rows)
+        zx = zx_rows[t * batch - lo :][:batch]  # step t's rows
         if t == 0:  # h = 0: no recurrent term
-            np.add(zx[0], params.b, out=z)
+            np.add(zx, b, out=z)
         else:
-            np.matmul(hidden[prev], params.w_h.T, out=z)
-            z += zx[t]
-            z += params.b
+            np.matmul(hidden[prev], w_h.T, out=z)
+            z += zx
+            z += b
         gate = gates[k]
-        _sigmoid(z_gates[:2], out=gate[:2])
-        np.tanh(z_gates[2], out=gate[2])
-        _sigmoid(z_gates[3], out=gate[3])
+        np.tanh(z_gates, out=gate)
+        for sigmoid in (gate[:2], gate[3]):  # i, f and o: tanh(z / 2) -> logistic(z)
+            sigmoid += 1.0
+            sigmoid *= 0.5
         i, f, g, o = gate
         c = cell[k]
         if t == 0:  # c = 0: no forget term

@@ -34,19 +34,25 @@ def link_columns(scenario: Scenario, attack: AttackParams) -> tuple[np.ndarray, 
 
     RSSI follows the distance through the scenario's channel; the shadowing
     of link (s, r) is drawn from derive_rng(seed, TAG_LINK, s, r), one draw
-    per step in step order.
+    per step in step order. Links (s, r) and (r, s) have the same distance,
+    bit for bit, and its path loss is computed once.
     """
     cfg = scenario.config
     n = cfg.n_vehicles
     links = np.array([(s, r) for r in range(n) for s in range(n) if s != r], dtype=np.int64)
     sent = falsified_claims(scenario, attack)
     pos = scenario.kinematics[:, :, :2].swapaxes(0, 1)
-    gap = pos[links[:, 0]] - pos[links[:, 1]]
-    distance = np.hypot(gap[..., 0], gap[..., 1])
+    near, far = np.triu_indices(n, 1)  # one unordered pair per row
+    pair_of = np.empty((n, n), dtype=np.int64)
+    pair_of[near, far] = pair_of[far, near] = np.arange(len(near))
+    gap = pos[near] - pos[far]
+    pair_distance = np.hypot(gap[..., 0], gap[..., 1])
+    pair = pair_of[links[:, 0], links[:, 1]]
+    distance = pair_distance[pair]
     claims = np.empty(distance.shape + (5,))
     claims[..., :4] = np.stack([sent[v] for v in range(n)])[links[:, 0]]
     link_rngs = [derive_rng(cfg.rng_seed, TAG_LINK, sender, receiver) for sender, receiver in links.tolist()]
-    claims[..., 4] = synth_rssi(distance, cfg.channel, link_rngs)
+    claims[..., 4] = synth_rssi(pair_distance, cfg.channel, link_rngs, rows=pair)
     return links, claims, distance
 
 

@@ -156,6 +156,7 @@ def synth_rssi(
     distance: float | np.ndarray,
     channel: ChannelConfig,
     rng: np.random.Generator | Sequence[np.random.Generator],
+    rows: np.ndarray | None = None,
 ) -> float | np.ndarray:
     """Log-distance path-loss RSSI in dBm with Gaussian shadowing.
 
@@ -164,7 +165,9 @@ def synth_rssi(
     array, with its shadowing drawn in one call (the same values, in order,
     as one scalar call per element). A sequence of generators, one per row
     of a 2-D distance array, draws each row's shadowing from its own
-    generator in one call.
+    generator in one call. With rows, output row k takes the path loss of
+    distance row rows[k], so links that share a distance share its
+    logarithms; the shadowing is drawn per output row.
     """
     _check_distance(distance)
     d = np.asarray(distance, dtype=float)
@@ -173,14 +176,16 @@ def synth_rssi(
     # 3 % of inputs, which would change every RSSI feature downstream
     log_ratio = np.array([math.log10(x) for x in ratio.ravel().tolist()]).reshape(d.shape)
     path_loss = 10.0 * channel.path_loss_exponent * log_ratio
+    if rows is not None:
+        path_loss = path_loss[rows]
     if isinstance(rng, np.random.Generator):
-        shadowing = rng.normal(0.0, channel.shadowing_sigma, size=d.shape or None)
+        shadowing = rng.normal(0.0, channel.shadowing_sigma, size=path_loss.shape or None)
     else:
-        if d.ndim != 2 or len(rng) != len(d):
-            raise ValueError(f"need one generator per row of a 2-D distance array, got {len(rng)} for {d.shape}")
-        shadowing = np.stack([g.normal(0.0, channel.shadowing_sigma, size=d.shape[1]) for g in rng])
+        if path_loss.ndim != 2 or len(rng) != len(path_loss):
+            raise ValueError(f"need one generator per row of a 2-D distance array, got {len(rng)} for {path_loss.shape}")
+        shadowing = np.stack([g.normal(0.0, channel.shadowing_sigma, size=path_loss.shape[1]) for g in rng])
     rssi = channel.tx_power_dbm - path_loss + shadowing
-    return float(rssi) if d.ndim == 0 else rssi
+    return float(rssi) if rssi.ndim == 0 else rssi
 
 
 def delivery_time(

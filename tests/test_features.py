@@ -200,6 +200,17 @@ class TestWindowsFromStream:
         )
         assert x.shape == (0, WINDOW_INPUT_STEPS, FEATURE_DIM) and y.shape == (0, WINDOW_LABEL_STEPS, LABEL_DIM)
 
+    @pytest.mark.parametrize("sender_rows", range(WINDOW_LABEL_STEPS + 1))
+    def test_short_sender_track_yields_no_windows(self, sender_rows):
+        """A truth track too short to label any window of a 15-message
+        stream gives no windows, as the window-by-window build does."""
+        msgs = _stream(_track(WINDOW_SPAN))
+        ego, sender = _track(WINDOW_SPAN), _track(sender_rows)
+        x, y = windows_from_stream(msgs, ego, sender, AttackerType.GENUINE, SPEC)
+        ref_x, ref_y = _reference_windows(msgs, ego, sender, AttackerType.GENUINE, SPEC)
+        assert x.shape == ref_x.shape == (0, WINDOW_INPUT_STEPS, FEATURE_DIM)
+        assert y.shape == ref_y.shape == (0, WINDOW_LABEL_STEPS, LABEL_DIM)
+
     def test_gap_skips_spanning_windows(self):
         length = 40
         sender = _track(length)

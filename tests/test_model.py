@@ -6,13 +6,14 @@ import pytest
 
 from fltp.model import (
     INPUT_DIM,
+    ForwardCache,
     ModelParams,
     OptimizerState,
     OUTPUT_DIM,
     PREDICT_CHUNK,
     TrainConfig,
+    _lstm,
     _scratch,
-    _sigmoid,
     backward,
     flat_length,
     forward,
@@ -162,15 +163,122 @@ class TestForward:
         np.testing.assert_array_equal(forward(p, x), forward_cached(p, x)[0])
         np.testing.assert_array_equal(forward(p, x[0]), forward_cached(p, x[0])[0])
 
-    def test_sigmoid_matches_logistic_without_warnings(self):
+    def test_gates_match_logistic_without_warnings(self):
+        """Every pre-activation x in [-800, 800] reaches all four gates
+        through feature 0 (w_x column 0 is 1, everything else 0): the i, f
+        and o gates hold the logistic of x, finite and without a
+        RuntimeWarning, and the g gate tanh(x)."""
         x = np.linspace(-800.0, 800.0, 160_001)
+        params = ModelParams.zeros(1)
+        params.w_x[:, 0] = 1.0
+        xt = np.zeros((2, x.size, INPUT_DIM))
+        xt[:, :, 0] = x
         with np.errstate(over="ignore"):
             expected = 1.0 / (1.0 + np.exp(-x))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = _sigmoid(x)
-        assert np.all(np.isfinite(got))
-        assert np.max(np.abs(got - expected)) <= 1e-15
+            _, cache = _lstm(params, xt, keep=True)
+        for t in range(2):
+            i, f, g, o = cache.gates[t, :, :, 0]
+            for got in (i, f, o):
+                assert np.all(np.isfinite(got))
+                assert np.max(np.abs(got - expected)) <= 1e-15
+            np.testing.assert_array_equal(g, np.tanh(x))
+
+
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function as 0.5 * (1 + tanh(x / 2))."""
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
+
+
+def stacked_lstm(params: ModelParams, xt: np.ndarray, keep: bool):
+    """The step loop with the input projection of all T steps in one GEMM
+    up front and one activation call per gate: the layout _lstm computes
+    the same values as, with a (T, B, 4H) projection buffer."""
+    steps, batch, _ = xt.shape
+    h_size = params.hidden_size
+    dtype = xt.dtype
+    if params.w_x.dtype != dtype:
+        params = ModelParams.view(params.flatten().astype(dtype), h_size)
+    kept = steps if keep else 1
+    gates = np.empty((kept, 4, batch, h_size), dtype)
+    cell = np.empty((kept, batch, h_size), dtype)
+    tanh_cell = np.empty((kept, batch, h_size), dtype)
+    hidden = np.empty((kept, batch, h_size), dtype)
+    z = np.empty((batch, 4 * h_size), dtype)
+    ig = np.empty((batch, h_size), dtype)
+    zx = (xt.reshape(steps * batch, INPUT_DIM) @ params.w_x.T).reshape(steps, batch, 4 * h_size)
+    z_gates = z.reshape(batch, 4, h_size).transpose(1, 0, 2)
+    for t in range(steps):
+        k = t if keep else 0
+        prev = k - 1 if keep else 0
+        if t == 0:
+            np.add(zx[0], params.b, out=z)
+        else:
+            np.matmul(hidden[prev], params.w_h.T, out=z)
+            z += zx[t]
+            z += params.b
+        gate = gates[k]
+        _sigmoid(z_gates[:2], out=gate[:2])
+        np.tanh(z_gates[2], out=gate[2])
+        _sigmoid(z_gates[3], out=gate[3])
+        i, f, g, o = gate
+        c = cell[k]
+        if t == 0:
+            np.multiply(i, g, out=c)
+        else:
+            np.multiply(f, cell[prev], out=c)
+            np.multiply(i, g, out=ig)
+            c += ig
+        np.tanh(c, out=tanh_cell[k])
+        np.multiply(o, tanh_cell[k], out=hidden[k])
+    pred = (hidden[-1] @ params.w_head.T + params.b_head).reshape(batch, 5, 3)
+    return pred, ForwardCache(params, xt, gates, cell, tanh_cell, hidden, pred) if keep else None
+
+
+class TestMatchesStackedLoop:
+    """_lstm against stacked_lstm: the prediction, the cached gates, cell,
+    tanh(cell) and hidden states, and backward's gradient.
+
+    float64 is bit-equal under OpenBLAS's SkylakeX, Haswell and Sandybridge
+    kernels, B = 1 and odd B included: each step's projection GEMM runs over
+    an even number of rows, which keeps it off the one-row edge kernel and
+    the M = 1 GEMV path. float32 is bit-equal under SkylakeX and
+    Sandybridge; Haswell's SGEMM rounds the per-step products differently,
+    so float32 is compared within 1e-5 of each entry and of the array's
+    largest entry (float32's unit roundoff is 6e-8)."""
+
+    @pytest.mark.parametrize("keep", [True, False])
+    @pytest.mark.parametrize("batch", [1, 2, 3, 120, 128, 130, 512, 1027])
+    @pytest.mark.parametrize("hidden", [6, 32, 64])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_equals_stacked_loop(self, dtype, hidden, batch, keep):
+        params = ModelParams.init(hidden, derive_rng(700, hidden, batch))
+        rng = derive_rng(701, hidden, batch)
+        xt = rng.uniform(-1.0, 1.0, size=(10, batch, INPUT_DIM)).astype(dtype)
+        y = rng.uniform(0.0, 1.0, size=(batch, 5, 3)).astype(dtype)
+        if dtype == np.float64:
+            check = np.testing.assert_array_equal
+        else:
+            def check(got, expected):
+                # entries near zero come from cancellation: their error is
+                # relative to the array's largest entry, not their own
+                np.testing.assert_allclose(got, expected, rtol=1e-5, atol=1e-5 * np.abs(expected).max())
+
+        got_pred, got = _lstm(params, xt, keep)
+        expected_pred, expected = stacked_lstm(params, xt, keep)
+        check(got_pred, expected_pred)
+        if not keep:
+            assert got is None
+            return
+        np.testing.assert_array_equal(got.params.flatten(), expected.params.flatten())  # unhalved
+        for field in ("gates", "cell", "tanh_cell", "hidden"):
+            check(getattr(got, field), getattr(expected, field))
+        check(backward(got, y), backward(expected, y))
 
 
 class TestLoss:

@@ -83,6 +83,21 @@ class TestBroadcastStreams:
             assert msgs.step.tolist() == list(range(sc.config.n_steps))
             assert (msgs.sender_id == s).all()
 
+    def test_one_logarithm_per_unordered_pair(self, monkeypatch):
+        """Links (s, r) and (r, s) share their distance and its path loss."""
+        sc = _scenario(n_vehicles=5)
+        calls = []
+
+        def log10(x, real=math.log10):
+            calls.append(x)
+            return real(x)
+
+        monkeypatch.setattr(math, "log10", log10)
+        streams = broadcast_streams(sc, _attack(sc.config))
+        assert len(calls) == 5 * 4 // 2 * sc.config.n_steps
+        for (s, r), msgs in streams.items():
+            assert msgs.t_rev.tobytes() == streams[(r, s)].t_rev.tobytes()
+
     def test_columns_are_typed_and_owned(self):
         """int64 ids, steps and classes; no two streams share a writable array."""
         sc = _scenario()

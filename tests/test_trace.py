@@ -99,6 +99,16 @@ class TestSynthRssi:
         with pytest.raises(ValueError, match="one generator per row"):
             synth_rssi(d, ch, [np.random.default_rng(0)])
 
+    def test_rows_share_a_distance_row(self):
+        ch = ChannelConfig(shadowing_sigma=2.0)
+        d = np.random.default_rng(5).uniform(0.0, 15_000.0, size=(3, 40))
+        rows = np.array([2, 0, 2, 1, 0])
+        got = synth_rssi(d, ch, [np.random.default_rng(k) for k in range(5)], rows=rows)
+        expected = synth_rssi(d[rows], ch, [np.random.default_rng(k) for k in range(5)])
+        assert got.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError, match="one generator per row"):
+            synth_rssi(d, ch, [np.random.default_rng(0)] * 3, rows=rows)
+
     def test_array_with_negative_distance_rejected(self):
         with pytest.raises(ValueError):
             synth_rssi(np.array([3.0, -1.0]), ChannelConfig(), self._rng())

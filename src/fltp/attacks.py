@@ -8,36 +8,27 @@ import numpy as np
 
 from .trace import AttackerType
 
-Vec2 = tuple[float, float]
-
 
 @dataclass
 class AttackParams:
     region_side: float
     v_max: float
-    fixed_point: Vec2  # constant attack: claimed position
-    fixed_offset: Vec2 = (250.0, -150.0)  # constant-offset attack, m
+    fixed_x: float | None = None  # constant attack: claimed position; None is the region centre
+    fixed_y: float | None = None
+    offset_x: float = 250.0  # constant-offset attack, m
+    offset_y: float = -150.0
     random_offset_max: float = 300.0  # random-offset attack bound, m per axis
-    stop_probabilities: Vec2 = (0.7, 0.3)  # (truth, previous-position)
+    stop_probability: float = 0.3  # eventual stop: replay the previous position
 
     def __post_init__(self) -> None:
-        p1, p2 = self.stop_probabilities
-        if not (0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0):
-            raise ValueError(f"stop probabilities must lie in [0, 1], got {self.stop_probabilities}")
-        if abs(p1 + p2 - 1.0) > 1e-9:
-            raise ValueError(f"stop probabilities must sum to 1, got {self.stop_probabilities}")
+        if not 0.0 <= self.stop_probability <= 1.0:
+            raise ValueError(f"stop probability must lie in [0, 1], got {self.stop_probability}")
         if self.random_offset_max < 0:
             raise ValueError(f"random_offset_max must be >= 0, got {self.random_offset_max}")
         if self.region_side <= 0:
             raise ValueError(f"region_side must be > 0, got {self.region_side}")
         if self.v_max <= 0:
             raise ValueError(f"v_max must be > 0, got {self.v_max}")
-
-    @classmethod
-    def for_region(cls, region_side: float, v_max: float = 40.0, **overrides) -> "AttackParams":
-        """Defaults for a given region: fixed point at the region centre."""
-        overrides.setdefault("fixed_point", (region_side / 2.0, region_side / 2.0))
-        return cls(region_side=region_side, v_max=v_max, **overrides)
 
 
 def inject(
@@ -49,12 +40,12 @@ def inject(
     """Claimed kinematics of one sender's whole track: truth is (L, 4) =
     pos_x, pos_y, spd_x, spd_y per step, and so is the result.
 
-    Claimed positions: Constant sends the fixed point; the offset attacks add
-    the fixed offset, or a fresh uniform draw in [−δ_max, δ_max] per axis and
-    step, to the truth (not clamped to the region); Random draws uniformly
-    over [0, R] per axis; EventualStop reports truth with probability P1 and
-    replays the previous step's true position with P2 (step 0 replays its
-    own).
+    Claimed positions: Constant sends the fixed point, the region centre on
+    an axis left None; the offset attacks add the fixed offset, or a fresh
+    uniform draw in [−δ_max, δ_max] per axis and step, to the truth (not
+    clamped to the region); Random draws uniformly over [0, R] per axis;
+    EventualStop replays the previous step's true position with the stop
+    probability (step 0 replays its own) and reports truth otherwise.
 
     Claimed-speed policy per class: Constant and the stop branch of
     EventualStop claim (0, 0); Random claims a fresh uniform draw in
@@ -70,10 +61,12 @@ def inject(
     if attacker is AttackerType.GENUINE:
         return truth.copy()
     if attacker is AttackerType.CONSTANT:
-        return np.tile((*params.fixed_point, 0.0, 0.0), (n, 1))
+        centre = params.region_side / 2.0
+        fixed = [centre if c is None else c for c in (params.fixed_x, params.fixed_y)]
+        return np.tile((*fixed, 0.0, 0.0), (n, 1))
     if attacker in (AttackerType.CONSTANT_OFFSET, AttackerType.RANDOM_OFFSET):
         if attacker is AttackerType.CONSTANT_OFFSET:
-            offset = np.array(params.fixed_offset, dtype=float)
+            offset = np.array((params.offset_x, params.offset_y), dtype=float)
         else:
             offset = rng.uniform(-params.random_offset_max, params.random_offset_max, size=(n, 2))
         return np.hstack([pos + offset, spd + offset * (params.v_max / params.region_side)])
@@ -81,7 +74,7 @@ def inject(
         r, v = params.region_side, params.v_max
         return rng.uniform((0.0, 0.0, -v, -v), (r, r, v, v), size=(n, 4))
     if attacker is AttackerType.EVENTUAL_STOP:
-        stop = (rng.random(n) < params.stop_probabilities[1])[:, None]
+        stop = (rng.random(n) < params.stop_probability)[:, None]
         prev = np.concatenate([pos[:1], pos[:-1]])
         return np.hstack([np.where(stop, prev, pos), np.where(stop, 0.0, spd)])
     raise ValueError(f"unknown attacker type: {attacker!r}")

@@ -73,20 +73,18 @@ def _float_or_none(key: str, text: str) -> float | None:
 
 class ConfigKey(NamedTuple):
     """One flat config key: its text default, the parser turning text into a
-    value, and where that value lives on an ExperimentConfig. A dotted path
-    names the dataclass field the value fills; a callable reads back a value
-    config_from_kv derives by hand."""
+    value, and the dotted path of the ExperimentConfig field the value fills."""
 
     name: str
     default: str
     parse: Callable[[str, str], Any]
-    path: str | Callable[["ExperimentConfig"], Any]
+    path: str
 
     def get(self, cfg: "ExperimentConfig") -> Any:
-        return self.path(cfg) if callable(self.path) else attrgetter(self.path)(cfg)
+        return attrgetter(self.path)(cfg)
 
 
-def _key(name: str, default: str, parse: Callable[[str, str], Any], path: str | Callable | None = None) -> ConfigKey:
+def _key(name: str, default: str, parse: Callable[[str, str], Any], path: str | None = None) -> ConfigKey:
     return ConfigKey(name, default, parse, path or name)
 
 
@@ -125,12 +123,12 @@ KEYS: tuple[ConfigKey, ...] = (
     _key("influence_random_offset", "0.8", _float, "influence.random_offset"),
     _key("influence_eventual_stop", "1.0", _float, "influence.eventual_stop"),
     # an empty fixed point means the region centre
-    _key("attack_fixed_x", "", _float_or_none, lambda c: c.attack.fixed_point[0]),
-    _key("attack_fixed_y", "", _float_or_none, lambda c: c.attack.fixed_point[1]),
-    _key("attack_offset_x", "250", _float, lambda c: c.attack.fixed_offset[0]),
-    _key("attack_offset_y", "-150", _float, lambda c: c.attack.fixed_offset[1]),
+    _key("attack_fixed_x", "", _float_or_none, "attack.fixed_x"),
+    _key("attack_fixed_y", "", _float_or_none, "attack.fixed_y"),
+    _key("attack_offset_x", "250", _float, "attack.offset_x"),
+    _key("attack_offset_y", "-150", _float, "attack.offset_y"),
     _key("attack_random_offset_max", "300", _float, "attack.random_offset_max"),
-    _key("attack_stop_probability", "0.3", _float, lambda c: c.attack.stop_probabilities[1]),
+    _key("attack_stop_probability", "0.3", _float, "attack.stop_probability"),
     _key("train_fraction", "0.8", _float),
     _key("judgment_threshold", "0.5", _float),
     _key("checkpoints", "false", _bool),
@@ -245,25 +243,16 @@ def config_from_kv(kv_in: dict[str, str], profile: str | None = None) -> Experim
             raise ConfigError(f"unknown profile: {profile!r} (choose from {sorted(PROFILES)})")
         kv.update(PROFILES[profile])
     kv.update(kv_in)
-    v = {key.name: key.parse(key.name, kv[key.name]) for key in KEYS}
-    values = {key.path: v[key.name] for key in KEYS if isinstance(key.path, str)}
+    values = {key.path: key.parse(key.name, kv[key.name]) for key in KEYS}
 
     channel = ChannelConfig(**_section(values, "scenario.channel"))
     scenario = ScenarioConfig(**_section(values, "scenario"), channel=channel)
     region = {"region_side": scenario.region_side, "v_max": scenario.v_max}
-    centre = scenario.region_side / 2.0
     try:
-        attack = AttackParams(
-            **region,
-            fixed_point=tuple(centre if c is None else c for c in (v["attack_fixed_x"], v["attack_fixed_y"])),
-            fixed_offset=(v["attack_offset_x"], v["attack_offset_y"]),
-            stop_probabilities=(1.0 - v["attack_stop_probability"], v["attack_stop_probability"]),
-            **_section(values, "attack"),
-        )
         cfg = ExperimentConfig(
             **_section(values, ""),
             scenario=scenario,
-            attack=attack,
+            attack=AttackParams(**region, **_section(values, "attack")),
             norm=NormalizationSpec(**region, **_section(values, "norm")),
             train=TrainConfig(**_section(values, "train")),
             gate=GateConfig(**_section(values, "gate")),
@@ -286,6 +275,8 @@ def load_config(path: str | Path, profile: str | None = None) -> ExperimentConfi
 
 
 def _format(value: Any) -> str:
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -300,4 +291,4 @@ def _format(value: Any) -> str:
 def dump_config(cfg: ExperimentConfig) -> str:
     """Serialize a resolved config back to the flat text form; feeding the
     result to load_config reproduces an equal ExperimentConfig."""
-    return "".join(f"{key.name} = {_format(key.get(cfg))}\n" for key in KEYS)
+    return "".join(f"{key.name} = {_format(key.get(cfg))}".rstrip() + "\n" for key in KEYS)

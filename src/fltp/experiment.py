@@ -15,7 +15,7 @@ from typing import Iterator
 import numpy as np
 
 from .config import ExperimentConfig
-from .federated import METHODS, UNIFORM_GATE, EvalSet, VehicleData, run_flt_round, save_checkpoint
+from .federated import METHODS, EvalSet, VehicleData, run_flt_round, save_checkpoint
 from .metrics import RoundReport, mean_std
 from .model import ModelParams, forward, loss
 from .seeding import TAG_CELL, TAG_INIT, TAG_SCENARIO, derive_rng, derive_seed
@@ -134,7 +134,7 @@ def run_method_rounds(
     spec = METHODS[method]
     if spec.pooled:
         vehicles = [VehicleData(0, *pooled_training_set(vehicles))]
-    gate = cfg.gate if spec.gated else UNIFORM_GATE
+    gate = cfg.gate if spec.gated else None
     params = initial
     prev_accuracy = 0.0
     for round_idx in range(1, cfg.train.global_rounds + 1):

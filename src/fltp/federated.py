@@ -45,14 +45,10 @@ class GateConfig:
             raise ValueError(f"gate threshold must be in [0, 1], got {self.threshold}")
 
 
-#: averages uniformly whatever the accuracy: a draw from [0, 1) is below 1.0
-UNIFORM_GATE = GateConfig(GateStrategy.RANDOM, 1.0)
-
-
 class Method(NamedTuple):
     """How a method trains: every method runs run_flt_round each round."""
 
-    gated: bool  # the config's gate and influence table weigh the updates; else UNIFORM_GATE
+    gated: bool  # the config's gate and influence table weigh the updates; else uniform averaging
     pooled: bool  # one client, id 0, trains the pooled set; its rounds report the method as their mode
 
 
@@ -154,12 +150,14 @@ def mre_weights(updates: Sequence[LocalUpdate], influence: InfluenceTable) -> np
     return scores / scores.sum()
 
 
-def decide_mode(gate: GateConfig, global_accuracy: float, rng: np.random.Generator) -> AggregationMode:
+def decide_mode(gate: GateConfig | None, global_accuracy: float, rng: np.random.Generator) -> AggregationMode:
     """Choose the aggregation mode for this round. Pass 0.0 accuracy before
-    the first evaluation."""
-    gate.validate()
+    the first evaluation. No gate means uniform averaging, without a draw."""
     if not 0.0 <= global_accuracy <= 1.0:
         raise ValueError(f"global accuracy must be in [0, 1], got {global_accuracy}")
+    if gate is None:
+        return AggregationMode.UNIFORM_AVERAGE
+    gate.validate()
     if gate.strategy is GateStrategy.RANDOM:
         below = rng.random() < gate.threshold
     else:
@@ -222,7 +220,7 @@ def run_flt_round(
     *,
     round_idx: int,
     prev_accuracy: float,
-    gate: GateConfig,
+    gate: GateConfig | None,
     influence: InfluenceTable,
     train: TrainConfig,
     norm: NormalizationSpec,

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -249,10 +249,22 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
     return Scenario(config=config, attacker_types=types, kinematics=kinematics)
 
 
-def _require(record: dict, key: str, path: Path, line_no: int):
+def _xy(value) -> tuple[float, float]:
+    """The x and y entries of a pos/spd field; z is dropped."""
+    return float(value[0]), float(value[1])
+
+
+def _number(record: dict, key: str, path: Path, line_no: int, conv: Callable = float):
+    """conv(record[key]), which must hold only finite numbers; a missing,
+    non-numeric or non-finite field raises IngestError naming path:line."""
     if key not in record:
         raise IngestError(f"{path}:{line_no}: missing field {key!r}")
-    return record[key]
+    try:
+        if np.isfinite(value := conv(record[key])).all():
+            return value
+    except (TypeError, ValueError, OverflowError, LookupError):
+        pass
+    raise IngestError(f"{path}:{line_no}: field {key!r} is not a finite number: {record[key]!r}")
 
 
 def _step_of(t: float, dt: float) -> int:
@@ -277,13 +289,13 @@ def ingest_veremi(
     are derived as floor(time / dt + 0.5): halves round up, so a log sampled
     at k + 0.5 keeps one step per record.
 
-    Raises ValueError for dt <= 0, and IngestError with the file name and
-    line number for unparseable or inconsistent lines, including senders
-    absent from the ground truth and attackerType codes absent from the
-    mapping.
+    Raises ValueError unless dt is finite and > 0, and IngestError with the
+    file name and line number for unparseable or inconsistent lines,
+    including missing, non-numeric or non-finite fields, senders absent from
+    the ground truth and attackerType codes absent from the mapping.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
     log_path = Path(log_path)
     ground_truth_path = Path(ground_truth_path)
     code_map = dict(DEFAULT_ATTACKER_CODE_MAP if attacker_code_map is None else attacker_code_map)
@@ -297,8 +309,8 @@ def ingest_veremi(
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise IngestError(f"{ground_truth_path}:{line_no}: {exc}") from exc
-            sender = int(_require(rec, "sender", ground_truth_path, line_no))
-            truth_codes[sender] = int(_require(rec, "attackerType", ground_truth_path, line_no))
+            sender = _number(rec, "sender", ground_truth_path, line_no, int)
+            truth_codes[sender] = _number(rec, "attackerType", ground_truth_path, line_no, int)
 
     ids: list[tuple[int, int, int]] = []  # sender, step, attacker class
     times: list[tuple[float, float]] = []  # sent, received
@@ -313,28 +325,28 @@ def ingest_veremi(
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise IngestError(f"{log_path}:{line_no}: {exc}") from exc
-            rec_type = int(_require(rec, "type", log_path, line_no))
+            rec_type = _number(rec, "type", log_path, line_no, int)
             if rec_type == LOG_TYPE_GPS:
-                pos = _require(rec, "pos", log_path, line_no)
-                spd = _require(rec, "spd", log_path, line_no)
-                t_rcv = float(_require(rec, "rcvTime", log_path, line_no))
+                pos = _number(rec, "pos", log_path, line_no, _xy)
+                spd = _number(rec, "spd", log_path, line_no, _xy)
+                t_rcv = _number(rec, "rcvTime", log_path, line_no)
                 ego_steps.append(_step_of(t_rcv, dt))
-                ego_kinematics.append((float(pos[0]), float(pos[1]), float(spd[0]), float(spd[1])))
+                ego_kinematics.append((*pos, *spd))
             elif rec_type == LOG_TYPE_BSM:
-                sender = int(_require(rec, "sender", log_path, line_no))
+                sender = _number(rec, "sender", log_path, line_no, int)
                 if sender not in truth_codes:
                     raise IngestError(f"{log_path}:{line_no}: sender {sender} missing from ground truth")
                 code = truth_codes[sender]
                 if code not in code_map:
                     raise IngestError(f"{log_path}:{line_no}: unknown attackerType code {code} for sender {sender}")
-                pos = _require(rec, "pos", log_path, line_no)
-                spd = _require(rec, "spd", log_path, line_no)
-                t_snd = float(_require(rec, "sendTime", log_path, line_no))
-                t_rev = float(_require(rec, "rcvTime", log_path, line_no))
-                rssi = float(_require(rec, "RSSI", log_path, line_no))
+                pos = _number(rec, "pos", log_path, line_no, _xy)
+                spd = _number(rec, "spd", log_path, line_no, _xy)
+                t_snd = _number(rec, "sendTime", log_path, line_no)
+                t_rev = _number(rec, "rcvTime", log_path, line_no)
+                rssi = _number(rec, "RSSI", log_path, line_no)
                 ids.append((sender, _step_of(t_snd, dt), int(code_map[code])))
                 times.append((t_snd, t_rev))
-                claims.append((float(pos[0]), float(pos[1]), float(spd[0]), float(spd[1]), rssi))
+                claims.append((*pos, *spd, rssi))
     id_cols = np.array(ids, dtype=np.int64).reshape(-1, 3)
     time_cols = np.array(times, dtype=float).reshape(-1, 2)
     messages = Messages(

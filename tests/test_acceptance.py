@@ -133,7 +133,7 @@ def test_criterion_3_injector_statistics(capsys):
     with criterion(capsys, 3, "injector-statistics"):
         t0 = time.perf_counter()
         region, v_max, n = 10_000.0, 40.0, 10_000
-        params = AttackParams.for_region(region, v_max)
+        params = AttackParams(region, v_max)
         t = np.arange(n, dtype=float)
         truths = np.column_stack([4000.0 + 0.1 * t, 6000.0 - 0.1 * t, np.full(n, 5.0), np.full(n, -3.0)])
 

@@ -10,7 +10,7 @@ V_MAX = 40.0
 
 
 def _params(**kw):
-    return AttackParams.for_region(R, V_MAX, **kw)
+    return AttackParams(R, V_MAX, **kw)
 
 
 def _truth(x=1000.0, y=2000.0, sx=10.0, sy=-5.0, n=1):
@@ -39,11 +39,12 @@ def _reference_inject(attacker, truth, memory, params, rng):
         pos = (pos_x, pos_y)
         spd = (spd_x, spd_y)
     elif attacker is AttackerType.CONSTANT:
-        pos = params.fixed_point
+        centre = params.region_side / 2
+        pos = tuple(centre if c is None else c for c in (params.fixed_x, params.fixed_y))
         spd = (0.0, 0.0)
     elif attacker in (AttackerType.CONSTANT_OFFSET, AttackerType.RANDOM_OFFSET):
         if attacker is AttackerType.CONSTANT_OFFSET:
-            dx, dy = params.fixed_offset
+            dx, dy = params.offset_x, params.offset_y
         else:
             dx, dy = map(float, rng.uniform(-params.random_offset_max, params.random_offset_max, size=2))
         pos = (pos_x + dx, pos_y + dy)
@@ -54,7 +55,7 @@ def _reference_inject(attacker, truth, memory, params, rng):
         pos = (float(x), float(y))
         spd = (float(sx), float(sy))
     elif attacker is AttackerType.EVENTUAL_STOP:
-        if rng.random() < params.stop_probabilities[1]:
+        if rng.random() < params.stop_probability:
             pos = memory
             spd = (0.0, 0.0)
         else:
@@ -82,7 +83,7 @@ class TestMatchesPerMessageInjector:
     @pytest.mark.parametrize("seed", [0, 7, 2024])
     @pytest.mark.parametrize("attacker", list(AttackerType), ids=lambda a: a.name)
     def test_column_equals_message_loop(self, attacker, seed, length, p2):
-        p = _params(stop_probabilities=(1.0 - p2, p2))
+        p = _params(stop_probability=p2)
         walk = np.random.default_rng(seed)
         truth = np.column_stack(
             [
@@ -121,26 +122,30 @@ class TestConstant:
         assert _pos(AttackerType.CONSTANT, _params(), np.random.default_rng(0)).tolist() == [[R / 2, R / 2]]
 
     def test_independent_of_truth_and_time(self):
-        p = _params(fixed_point=(123.0, 456.0))
+        p = _params(fixed_x=123.0, fixed_y=456.0)
         truth = np.vstack([_truth(1.0, 2.0), _truth(9e3, 8e3)])
         claims = inject(AttackerType.CONSTANT, truth, p, np.random.default_rng(0))
         assert claims.tolist() == [[123.0, 456.0, 0.0, 0.0]] * 2
 
+    def test_axis_left_none_is_region_centre(self):
+        assert _pos(AttackerType.CONSTANT, _params(fixed_x=123.0), np.random.default_rng(0)).tolist() == [[123.0, R / 2]]
+        assert _pos(AttackerType.CONSTANT, _params(fixed_y=456.0), np.random.default_rng(0)).tolist() == [[R / 2, 456.0]]
+
 
 class TestOffsets:
     def test_constant_offset_arithmetic(self):
-        p = _params(fixed_offset=(50.0, -30.0))
+        p = _params(offset_x=50.0, offset_y=-30.0)
         pos = _pos(AttackerType.CONSTANT_OFFSET, p, np.random.default_rng(0), truth=_truth(100.0, 200.0))
         assert pos.tolist() == [[150.0, 170.0]]
 
     def test_zero_offset_is_identity(self):
-        p = _params(fixed_offset=(0.0, 0.0))
+        p = _params(offset_x=0.0, offset_y=0.0)
         truth = _moving(3)
         pos = _pos(AttackerType.CONSTANT_OFFSET, p, np.random.default_rng(0), truth=truth)
         assert (pos == truth[:, :2]).all()
 
     def test_not_clamped_to_region(self):
-        p = _params(fixed_offset=(500.0, 0.0))
+        p = _params(offset_x=500.0, offset_y=0.0)
         pos = _pos(AttackerType.CONSTANT_OFFSET, p, np.random.default_rng(0), truth=_truth(R - 10.0, 50.0))
         assert pos[0, 0] > R  # claimed position may leave the region
 
@@ -159,7 +164,7 @@ class TestOffsets:
         assert (pos == truth[:, :2]).all()
 
     def test_speed_offset_scaled_by_vmax_over_region(self):
-        p = _params(fixed_offset=(250.0, -150.0))
+        p = _params(offset_x=250.0, offset_y=-150.0)
         claims = inject(AttackerType.CONSTANT_OFFSET, _truth(sx=10.0, sy=-5.0), p, np.random.default_rng(0))
         scale = V_MAX / R
         assert claims[0, 2] == pytest.approx(10.0 + 250.0 * scale, abs=1e-12)
@@ -184,21 +189,21 @@ class TestRandom:
 
 class TestEventualStop:
     def test_always_truth_when_p2_zero(self):
-        p = _params(stop_probabilities=(1.0, 0.0))
+        p = _params(stop_probability=0.0)
         truth = _moving(100)
         claims = inject(AttackerType.EVENTUAL_STOP, truth, p, np.random.default_rng(0))
         assert (claims[:, :2] == truth[:, :2]).all()
 
     def test_always_previous_when_p2_one(self):
         """The stop branch replays row t−1's truth; row 0 replays itself."""
-        p = _params(stop_probabilities=(0.0, 1.0))
+        p = _params(stop_probability=1.0)
         truth = _moving(100)
         pos = _pos(AttackerType.EVENTUAL_STOP, p, np.random.default_rng(0), truth=truth)
         assert (pos[1:] == truth[:-1, :2]).all()
         assert (pos[0] == truth[0, :2]).all()
 
     def test_stop_frequency(self):
-        p = _params(stop_probabilities=(0.7, 0.3))
+        p = _params(stop_probability=0.3)
         claims = inject(AttackerType.EVENTUAL_STOP, _moving(10_000), p, np.random.default_rng(1234))
         hits = np.all(claims[:, 2:] == 0.0, axis=1).sum()  # the truth speed is never (0, 0)
         assert abs(hits / 10_000 - 0.3) <= 0.014  # 3 sigma binomial bound
@@ -210,13 +215,13 @@ class TestEventualStop:
         assert np.all(np.all(pos == truth[:, :2], axis=1) | np.all(pos == previous, axis=1))
 
     def test_stop_branch_claims_zero_speed(self):
-        p = _params(stop_probabilities=(0.0, 1.0))
+        p = _params(stop_probability=1.0)
         truth = np.vstack([_truth(1.0, 2.0), _truth()])
         claims = inject(AttackerType.EVENTUAL_STOP, truth, p, np.random.default_rng(0))
         assert claims[1].tolist() == [1.0, 2.0, 0.0, 0.0]
 
     def test_truth_branch_claims_truth_speed(self):
-        p = _params(stop_probabilities=(1.0, 0.0))
+        p = _params(stop_probability=0.0)
         truth = _moving(3)
         claims = inject(AttackerType.EVENTUAL_STOP, truth, p, np.random.default_rng(0))
         assert claims.tobytes() == truth.tobytes()
@@ -225,7 +230,7 @@ class TestEventualStop:
 class TestMemoryAndDeterminism:
     def test_memory_always_advances_to_truth(self):
         """A replay at step t is row t−1's truth, never what t−1 claimed."""
-        p = _params(stop_probabilities=(0.0, 1.0))
+        p = _params(stop_probability=1.0)
         truth = _moving(4)
         claims = inject(AttackerType.EVENTUAL_STOP, truth, p, np.random.default_rng(0))
         assert claims[:, :2].tolist() == truth[[0, 0, 1, 2], :2].tolist()
@@ -241,13 +246,10 @@ class TestMemoryAndDeterminism:
 
 
 class TestParamsValidation:
-    def test_probabilities_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            _params(stop_probabilities=(0.5, 0.6))
-
     def test_probabilities_must_be_in_unit_interval(self):
-        with pytest.raises(ValueError):
-            _params(stop_probabilities=(1.5, -0.5))
+        for p2 in (1.5, -0.5):
+            with pytest.raises(ValueError, match="stop probability"):
+                _params(stop_probability=p2)
 
     def test_negative_offset_range_rejected(self):
         with pytest.raises(ValueError):

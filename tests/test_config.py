@@ -1,6 +1,8 @@
 """Config text format, defaults, profiles, precedence, round-trip."""
+import numpy as np
 import pytest
 
+from fltp.attacks import inject
 from fltp.config import (
     ConfigError,
     DEFAULTS,
@@ -12,6 +14,7 @@ from fltp.config import (
     parse_kv_text,
 )
 from fltp.federated import GateStrategy
+from fltp.trace import AttackerType
 
 
 class TestParseKvText:
@@ -60,10 +63,10 @@ class TestDefaults:
         assert (cfg.influence.constant, cfg.influence.constant_offset) == (1.0, 0.8)
         assert (cfg.influence.random, cfg.influence.random_offset) == (1.0, 0.8)
         assert cfg.influence.eventual_stop == 1.0
-        assert cfg.attack.fixed_point == (5000.0, 5000.0)  # defaults to region centre
-        assert cfg.attack.fixed_offset == (250.0, -150.0)
+        assert (cfg.attack.fixed_x, cfg.attack.fixed_y) == (None, None)  # the region centre
+        assert (cfg.attack.offset_x, cfg.attack.offset_y) == (250.0, -150.0)
         assert cfg.attack.random_offset_max == 300.0
-        assert cfg.attack.stop_probabilities == (0.7, 0.3)
+        assert cfg.attack.stop_probability == 0.3
         assert cfg.train_fraction == 0.8
         assert cfg.judgment_threshold == 0.5
         assert cfg.checkpoints is False
@@ -190,6 +193,18 @@ class TestRoundTrip:
         path.write_text(dump_config(cfg), encoding="utf-8")
         assert load_config(path) == cfg
 
+    def test_dumped_default_fixed_point_follows_the_region(self, tmp_path):
+        """A dumped default config leaves the fixed point empty, so a reload
+        with another region_side puts the constant attack at its centre."""
+        text = dump_config(config_from_kv({}))
+        assert "\nattack_fixed_x =\nattack_fixed_y =\n" in text
+        path = tmp_path / "defaults.cfg"
+        path.write_text(text.replace("region_side = 10000.0\n", "region_side = 3000\n"), encoding="utf-8")
+        cfg = load_config(path)
+        assert cfg.scenario.region_side == 3000.0
+        claims = inject(AttackerType.CONSTANT, np.zeros((2, 4)), cfg.attack, np.random.default_rng(0))
+        assert claims.tolist() == [[1500.0, 1500.0, 0.0, 0.0]] * 2
+
 
 #: a valid value differing from its default for every key in DEFAULTS
 NON_DEFAULTS = {
@@ -247,19 +262,16 @@ class TestKeyTable:
     @pytest.mark.parametrize("key", KEYS, ids=lambda key: key.name)
     def test_each_key_fills_its_own_field(self, key):
         """A key's value lands where its getter reads it, and nowhere else:
-        every other key still reads its default (an empty fixed point
-        follows the region centre)."""
+        every other key still reads its default."""
         cfg = config_from_kv({key.name: NON_DEFAULTS[key.name]})
         base = config_from_kv({})
         assert key.get(cfg) == key.parse(key.name, NON_DEFAULTS[key.name])
         for other in KEYS:
-            if other.name in ("attack_fixed_x", "attack_fixed_y") and key.name == "region_side":
-                assert other.get(cfg) == cfg.scenario.region_side / 2.0
-            elif other is not key:
+            if other is not key:
                 assert other.get(cfg) == other.get(base), other.name
 
     def test_no_two_keys_share_a_path(self):
-        paths = [key.path for key in KEYS if isinstance(key.path, str)]
+        paths = [key.path for key in KEYS]
         assert len(set(paths)) == len(paths)
 
     def test_all_keys_changed_round_trip(self, tmp_path):

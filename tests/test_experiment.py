@@ -4,6 +4,9 @@ import ctypes
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -466,17 +469,22 @@ class TestExportSummary:
 
 
 # sha256 of the desk protocol's outputs at penetration 0.75 (4 vehicles,
-# 3 methods x 2 repeats, 30 rounds, master seed 42) on x86-64 OpenBLAS; other
-# BLAS kernels round differently, so this runs with the acceptance gate only.
+# 3 methods x 2 repeats, 30 rounds, master seed 42) on OpenBLAS's Haswell
+# kernels with one BLAS thread; other kernels round differently, so the sweep
+# runs in a subprocess that pins them (any x86-64 CPU with AVX2 runs them).
 DESK_FINGERPRINT = {
-    "summary.csv": "5a08fed9ab852b00aebd4b0eeddeca1e2d092b175d732b36fc187b0deebda782",
-    "rounds_centralized_p0.75_v4_rep0.csv": "b6b84c176cc2f51acce1985a310fa51ece92da6e625592b7b0e9f8da58ed917e",
-    "rounds_centralized_p0.75_v4_rep1.csv": "2a317f093430d710a83014f5762a80057aa835203fd1130cda0c9a574a90feae",
-    "rounds_fed-avg_p0.75_v4_rep0.csv": "f601e5b7203b0c966fb7e56e29c60c44a766098c05bf3cca0a323b05a18c27a6",
-    "rounds_fed-avg_p0.75_v4_rep1.csv": "95006ffb4b27b3f27e34b1bf944e7f089c961b24726a3cfa3bfa96d997c2d082",
-    "rounds_fl-tp_p0.75_v4_rep0.csv": "7f66b9bb85dd22281139b351695ce11e512601018dada3ce7713d386b0921bef",
-    "rounds_fl-tp_p0.75_v4_rep1.csv": "80c3eb5ccfc6d8223e22fe10ce32826535672e5458371de3e568859a5bee55b5",
+    "summary.csv": "865d1b6e1deb390a399da3e196961b20033dc387431d9e828f0ef1d34dc0abdd",
+    "rounds_centralized_p0.75_v4_rep0.csv": "8c6f07b4d9ccbd85342a2be52e43258195bf8e0436a2629d872cd99828107232",
+    "rounds_centralized_p0.75_v4_rep1.csv": "e139625246d91cb9f274373d01eb7f2aa00940e168af418ea5c0040f08597764",
+    "rounds_fed-avg_p0.75_v4_rep0.csv": "7c9103a8750a496a9b4a5426f6438747eef4c4b26ce2eece08bff31503b8665e",
+    "rounds_fed-avg_p0.75_v4_rep1.csv": "98ddd91c2c7b1f7addacf6967997e836b3532e75fcd2d98614366bbcc47be2c7",
+    "rounds_fl-tp_p0.75_v4_rep0.csv": "499b359ccc9453f3af5b3cd481cc8a3b9d56e986a059779dc4a9c9e295be8e32",
+    "rounds_fl-tp_p0.75_v4_rep1.csv": "11441f5032fb469a99f81809ce331dfdee429ceb3ace3159b47599f2f357c981",
 }
+
+#: the environment the fingerprint sweep runs under; under the Haswell
+#: kernels float64 bits also depend on the BLAS thread count
+PINNED_KERNEL = {"OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1"}
 
 
 def _blas_kernel() -> str:
@@ -494,11 +502,42 @@ def _blas_kernel() -> str:
     return f"BLAS {blas.get('name')} {blas.get('version')}, OpenBLAS core type {core}"
 
 
+def _pinned_kernel_missing() -> str | None:
+    """Why this machine cannot run the pinned kernel, or None if it can."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    if "openblas" not in str(blas.get("name")):
+        return f"numpy's BLAS is {blas.get('name')}, not OpenBLAS"
+    try:
+        cpuinfo = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return "no /proc/cpuinfo to show the CPU's avx2 flag"
+    if "avx2" not in cpuinfo.split():
+        return "the CPU has no avx2 flag"
+    return None
+
+
 @pytest.mark.acceptance
 def test_desk_fingerprint(tmp_path):
+    """The desk sweep at penetration 0.75 writes the pinned bytes, run by
+    this file in a subprocess on the pinned kernel. A machine that cannot run
+    that kernel cannot check the bytes, so the test skips there and says why."""
+    if (missing := _pinned_kernel_missing()) is not None:
+        pytest.skip(f"the desk fingerprint is pinned to OpenBLAS's Haswell kernels: {missing}")
     cfg_file = tmp_path / "desk75.cfg"
     cfg_file.write_text("penetrations = 0.75\n", encoding="utf-8")
     out = tmp_path / "out"
-    assert cli_main(["run", "--config", str(cfg_file), "--profile", "desk", "--out", str(out)]) == 0
+    src = str(Path(experiment.__file__).parent.parent)
+    env = {**os.environ, **PINNED_KERNEL, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    argv = [sys.executable, __file__, "run", "--config", str(cfg_file), "--profile", "desk", "--out", str(out)]
+    run = subprocess.run(argv, env=env, capture_output=True, text=True, check=False)
+    assert run.returncode == 0, run.stderr
+    kernel = run.stdout.strip().splitlines()[-1]
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
-    assert digests == DESK_FINGERPRINT, f"desk outputs differ from the pinned bytes; they were made by {_blas_kernel()}"
+    assert digests == DESK_FINGERPRINT, f"desk outputs differ from the pinned bytes; they were made by {kernel}"
+
+
+if __name__ == "__main__":
+    # the fingerprint sweep: fltp's command line, then the kernel that ran it
+    code = cli_main(sys.argv[1:])
+    print(_blas_kernel())
+    sys.exit(code)

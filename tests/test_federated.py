@@ -10,7 +10,6 @@ from fltp.federated import (
     AggregationMode,
     CLEANLINESS_FLOOR,
     METHODS,
-    UNIFORM_GATE,
     EvalSet,
     GateConfig,
     GateStrategy,
@@ -302,14 +301,14 @@ def _round_kwargs(seed=123, **overrides):
 
 
 def _fedavg_round(global_params, vehicles, eval_set, **kwargs):
-    """fed-avg's round as its METHODS entry runs it: run_flt_round with
-    UNIFORM_GATE."""
+    """fed-avg's round as its METHODS entry runs it: run_flt_round with no
+    gate."""
     return run_flt_round(
         global_params,
         vehicles,
         eval_set,
         prev_accuracy=0.0,
-        gate=UNIFORM_GATE,
+        gate=None,
         influence=InfluenceTable(),
         method="fed-avg",
         **kwargs,
@@ -410,12 +409,14 @@ class TestRunRound:
     def test_fedavg_gate_is_uniform_at_full_accuracy(self):
         # an accuracy gate at threshold 1.0 would pick mre here: 1.0 < 1.0 is false
         assert not METHODS["fed-avg"].gated and not METHODS["centralized"].gated
-        for r in range(1, 50):
-            assert decide_mode(UNIFORM_GATE, 1.0, derive_rng(123, TAG_GATE, r)) is AggregationMode.UNIFORM_AVERAGE
+        rng = derive_rng(123, TAG_GATE, 1)
+        state = rng.bit_generator.state
+        assert decide_mode(None, 1.0, rng) is AggregationMode.UNIFORM_AVERAGE
+        assert rng.bit_generator.state == state  # no draw
         vehicles = [_vehicle(0, 8), _vehicle(1, 8, codes=1), _vehicle(2, 8, codes=3)]
         es = _eval_set([0, 1, 3])
         p0 = ModelParams.init(4, derive_rng(17))
-        _, rep = run_flt_round(p0, vehicles, es, **_round_kwargs(prev_accuracy=1.0, gate=UNIFORM_GATE))
+        _, rep = run_flt_round(p0, vehicles, es, **_round_kwargs(prev_accuracy=1.0, gate=None))
         assert rep.mode == "uniform"
         assert rep.lambdas == (1 / 3,) * 3
 

@@ -1,5 +1,6 @@
 """Reception-log ingestion contract."""
 import json
+import math
 
 import numpy as np
 import pytest
@@ -173,6 +174,52 @@ def test_non_positive_dt_rejected(tmp_path, dt):
     _write(gt, [{"sender": 101, "attackerType": 0}])
     with pytest.raises(ValueError, match="dt"):
         ingest_veremi(log, gt, dt=dt)
+
+
+@pytest.mark.parametrize("dt", [math.inf, math.nan])
+def test_non_finite_dt_rejected(tmp_path, dt):
+    """dt=inf would map every record to step 0; dt=nan would fail in math.floor."""
+    log = tmp_path / "log.json"
+    gt = tmp_path / "gt.json"
+    _write(log, [_bsm(101, 1.0, [0.0] * 3, [0.0] * 3, -50.0)])
+    _write(gt, [{"sender": 101, "attackerType": 0}])
+    with pytest.raises(ValueError, match="dt must be finite"):
+        ingest_veremi(log, gt, dt=dt)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"sendTime": math.inf},  # would escape from the step mapping as an OverflowError
+        {"pos": [math.nan, 0.0, 0.0]},  # would land silently in the claims
+        {"RSSI": "loud"},
+        {"RSSI": None},
+        {"rcvTime": [1.0]},
+        {"spd": [1.0]},
+        {"spd": 3.0},
+        {"sender": math.nan},
+        {"type": math.inf},
+        {"type": 2, "rcvTime": math.nan},  # the receiver's own GPS record
+    ],
+    ids=lambda f: ",".join(f"{k}={v!r}" for k, v in f.items()),
+)
+def test_non_finite_or_non_numeric_field_rejected(tmp_path, sample_logs, fields):
+    """A 5th log line with one bad field fails naming its file, line and field."""
+    log, gt = sample_logs
+    bad = tmp_path / "bad.json"
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    _write(bad, records + [{**_bsm(101, 2.0, [0.0] * 3, [0.0] * 3, -50.0), **fields}])
+    key = list(fields)[-1]
+    with pytest.raises(IngestError, match=rf"bad\.json:5: field '{key}' is not a finite number"):
+        ingest_veremi(bad, gt)
+
+
+def test_non_finite_ground_truth_rejected(tmp_path, sample_logs):
+    log, _ = sample_logs
+    gt = tmp_path / "gt.json"
+    _write(gt, [{"sender": 101, "attackerType": 0}, {"sender": math.inf, "attackerType": 1}])
+    with pytest.raises(IngestError, match=r"gt\.json:2: field 'sender'"):
+        ingest_veremi(log, gt)
 
 
 def _windows_of_log(tmp_path, t0):

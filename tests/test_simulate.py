@@ -30,7 +30,7 @@ def _norm(cfg):
 
 
 def _attack(cfg):
-    return AttackParams.for_region(cfg.region_side, cfg.v_max)
+    return AttackParams(cfg.region_side, cfg.v_max)
 
 
 def _truth(scenario, v):

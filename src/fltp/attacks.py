@@ -9,7 +9,7 @@ import numpy as np
 from .trace import AttackerType
 
 
-@dataclass
+@dataclass(frozen=True)
 class AttackParams:
     region_side: float
     v_max: float

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import replace
 
 from .config import ConfigError, load_config
 from .experiment import export_summary, run_experiment
@@ -38,9 +39,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             cfg = load_config(args.config, profile=args.profile)
             if args.seed is not None:
-                cfg.master_seed = args.seed
+                cfg = replace(cfg, master_seed=args.seed)
             if args.out is not None:
-                cfg.out_dir = args.out
+                cfg = replace(cfg, out_dir=args.out)
             written = run_experiment(cfg, threads=args.threads)
             print(f"wrote {len(written)} files under {cfg.out_dir}")
         else:

@@ -153,7 +153,7 @@ PROFILES: dict[str, dict[str, str]] = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     methods: list[str]
     penetrations: list[float]
@@ -171,7 +171,7 @@ class ExperimentConfig:
     judgment_threshold: float = 0.5
     checkpoints: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.methods:
             raise ConfigError("methods: at least one method required")
         for m in self.methods:
@@ -197,13 +197,6 @@ class ExperimentConfig:
             raise ConfigError(f"train_fraction: must be in (0, 1), got {self.train_fraction}")
         if self.judgment_threshold <= 0:
             raise ConfigError(f"judgment_threshold: must be > 0, got {self.judgment_threshold}")
-        try:
-            self.scenario.validate()
-            self.train.validate()
-            self.gate.validate()
-            self.norm.validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
 
 def parse_kv_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -245,11 +238,11 @@ def config_from_kv(kv_in: dict[str, str], profile: str | None = None) -> Experim
     kv.update(kv_in)
     values = {key.path: key.parse(key.name, kv[key.name]) for key in KEYS}
 
-    channel = ChannelConfig(**_section(values, "scenario.channel"))
-    scenario = ScenarioConfig(**_section(values, "scenario"), channel=channel)
-    region = {"region_side": scenario.region_side, "v_max": scenario.v_max}
     try:
-        cfg = ExperimentConfig(
+        channel = ChannelConfig(**_section(values, "scenario.channel"))
+        scenario = ScenarioConfig(**_section(values, "scenario"), channel=channel)
+        region = {"region_side": scenario.region_side, "v_max": scenario.v_max}
+        return ExperimentConfig(
             **_section(values, ""),
             scenario=scenario,
             attack=AttackParams(**region, **_section(values, "attack")),
@@ -260,8 +253,6 @@ def config_from_kv(kv_in: dict[str, str], profile: str | None = None) -> Experim
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    cfg.validate()
-    return cfg
 
 
 def load_config(path: str | Path, profile: str | None = None) -> ExperimentConfig:

@@ -243,7 +243,6 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[Path]:
     rebuilt from the rounds files this run wrote, by the same reader as
     export_summary; other files in out_dir are ignored.
     """
-    cfg.validate()
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     cells = sweep_cells(cfg)

@@ -44,14 +44,14 @@ _MISALIGNED = "ego states misaligned with message steps"
 _NOT_CONSECUTIVE = "truth states must cover consecutive steps"
 
 
-@dataclass
+@dataclass(frozen=True)
 class NormalizationSpec:
     region_side: float
     v_max: float
     rssi_min: float = -100.0
     rssi_max: float = -40.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.region_side <= 0:
             raise ValueError(f"region_side must be > 0, got {self.region_side}")
         if self.v_max <= 0:
@@ -156,7 +156,6 @@ def link_windows(
     window starts before the ego track) or future truth steps (not
     consecutive) are misaligned.
     """
-    spec.validate()
     ego_t, ego_kin = ego_tracks
     truth_t, truth_kin = truth_tracks
     n_links, length = steps.shape

@@ -35,12 +35,12 @@ class GateStrategy(Enum):
     RANDOM = "random"  # uniform iff a fresh uniform draw falls below threshold
 
 
-@dataclass
+@dataclass(frozen=True)
 class GateConfig:
     strategy: GateStrategy = GateStrategy.ACCURACY
     threshold: float = 0.2
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError(f"gate threshold must be in [0, 1], got {self.threshold}")
 
@@ -157,7 +157,6 @@ def decide_mode(gate: GateConfig | None, global_accuracy: float, rng: np.random.
         raise ValueError(f"global accuracy must be in [0, 1], got {global_accuracy}")
     if gate is None:
         return AggregationMode.UNIFORM_AVERAGE
-    gate.validate()
     if gate.strategy is GateStrategy.RANDOM:
         below = rng.random() < gate.threshold
     else:

@@ -59,11 +59,6 @@ def attack_judgments(atk_pdt: np.ndarray, atk_lb: np.ndarray, threshold: float =
     return np.abs(p - y) < threshold
 
 
-def attack_judgment(atk_pdt: float, atk_lb: float, threshold: float = 0.5) -> bool:
-    """True judgment iff |prediction - label| < threshold, strictly."""
-    return bool(attack_judgments(atk_pdt, atk_lb, threshold))
-
-
 def prediction_accuracy(judgments: np.ndarray) -> float:
     """Fraction of true judgments: TJ / (TJ + FJ)."""
     j = np.asarray(judgments, dtype=bool)
@@ -78,15 +73,3 @@ def mean_std(values: Sequence[float]) -> MetricSummary:
     a = np.asarray(values, dtype=float)
     return MetricSummary(float(a.mean()), float(a.std(ddof=1)) if a.size >= 2 else None)
 
-
-def summarize(reports: Sequence[RoundReport]) -> dict[str, MetricSummary]:
-    """Mean ± sample standard deviation of each metric across reports.
-
-    With fewer than two reports the std is None rather than zero.
-    """
-    if not reports:
-        raise ValueError("no reports to summarize")
-    return {
-        name: mean_std([getattr(r, name) for r in reports])
-        for name in ("prediction_error", "prediction_accuracy", "loss")
-    }

@@ -102,7 +102,7 @@ class ModelParams:
         return ModelParams.view(self.flatten(), self.hidden_size)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     hidden_size: int = 64
     learning_rate: float = 1e-5
@@ -112,7 +112,7 @@ class TrainConfig:
     global_rounds: int = 300
     precision: str = "float64"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.hidden_size < 1:
             raise ValueError(f"hidden_size must be >= 1, got {self.hidden_size}")
         if self.learning_rate < 0:

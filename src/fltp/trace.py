@@ -82,14 +82,14 @@ class Messages:
         return len(self.step)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChannelConfig:
     tx_power_dbm: float = 20.0
     path_loss_exponent: float = 2.0
     reference_distance: float = 1.0  # m
     shadowing_sigma: float = 2.0  # dB
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.reference_distance <= 0:
             raise ValueError(f"reference_distance must be > 0, got {self.reference_distance}")
         if self.path_loss_exponent <= 0:
@@ -98,7 +98,7 @@ class ChannelConfig:
             raise ValueError(f"shadowing_sigma must be >= 0, got {self.shadowing_sigma}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     """Knobs for one synthetic traffic scenario."""
 
@@ -112,7 +112,7 @@ class ScenarioConfig:
     rng_seed: int = 0
     channel: ChannelConfig = field(default_factory=ChannelConfig)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_vehicles < 2:
             raise ValueError(f"n_vehicles must be >= 2, got {self.n_vehicles}")
         if not 0.0 <= self.penetration <= 1.0:
@@ -129,7 +129,6 @@ class ScenarioConfig:
             raise ValueError(f"accel_sigma must be >= 0, got {self.accel_sigma}")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
-        self.channel.validate()
 
 
 @dataclass
@@ -229,7 +228,6 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
     vehicles are chosen at random and given attack classes round-robin in
     ascending vehicle-id order. Deterministic given config.rng_seed.
     """
-    config.validate()
     rng = np.random.default_rng(config.rng_seed)
     n = config.n_vehicles
     r, v_max = config.region_side, config.v_max
@@ -254,9 +252,17 @@ def _xy(value) -> tuple[float, float]:
     return float(value[0]), float(value[1])
 
 
+def _integer(value) -> int:
+    """int(value), refusing the fractional numbers int() would truncate."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(value)
+    return int(value)
+
+
 def _number(record: dict, key: str, path: Path, line_no: int, conv: Callable = float):
     """conv(record[key]), which must hold only finite numbers; a missing,
-    non-numeric or non-finite field raises IngestError naming path:line."""
+    non-numeric, non-finite or (for an integer field) fractional field raises
+    IngestError naming path:line."""
     if key not in record:
         raise IngestError(f"{path}:{line_no}: missing field {key!r}")
     try:
@@ -291,8 +297,9 @@ def ingest_veremi(
 
     Raises ValueError unless dt is finite and > 0, and IngestError with the
     file name and line number for unparseable or inconsistent lines,
-    including missing, non-numeric or non-finite fields, senders absent from
-    the ground truth and attackerType codes absent from the mapping.
+    including missing, non-numeric or non-finite fields, fractional type,
+    sender or attackerType values, senders absent from the ground truth and
+    attackerType codes absent from the mapping.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and > 0, got {dt}")
@@ -309,8 +316,8 @@ def ingest_veremi(
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise IngestError(f"{ground_truth_path}:{line_no}: {exc}") from exc
-            sender = _number(rec, "sender", ground_truth_path, line_no, int)
-            truth_codes[sender] = _number(rec, "attackerType", ground_truth_path, line_no, int)
+            sender = _number(rec, "sender", ground_truth_path, line_no, _integer)
+            truth_codes[sender] = _number(rec, "attackerType", ground_truth_path, line_no, _integer)
 
     ids: list[tuple[int, int, int]] = []  # sender, step, attacker class
     times: list[tuple[float, float]] = []  # sent, received
@@ -325,7 +332,7 @@ def ingest_veremi(
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise IngestError(f"{log_path}:{line_no}: {exc}") from exc
-            rec_type = _number(rec, "type", log_path, line_no, int)
+            rec_type = _number(rec, "type", log_path, line_no, _integer)
             if rec_type == LOG_TYPE_GPS:
                 pos = _number(rec, "pos", log_path, line_no, _xy)
                 spd = _number(rec, "spd", log_path, line_no, _xy)
@@ -333,7 +340,7 @@ def ingest_veremi(
                 ego_steps.append(_step_of(t_rcv, dt))
                 ego_kinematics.append((*pos, *spd))
             elif rec_type == LOG_TYPE_BSM:
-                sender = _number(rec, "sender", log_path, line_no, int)
+                sender = _number(rec, "sender", log_path, line_no, _integer)
                 if sender not in truth_codes:
                     raise IngestError(f"{log_path}:{line_no}: sender {sender} missing from ground truth")
                 code = truth_codes[sender]

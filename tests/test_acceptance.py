@@ -27,13 +27,7 @@ from fltp.federated import (
     mre_weights,
     run_flt_round,
 )
-from fltp.metrics import (
-    RoundReport,
-    attack_judgment,
-    prediction_accuracy,
-    prediction_error,
-    summarize,
-)
+from fltp.metrics import attack_judgments, mean_std, prediction_accuracy, prediction_error
 from fltp.model import ModelParams, backward, forward, forward_cached, loss
 from fltp.seeding import derive_rng
 from fltp.trace import AttackerType
@@ -180,19 +174,17 @@ def test_criterion_4_metric_oracles(capsys):
         same = np.array([[0.3, 0.7]])
         assert prediction_error(same, same, norm) == 0.0
 
-        assert attack_judgment(1.4, 1.0) is True
-        assert attack_judgment(1.6, 1.0) is False
-        assert attack_judgment(1.5, 1.0) is False  # strict boundary
+        assert bool(attack_judgments(1.4, 1.0)) is True
+        assert bool(attack_judgments(1.6, 1.0)) is False
+        assert bool(attack_judgments(1.5, 1.0)) is False  # strict boundary
 
         assert prediction_accuracy(np.array([True, True, True, False])) == 0.75
 
-        def rep(e):
-            return RoundReport(0, "fl-tp", "mre", e, 0.5, 1.0)
-
-        out = summarize([rep(1.0), rep(3.0)])
-        assert out["prediction_error"].mean == 2.0
-        assert abs(out["prediction_error"].std ** 2 - 2.0) <= 1e-12
-        assert summarize([rep(5.0)])["prediction_error"].std is None
+        # the prediction errors of two repeats, then of one
+        out = mean_std([1.0, 3.0])
+        assert out.mean == 2.0
+        assert abs(out.std ** 2 - 2.0) <= 1e-12
+        assert mean_std([5.0]).std is None
 
 
 # --- 5: fed-avg is bitwise-identical to zero-influence fl-tp -----------------

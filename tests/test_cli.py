@@ -47,9 +47,11 @@ class TestRun:
         assert (out_a / summary).read_bytes() != (out_c / summary).read_bytes()
 
     def test_negative_seed_rejected(self, tiny_config, tmp_path, capsys):
-        rc = main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "x"), "--seed", "-1"])
+        out = tmp_path / "x"
+        rc = main(["run", "--config", str(tiny_config), "--out", str(out), "--seed", "-1"])
         assert rc == 1
-        assert "error: master_seed" in capsys.readouterr().err
+        assert "error: master_seed: must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_is_error(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "absent.cfg")])

@@ -1,8 +1,11 @@
-"""Config text format, defaults, profiles, precedence, round-trip."""
+"""Config text format, defaults, profiles, precedence, round-trip, and the
+records a config is built from."""
+from dataclasses import FrozenInstanceError, fields, replace
+
 import numpy as np
 import pytest
 
-from fltp.attacks import inject
+from fltp.attacks import AttackParams, inject
 from fltp.config import (
     ConfigError,
     DEFAULTS,
@@ -13,8 +16,10 @@ from fltp.config import (
     load_config,
     parse_kv_text,
 )
-from fltp.federated import GateStrategy
-from fltp.trace import AttackerType
+from fltp.features import NormalizationSpec
+from fltp.federated import GateConfig, GateStrategy, InfluenceTable
+from fltp.model import TrainConfig
+from fltp.trace import AttackerType, ChannelConfig, ScenarioConfig
 
 
 class TestParseKvText:
@@ -139,6 +144,8 @@ class TestValidation:
             ("hidden_size", "0"),
             ("momentum", "1.0"),
             ("precision", "float16"),
+            ("dt", "0"),
+            ("reference_distance", "0"),
         ],
     )
     def test_bad_value_mentions_key(self, key, value):
@@ -167,6 +174,39 @@ class TestValidation:
     def test_stop_probability_bounds(self):
         with pytest.raises(ConfigError):
             config_from_kv({"attack_stop_probability": "1.5"})
+
+
+#: each config record, built valid, with one field, a value that field
+#: rejects, and the start of the rejection's message
+RECORDS = [
+    (ChannelConfig(), "reference_distance", 0.0, "reference_distance must be > 0"),
+    (ScenarioConfig(), "n_vehicles", 1, "n_vehicles must be >= 2"),
+    (NormalizationSpec(region_side=1.0, v_max=1.0), "rssi_min", -40.0, "rssi_min must be < rssi_max"),
+    (TrainConfig(), "hidden_size", 0, "hidden_size must be >= 1"),
+    (GateConfig(), "threshold", 1.5, "gate threshold must be in"),
+    (InfluenceTable(), "constant", -1.0, "influence factor constant must be >= 0"),
+    (AttackParams(region_side=1.0, v_max=1.0), "stop_probability", 1.5, "stop probability must lie"),
+    (config_from_kv({}), "master_seed", -1, "master_seed: must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("record,field,bad,message", RECORDS, ids=[type(r[0]).__name__ for r in RECORDS])
+class TestRecords:
+    """A record is checked once, when it is built: it cannot be built or
+    replaced into an invalid state, and cannot be changed afterwards."""
+
+    def test_construction_rejects(self, record, field, bad, message):
+        kwargs = {f.name: getattr(record, f.name) for f in fields(record)}
+        with pytest.raises(ValueError, match=message):
+            type(record)(**{**kwargs, field: bad})
+
+    def test_replace_rejects(self, record, field, bad, message):
+        with pytest.raises(ValueError, match=message):
+            replace(record, **{field: bad})
+
+    def test_assignment_refused(self, record, field, bad, message):
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, field, getattr(record, field))
 
 
 class TestRoundTrip:

@@ -549,8 +549,8 @@ class TestDenormalize:
 class TestSpecValidation:
     def test_bad_rssi_band(self):
         with pytest.raises(ValueError):
-            NormalizationSpec(region_side=R, v_max=V_MAX, rssi_min=-40.0, rssi_max=-100.0).validate()
+            NormalizationSpec(region_side=R, v_max=V_MAX, rssi_min=-40.0, rssi_max=-100.0)
 
     def test_bad_region(self):
         with pytest.raises(ValueError):
-            NormalizationSpec(region_side=0.0, v_max=V_MAX).validate()
+            NormalizationSpec(region_side=0.0, v_max=V_MAX)

@@ -198,7 +198,9 @@ def test_non_finite_dt_rejected(tmp_path, dt):
         {"spd": [1.0]},
         {"spd": 3.0},
         {"sender": math.nan},
+        {"sender": 101.9},  # int() would truncate it to sender 101
         {"type": math.inf},
+        {"type": 3.7},  # int() would truncate it to a BSM record
         {"type": 2, "rcvTime": math.nan},  # the receiver's own GPS record
     ],
     ids=lambda f: ",".join(f"{k}={v!r}" for k, v in f.items()),
@@ -214,12 +216,30 @@ def test_non_finite_or_non_numeric_field_rejected(tmp_path, sample_logs, fields)
         ingest_veremi(bad, gt)
 
 
-def test_non_finite_ground_truth_rejected(tmp_path, sample_logs):
+@pytest.mark.parametrize(
+    "key,record",
+    [
+        ("sender", {"sender": math.inf, "attackerType": 1}),
+        ("sender", {"sender": 102.9, "attackerType": 1}),
+        ("attackerType", {"sender": 102, "attackerType": 0.5}),
+    ],
+)
+def test_non_finite_or_fractional_ground_truth_rejected(tmp_path, sample_logs, key, record):
     log, _ = sample_logs
     gt = tmp_path / "gt.json"
-    _write(gt, [{"sender": 101, "attackerType": 0}, {"sender": math.inf, "attackerType": 1}])
-    with pytest.raises(IngestError, match=r"gt\.json:2: field 'sender'"):
+    _write(gt, [{"sender": 101, "attackerType": 0}, record])
+    with pytest.raises(IngestError, match=rf"gt\.json:2: field '{key}' is not a finite number"):
         ingest_veremi(log, gt)
+
+
+def test_whole_float_integer_fields_accepted(tmp_path):
+    log = tmp_path / "log.json"
+    gt = tmp_path / "gt.json"
+    _write(log, [{**_bsm(101, 0.0, [0.0] * 3, [0.0] * 3, -50.0), "type": 3.0, "sender": 101.0}])
+    _write(gt, [{"sender": 101.0, "attackerType": 1.0}])
+    msgs, _ = ingest_veremi(log, gt)
+    assert msgs.sender_id.tolist() == [101]
+    assert msgs.truth_attacker.tolist() == [int(AttackerType.CONSTANT)]
 
 
 def _windows_of_log(tmp_path, t0):

@@ -9,14 +9,29 @@ from fltp.features import NormalizationSpec
 from fltp.metrics import (
     MetricSummary,
     RoundReport,
-    attack_judgment,
     attack_judgments,
+    mean_std,
     prediction_accuracy,
     prediction_error,
-    summarize,
 )
 
 NORM = NormalizationSpec(region_side=10_000.0, v_max=40.0)
+
+
+def attack_judgment(atk_pdt: float, atk_lb: float, threshold: float = 0.5) -> bool:
+    """Reference scalar judgment: attack_judgments on one prediction."""
+    return bool(attack_judgments(atk_pdt, atk_lb, threshold))
+
+
+def summarize(reports):
+    """Reference per-metric summary of repeated reports, by mean_std as the
+    summary CSV computes it."""
+    if not reports:
+        raise ValueError("no reports to summarize")
+    return {
+        name: mean_std([getattr(r, name) for r in reports])
+        for name in ("prediction_error", "prediction_accuracy", "loss")
+    }
 
 
 def _report(err=0.0, acc=0.0, loss_value=0.0):

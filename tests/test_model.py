@@ -527,7 +527,6 @@ class TestPrecision:
 class TestTrainConfig:
     def test_defaults(self):
         cfg = TrainConfig()
-        cfg.validate()
         assert (cfg.hidden_size, cfg.learning_rate, cfg.momentum) == (64, 1e-5, 0.5)
         assert (cfg.batch_size, cfg.local_episodes, cfg.global_rounds) == (128, 10, 300)
 
@@ -545,9 +544,8 @@ class TestTrainConfig:
         ],
     )
     def test_rejects_bad_values(self, field, value):
-        cfg = TrainConfig(**{field: value})
         with pytest.raises(ValueError):
-            cfg.validate()
+            TrainConfig(**{field: value})
 
 
 class TestSerialization:

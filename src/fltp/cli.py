@@ -7,8 +7,15 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from dataclasses import replace
+
+# One BLAS thread unless the caller chose otherwise. BLAS reads these when
+# numpy is first imported, by the imports below; the round's forked trainers
+# inherit them, so W trainers never run W x nproc BLAS threads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from .config import ConfigError, load_config
 from .experiment import export_summary, run_experiment
@@ -24,7 +31,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--profile", choices=("desk", "paper"), default=None, help="scale preset applied under the config file")
     run_p.add_argument("--seed", type=int, default=None, help="override master_seed")
     run_p.add_argument("--out", default=None, help="override out_dir")
-    run_p.add_argument("--threads", type=int, default=1, help="worker threads; each runs all methods of one data seed")
+    run_p.add_argument("--threads", type=int, default=1, help="worker threads, each running all methods of one data seed; with 1, each round trains its vehicles on forked processes")
 
     sum_p = sub.add_parser("summarize", help="rebuild summary.csv from per-round CSVs")
     sum_p.add_argument("--in", dest="in_dir", required=True, help="directory holding rounds_*.csv")

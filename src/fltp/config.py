@@ -38,10 +38,10 @@ def _scalar(conv: Callable[[str], Any], complaint: str) -> Callable[[str, str], 
     return parse
 
 
-def _list(conv: Callable[[str], Any]) -> Callable[[str, str], list]:
-    def parse(key: str, text: str) -> list:
+def _list(conv: Callable[[str], Any]) -> Callable[[str, str], tuple]:
+    def parse(key: str, text: str) -> tuple:
         try:
-            return [conv(s.strip()) for s in text.split(",") if s.strip()]
+            return tuple(conv(s.strip()) for s in text.split(",") if s.strip())
         except ValueError as exc:
             raise ConfigError(f"{key}: bad list value in {text!r}") from exc
 
@@ -155,9 +155,9 @@ PROFILES: dict[str, dict[str, str]] = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    methods: list[str]
-    penetrations: list[float]
-    vehicle_counts: list[int]
+    methods: tuple[str, ...]
+    penetrations: tuple[float, ...]
+    vehicle_counts: tuple[int, ...]
     repeats: int
     master_seed: int
     out_dir: str
@@ -178,7 +178,7 @@ class ExperimentConfig:
             if m not in METHODS:
                 raise ConfigError(f"methods: unknown method {m!r} (choose from {tuple(METHODS)})")
         if len(set(self.methods)) != len(self.methods):
-            raise ConfigError(f"methods: duplicate entries in {self.methods}")
+            raise ConfigError(f"methods: duplicate entries in {list(self.methods)}")
         if not self.penetrations:
             raise ConfigError("penetrations: at least one value required")
         for p in self.penetrations:
@@ -274,7 +274,7 @@ def _format(value: Any) -> str:
         return repr(value)
     if isinstance(value, Enum):
         return value.value
-    if isinstance(value, list):
+    if isinstance(value, tuple):
         return ", ".join(_format(item) for item in value)
     return str(value)
 

@@ -237,7 +237,11 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[Path]:
 
     The cells of one data seed share one build (run_cells); data seeds may
     run on several worker threads, and outputs are identical for any worker
-    count because every data seed is seeded and written independently.
+    count because every data seed is seeded and written independently. With
+    one thread, the default and the fast path, each round forks up to one
+    trainer per usable CPU (run_flt_round); with two or more, every round
+    trains in-process, since a fork beside a running thread is unsafe. The
+    bytes are the same for any CPU count.
     out_dir is created once every cell has finished, so a failed run leaves
     none behind (checkpoints make their own directories). The summary is
     rebuilt from the rounds files this run wrote, by the same reader as

@@ -5,10 +5,14 @@ data."""
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import threading
 from dataclasses import dataclass, fields
 from enum import Enum
+from multiprocessing.connection import Connection
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -212,6 +216,89 @@ def evaluate_global(
     return err, acc, per_type, loss(pred, eval_set.labels)
 
 
+def _train_share(conn: Connection, train_one: Callable[[VehicleData], np.ndarray], share: list[VehicleData]) -> None:
+    """A forked trainer's body: send (None, the share's trained flat
+    vectors), or (the exception that stopped it, None)."""
+    try:
+        result = (None, [train_one(vd) for vd in share])
+    except Exception as exc:  # re-raised by the parent
+        result = (exc, None)
+    conn.send(result)
+    conn.close()
+
+
+def _train_vehicles(
+    global_params: ModelParams,
+    vehicles: list[VehicleData],
+    train: TrainConfig,
+    seed: int,
+    round_idx: int,
+) -> list[np.ndarray]:
+    """Each vehicle's locally trained flat parameters, in the given order.
+
+    With two or more vehicles and usable CPUs, in a process that runs no
+    other thread (a fork beside a running thread can deadlock the child),
+    W = min(CPUs, vehicles) forked children train vehicles k, k + W, ...:
+    each reads the inputs it inherited and sends back only its trained
+    vectors. Otherwise the vehicles train here, one after another. Every
+    vehicle's stream derives from (seed, round_idx, vehicle_id), so both
+    paths give the same bits. Every child is joined before this returns or
+    raises; a child's exception is raised here.
+    """
+
+    def train_one(vd: VehicleData) -> np.ndarray:
+        trained, _ = train_local(
+            global_params,
+            vd.features,
+            vd.labels,
+            episodes=train.local_episodes,
+            batch_size=train.batch_size,
+            learning_rate=train.learning_rate,
+            momentum=train.momentum,
+            rng=derive_rng(seed, TAG_TRAIN, round_idx, vd.vehicle_id),
+        )
+        return trained.flatten()
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(vehicles))
+    if workers < 2 or threading.active_count() > 1:
+        return [train_one(vd) for vd in vehicles]
+
+    ctx = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for k in range(workers):
+            receiver, sender = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_train_share, args=(sender, train_one, vehicles[k::workers]))
+            child.start()
+            sender.close()  # so the receiver sees EOF once the child exits
+            children.append((child, receiver))
+        flats = [None] * len(vehicles)
+        failure: Exception | None = None
+        for k, (child, receiver) in enumerate(children):
+            try:
+                error, share = receiver.recv()
+            except EOFError:  # the child exited without sending
+                child.join()
+                error = RuntimeError(
+                    f"trainer process {child.pid} exited with code {child.exitcode} "
+                    f"before sending the parameters of its {len(vehicles[k::workers])} vehicles"
+                )
+            if error is None:
+                flats[k::workers] = share
+            elif failure is None:
+                failure = error
+        if failure is not None:
+            raise failure
+        return flats
+    finally:
+        for child, receiver in children:
+            receiver.close()
+            if child.is_alive():
+                child.terminate()
+            child.join()
+
+
 def run_flt_round(
     global_params: ModelParams,
     vehicles: Sequence[VehicleData],
@@ -231,23 +318,17 @@ def run_flt_round(
     weighting, aggregation in ascending vehicle_id order, evaluation.
 
     Per-vehicle training streams derive from (seed, round_idx, vehicle_id),
-    so the result is independent of any execution interleaving.
+    so the result is independent of any execution interleaving: the vehicles
+    train on forked processes, up to one per usable CPU, or in-process, with
+    the same bytes (_train_vehicles).
     """
     if not vehicles:
         raise ValueError("no vehicles")
-    updates: list[LocalUpdate] = []
-    for vd in sorted(vehicles, key=lambda v: v.vehicle_id):
-        trained, _ = train_local(
-            global_params,
-            vd.features,
-            vd.labels,
-            episodes=train.local_episodes,
-            batch_size=train.batch_size,
-            learning_rate=train.learning_rate,
-            momentum=train.momentum,
-            rng=derive_rng(seed, TAG_TRAIN, round_idx, vd.vehicle_id),
-        )
-        updates.append(LocalUpdate(vd.vehicle_id, trained.flatten(), vd.attack_histogram(), vd.n_samples))
+    ordered = sorted(vehicles, key=lambda v: v.vehicle_id)
+    flats = _train_vehicles(global_params, ordered, train, seed, round_idx)
+    updates = [
+        LocalUpdate(vd.vehicle_id, flat, vd.attack_histogram(), vd.n_samples) for vd, flat in zip(ordered, flats)
+    ]
 
     mode = decide_mode(gate, prev_accuracy, derive_rng(seed, TAG_GATE, round_idx))
     if mode is AggregationMode.UNIFORM_AVERAGE:

@@ -1,6 +1,12 @@
 """Command-line interface: argument handling, exit codes, artifact writing."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import fltp.cli
 from fltp.cli import main
 
 TINY = """\
@@ -132,3 +138,21 @@ class TestArgparse:
     def test_run_requires_config(self):
         with pytest.raises(SystemExit):
             main(["run"])
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset,expected", [(None, "1"), ("2", "2")])
+def test_cli_sets_one_blas_thread_unless_the_caller_chose(preset, expected):
+    """Importing the CLI sets each unset BLAS thread variable to 1, before
+    numpy is imported, and keeps a value the caller set."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    if preset is not None:
+        env.update(dict.fromkeys(BLAS_THREAD_VARS, preset))
+    src = str(Path(fltp.cli.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = f"import os, fltp.cli; print(*(os.environ[v] for v in {BLAS_THREAD_VARS!r}))"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=False, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == [expected] * 3

@@ -50,9 +50,9 @@ class TestParseKvText:
 class TestDefaults:
     def test_empty_input_yields_full_scale_protocol(self):
         cfg = config_from_kv({})
-        assert cfg.methods == ["fl-tp", "fed-avg", "centralized"]
-        assert cfg.penetrations == [0.25, 0.5, 0.75]
-        assert cfg.vehicle_counts == [4, 10, 20]
+        assert cfg.methods == ("fl-tp", "fed-avg", "centralized")
+        assert cfg.penetrations == (0.25, 0.5, 0.75)
+        assert cfg.vehicle_counts == (4, 10, 20)
         assert cfg.repeats == 50
         assert cfg.scenario.region_side == 10_000.0
         assert cfg.scenario.n_steps == 100
@@ -86,13 +86,13 @@ class TestDefaults:
 class TestProfiles:
     def test_desk_overrides(self):
         cfg = config_from_kv({}, profile="desk")
-        assert cfg.vehicle_counts == [4]
+        assert cfg.vehicle_counts == (4,)
         assert cfg.train.global_rounds == 30
         assert cfg.repeats == 2
         assert cfg.scenario.n_steps == 64
         assert cfg.train.hidden_size == 32
         # untouched keys keep their defaults
-        assert cfg.penetrations == [0.25, 0.5, 0.75]
+        assert cfg.penetrations == (0.25, 0.5, 0.75)
         assert cfg.scenario.region_side == 10_000.0
         assert cfg.train.precision == "float64"
 
@@ -207,6 +207,19 @@ class TestRecords:
     def test_assignment_refused(self, record, field, bad, message):
         with pytest.raises(FrozenInstanceError):
             setattr(record, field, getattr(record, field))
+
+
+def test_list_keys_cannot_change_after_the_checks():
+    """The list keys are tuples, so a checked config cannot grow a method or
+    fleet size its checks never saw; they dump as the same comma lists."""
+    cfg = config_from_kv({})
+    with pytest.raises(AttributeError):
+        cfg.methods.append("gossip")
+    with pytest.raises(TypeError):
+        cfg.vehicle_counts[0] = 1
+    assert dump_config(cfg).startswith(
+        "methods = fl-tp, fed-avg, centralized\npenetrations = 0.25, 0.5, 0.75\nvehicle_counts = 4, 10, 20\n"
+    )
 
 
 class TestRoundTrip:

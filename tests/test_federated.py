@@ -1,10 +1,16 @@
 """Attack-aware weighting, gate, aggregation, and round orchestration."""
 import json
+import multiprocessing
+import os
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from fltp import federated
+from fltp.config import config_from_kv
+from fltp.experiment import build_cell_data
 from fltp.features import NormalizationSpec
 from fltp.federated import (
     AggregationMode,
@@ -23,6 +29,7 @@ from fltp.federated import (
     run_flt_round,
     save_checkpoint,
 )
+from fltp.metrics import RoundReport
 from fltp.model import ModelParams, TrainConfig, flat_length, forward, load_params, train_local
 from fltp.seeding import TAG_GATE, TAG_INIT, TAG_TRAIN, derive_rng
 from fltp.trace import AttackerType
@@ -425,6 +432,176 @@ class TestRunRound:
         p0 = ModelParams.init(4, derive_rng(13))
         with pytest.raises(ValueError):
             run_flt_round(p0, [], es, **_round_kwargs())
+
+
+@pytest.fixture(scope="module", params=["desk", "paper"])
+def four_vehicle_cell(request):
+    """A 4-vehicle cell at penetration 0.75: desk trains in float64, paper in
+    float32."""
+    cfg = config_from_kv({"vehicle_counts": "4", "penetrations": "0.75"}, profile=request.param)
+    seed = 4242
+    _, vehicles, eval_set, initial = build_cell_data(cfg, 0.75, 4, seed)
+    assert vehicles[0].features.dtype == np.dtype(cfg.train.precision)
+    return cfg, vehicles, eval_set, initial, seed
+
+
+@pytest.fixture
+def trainer_pids(monkeypatch, tmp_path):
+    """Records the pid of every local training a round runs, in the round's
+    own process or in a forked one; the returned function reads and clears
+    the record."""
+    record = tmp_path / "trainer_pids"
+    real = federated.train_local
+
+    def spy(*args, **kwargs):
+        with open(record, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(federated, "train_local", spy)
+
+    def read():
+        pids = [int(line) for line in record.read_text(encoding="utf-8").split()] if record.exists() else []
+        record.unlink(missing_ok=True)
+        return pids
+
+    return read
+
+
+def _set_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _assert_forked(pids, n_vehicles, cpus):
+    """Each vehicle trained once, on min(cpus, n_vehicles) forked processes."""
+    assert len(pids) == n_vehicles
+    assert os.getpid() not in pids
+    assert len(set(pids)) == min(cpus, n_vehicles)
+    assert multiprocessing.active_children() == []
+
+
+def _reference_round(params, vehicles, eval_set, cfg, seed, round_idx, prev_accuracy, gated):
+    """The round as a serial loop: train_local per vehicle on its derived
+    stream, the accuracy gate's uniform or mre_weights weights, aggregate,
+    evaluate_global."""
+    train = cfg.train
+    updates = []
+    for vd in sorted(vehicles, key=lambda v: v.vehicle_id):
+        trained, _ = train_local(
+            params,
+            vd.features,
+            vd.labels,
+            episodes=train.local_episodes,
+            batch_size=train.batch_size,
+            learning_rate=train.learning_rate,
+            momentum=train.momentum,
+            rng=derive_rng(seed, TAG_TRAIN, round_idx, vd.vehicle_id),
+        )
+        updates.append(LocalUpdate(vd.vehicle_id, trained.flatten(), vd.attack_histogram(), vd.n_samples))
+    if gated and prev_accuracy >= cfg.gate.threshold:
+        mode, weights = "mre", mre_weights(updates, cfg.influence)
+    else:
+        mode, weights = "uniform", np.full(len(updates), 1.0 / len(updates))
+    new_params = ModelParams.unflatten(aggregate(updates, weights), train.hidden_size)
+    err, acc, per_type, loss_value = evaluate_global(new_params, eval_set, cfg.norm, cfg.judgment_threshold)
+    return new_params, RoundReport(round_idx, "", mode, err, acc, loss_value, tuple(float(w) for w in weights), per_type)
+
+
+def _round(params, cell, method, round_idx, prev_accuracy):
+    cfg, vehicles, eval_set, _, seed = cell
+    return run_flt_round(
+        params,
+        vehicles,
+        eval_set,
+        round_idx=round_idx,
+        prev_accuracy=prev_accuracy,
+        gate=cfg.gate if METHODS[method].gated else None,
+        influence=cfg.influence,
+        train=cfg.train,
+        norm=cfg.norm,
+        seed=seed,
+        judgment_threshold=cfg.judgment_threshold,
+        method=method,
+    )
+
+
+class TestRoundPaths:
+    """A round trains its vehicles on forked processes, one per usable CPU
+    up to the vehicle count, when it can fork safely, and in-process
+    otherwise; both give the bytes of a serial loop."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    @pytest.mark.parametrize("method", ["fl-tp", "fed-avg"])
+    def test_rounds_equal_serial_reference(self, four_vehicle_cell, method, cpus, monkeypatch, trainer_pids):
+        cfg, vehicles, eval_set, initial, seed = four_vehicle_cell
+        _set_cpus(monkeypatch, cpus)
+        params = ref_params = initial
+        prev_accuracy = 0.0
+        modes = []
+        for round_idx in (1, 2):
+            params, report = _round(params, four_vehicle_cell, method, round_idx, prev_accuracy)
+            pids = trainer_pids()
+            if cpus == 1:
+                assert pids == [os.getpid()] * len(vehicles)
+            else:
+                _assert_forked(pids, len(vehicles), cpus)
+            ref_params, ref = _reference_round(
+                ref_params, vehicles, eval_set, cfg, seed, round_idx, prev_accuracy, METHODS[method].gated
+            )
+            assert params.flatten().tobytes() == ref_params.flatten().tobytes()
+            assert (report.mode, report.lambdas, report.per_type_accuracy) == (ref.mode, ref.lambdas, ref.per_type_accuracy)
+            assert (report.prediction_error, report.prediction_accuracy, report.loss) == (
+                ref.prediction_error,
+                ref.prediction_accuracy,
+                ref.loss,
+            )
+            modes.append(report.mode)
+            prev_accuracy = report.prediction_accuracy
+        assert modes == (["uniform", "mre"] if method == "fl-tp" else ["uniform", "uniform"])
+
+    def test_child_exception_reraised_and_no_child_left(self, four_vehicle_cell, monkeypatch, trainer_pids):
+        cfg, vehicles, eval_set, initial, seed = four_vehicle_cell
+        _set_cpus(monkeypatch, 2)
+        bad = vehicles[1]
+        features = bad.features.copy()
+        features[0, 0, 0] = np.nan
+        poisoned = [vd if vd is not bad else VehicleData(bad.vehicle_id, features, bad.labels) for vd in vehicles]
+        with pytest.raises(ValueError, match="window contains non-finite values"):
+            _round(initial, (cfg, poisoned, eval_set, initial, seed), "fl-tp", 1, 0.0)
+        pids = trainer_pids()
+        # child 1 trains vehicles 1 and 3, and stops at vehicle 1
+        assert len(pids) == 3 and len(set(pids)) == 2 and os.getpid() not in pids
+        assert multiprocessing.active_children() == []
+
+    def test_child_that_dies_without_a_result(self, four_vehicle_cell, monkeypatch):
+        cfg, vehicles, eval_set, initial, seed = four_vehicle_cell
+        _set_cpus(monkeypatch, 2)
+        parent = os.getpid()
+
+        def dying(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(3)
+            raise AssertionError("the round trained in-process")
+
+        monkeypatch.setattr(federated, "train_local", dying)
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            _round(initial, four_vehicle_cell, "fed-avg", 1, 0.0)
+        assert multiprocessing.active_children() == []
+
+    def test_round_in_a_second_thread_trains_in_process(self, four_vehicle_cell, monkeypatch, trainer_pids):
+        _set_cpus(monkeypatch, 2)
+        initial = four_vehicle_cell[3]
+        forked = _round(initial, four_vehicle_cell, "fl-tp", 1, 0.0)
+        _assert_forked(trainer_pids(), len(four_vehicle_cell[1]), 2)
+        threaded = []
+        worker = threading.Thread(target=lambda: threaded.append(_round(initial, four_vehicle_cell, "fl-tp", 1, 0.0)))
+        worker.start()
+        worker.join(timeout=120)
+        assert not worker.is_alive()
+        assert trainer_pids() == [os.getpid()] * len(four_vehicle_cell[1])
+        (params, report), = threaded
+        assert params.flatten().tobytes() == forked[0].flatten().tobytes()
+        assert report == forked[1]
 
 
 class TestCentralized:

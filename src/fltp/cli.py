@@ -19,6 +19,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 from .config import ConfigError, load_config
 from .experiment import export_summary, run_experiment
+from .machine import describe
 from .trace import IngestError
 
 
@@ -31,7 +32,13 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--profile", choices=("desk", "paper"), default=None, help="scale preset applied under the config file")
     run_p.add_argument("--seed", type=int, default=None, help="override master_seed")
     run_p.add_argument("--out", default=None, help="override out_dir")
-    run_p.add_argument("--threads", type=int, default=1, help="worker threads, each running all methods of one data seed; with 1, each round trains its vehicles on forked processes")
+    run_p.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="worker threads, each running all methods of one data seed; with 1, each round trains its vehicles and "
+        "evaluates its pool on forked processes, up to one per usable CPU, unless BLAS runs more than one thread",
+    )
 
     sum_p = sub.add_parser("summarize", help="rebuild summary.csv from per-round CSVs")
     sum_p.add_argument("--in", dest="in_dir", required=True, help="directory holding rounds_*.csv")
@@ -44,6 +51,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
+            logging.getLogger("fltp").info("%s", describe())
             cfg = load_config(args.config, profile=args.profile)
             if args.seed is not None:
                 cfg = replace(cfg, master_seed=args.seed)

@@ -6,19 +6,19 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import os
 import threading
 from dataclasses import dataclass, fields
 from enum import Enum
 from multiprocessing.connection import Connection
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
 from .features import NormalizationSpec
+from .machine import blas_threads, usable_cpus
 from .metrics import RoundReport, attack_judgments, prediction_accuracy, prediction_error
-from .model import ModelParams, TrainConfig, forward, loss, save_params, train_local
+from .model import PREDICT_CHUNK, ModelParams, TrainConfig, forward, loss, save_params, train_local
 from .seeding import TAG_GATE, TAG_TRAIN, derive_rng
 from .trace import ATTACK_CLASSES, AttackerType
 
@@ -27,6 +27,9 @@ CLEANLINESS_FLOOR = 1e-6
 
 #: tolerance on the aggregation weight sum
 WEIGHT_SUM_TOL = 1e-9
+
+Item = TypeVar("Item")
+Result = TypeVar("Result")
 
 
 class AggregationMode(Enum):
@@ -201,10 +204,18 @@ def evaluate_global(
 
     Returns (trajectory error in metres, attack accuracy, per-attacker-code
     accuracy for the codes present, loss).
+
+    The pool's PREDICT_CHUNK-window chunks run forward on forked workers
+    when there are two or more and forking is safe (_fork_map), else here.
+    Each chunk is the pass forward makes over those windows anyway, so both
+    paths give the same bits.
     """
-    if eval_set.features.shape[0] == 0:
+    x = eval_set.features
+    if x.shape[0] == 0:
         raise ValueError("empty evaluation set")
-    pred = forward(params, eval_set.features)
+    starts = range(0, x.shape[0], PREDICT_CHUNK)
+    chunks = _fork_map(lambda start: forward(params, x[start : start + PREDICT_CHUNK]), starts)
+    pred = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
     err = prediction_error(pred[:, :, :2], eval_set.labels[:, :, :2], norm)
     judgments = attack_judgments(pred[:, :, 2], eval_set.labels[:, :, 2], judgment_threshold)
     acc = prediction_accuracy(judgments)
@@ -216,15 +227,67 @@ def evaluate_global(
     return err, acc, per_type, loss(pred, eval_set.labels)
 
 
-def _train_share(conn: Connection, train_one: Callable[[VehicleData], np.ndarray], share: list[VehicleData]) -> None:
-    """A forked trainer's body: send (None, the share's trained flat
-    vectors), or (the exception that stopped it, None)."""
+def _run_share(conn: Connection, fn: Callable[[Item], Result], share: Sequence[Item]) -> None:
+    """A forked worker's body: send (None, fn of each item of its share), or
+    (the exception that stopped it, None)."""
     try:
-        result = (None, [train_one(vd) for vd in share])
+        result = (None, [fn(item) for item in share])
     except Exception as exc:  # re-raised by the parent
         result = (exc, None)
     conn.send(result)
     conn.close()
+
+
+def _fork_map(fn: Callable[[Item], Result], items: Sequence[Item]) -> list[Result]:
+    """fn of each item, in order.
+
+    With W = min(usable CPUs, items) of at least 2, in a process that runs
+    no other thread (a fork beside a running thread can deadlock the child)
+    and whose BLAS runs one thread or an unknown number (W workers of
+    several BLAS threads each would oversubscribe the cores), W forked
+    children run items k, k + W, ...: each reads the inputs it inherited and
+    sends back only its results. Otherwise the items run here, one after
+    another. Every child is joined before this returns or raises; a child's
+    exception is raised here, and a child that exits without sending its
+    results raises RuntimeError.
+    """
+    workers = min(usable_cpus(), len(items))
+    if workers < 2 or threading.active_count() > 1 or (blas_threads() or 1) > 1:
+        return [fn(item) for item in items]
+
+    ctx = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for k in range(workers):
+            receiver, sender = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_run_share, args=(sender, fn, items[k::workers]))
+            child.start()
+            sender.close()  # so the receiver sees EOF once the child exits
+            children.append((child, receiver))
+        results: list = [None] * len(items)
+        failure: Exception | None = None
+        for k, (child, receiver) in enumerate(children):
+            try:
+                error, share = receiver.recv()
+            except EOFError:  # the child exited without sending
+                child.join()
+                error = RuntimeError(
+                    f"worker process {child.pid} exited with code {child.exitcode} "
+                    f"before sending the results of its {len(items[k::workers])} items"
+                )
+            if error is None:
+                results[k::workers] = share
+            elif failure is None:
+                failure = error
+        if failure is not None:
+            raise failure
+        return results
+    finally:
+        for child, receiver in children:
+            receiver.close()
+            if child.is_alive():
+                child.terminate()
+            child.join()
 
 
 def _train_vehicles(
@@ -234,16 +297,9 @@ def _train_vehicles(
     seed: int,
     round_idx: int,
 ) -> list[np.ndarray]:
-    """Each vehicle's locally trained flat parameters, in the given order.
-
-    With two or more vehicles and usable CPUs, in a process that runs no
-    other thread (a fork beside a running thread can deadlock the child),
-    W = min(CPUs, vehicles) forked children train vehicles k, k + W, ...:
-    each reads the inputs it inherited and sends back only its trained
-    vectors. Otherwise the vehicles train here, one after another. Every
-    vehicle's stream derives from (seed, round_idx, vehicle_id), so both
-    paths give the same bits. Every child is joined before this returns or
-    raises; a child's exception is raised here.
+    """Each vehicle's locally trained flat parameters, in the given order,
+    on forked workers or here (_fork_map). Every vehicle's stream derives
+    from (seed, round_idx, vehicle_id), so both paths give the same bits.
     """
 
     def train_one(vd: VehicleData) -> np.ndarray:
@@ -259,44 +315,7 @@ def _train_vehicles(
         )
         return trained.flatten()
 
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(vehicles))
-    if workers < 2 or threading.active_count() > 1:
-        return [train_one(vd) for vd in vehicles]
-
-    ctx = multiprocessing.get_context("fork")
-    children = []
-    try:
-        for k in range(workers):
-            receiver, sender = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_train_share, args=(sender, train_one, vehicles[k::workers]))
-            child.start()
-            sender.close()  # so the receiver sees EOF once the child exits
-            children.append((child, receiver))
-        flats = [None] * len(vehicles)
-        failure: Exception | None = None
-        for k, (child, receiver) in enumerate(children):
-            try:
-                error, share = receiver.recv()
-            except EOFError:  # the child exited without sending
-                child.join()
-                error = RuntimeError(
-                    f"trainer process {child.pid} exited with code {child.exitcode} "
-                    f"before sending the parameters of its {len(vehicles[k::workers])} vehicles"
-                )
-            if error is None:
-                flats[k::workers] = share
-            elif failure is None:
-                failure = error
-        if failure is not None:
-            raise failure
-        return flats
-    finally:
-        for child, receiver in children:
-            receiver.close()
-            if child.is_alive():
-                child.terminate()
-            child.join()
+    return _fork_map(train_one, vehicles)
 
 
 def run_flt_round(
@@ -318,9 +337,11 @@ def run_flt_round(
     weighting, aggregation in ascending vehicle_id order, evaluation.
 
     Per-vehicle training streams derive from (seed, round_idx, vehicle_id),
-    so the result is independent of any execution interleaving: the vehicles
-    train on forked processes, up to one per usable CPU, or in-process, with
-    the same bytes (_train_vehicles).
+    so the result is independent of any execution interleaving. The vehicles
+    train, and the pool's chunks are evaluated, on forked processes, up to
+    one per usable CPU, or in-process, with the same bytes (_fork_map). They
+    stay in-process with one vehicle or chunk, one usable CPU, another
+    thread running, or a BLAS on more than one thread.
     """
     if not vehicles:
         raise ValueError("no vehicles")

@@ -1,5 +1,6 @@
 """Command-line interface: argument handling, exit codes, artifact writing."""
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 
 import fltp.cli
 from fltp.cli import main
+from fltp.machine import blas_threads, usable_cpus
 
 TINY = """\
 methods = fl-tp, centralized
@@ -156,3 +158,23 @@ def test_cli_sets_one_blas_thread_unless_the_caller_chose(preset, expected):
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=False, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == [expected] * 3
+
+
+def test_run_logs_the_blas_build_and_the_usable_cpus(tiny_config, tmp_path):
+    """`fltp run` logs one stderr line with numpy's BLAS build, the OpenBLAS
+    core type, the BLAS thread count (the CLI's 1) and the usable CPUs that
+    size the round's workers; no output file carries it."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    src = str(Path(fltp.cli.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = tmp_path / "out"
+    argv = [sys.executable, "-m", "fltp.cli", "run", "--config", str(tiny_config), "--out", str(out)]
+    run = subprocess.run(argv, env=env, capture_output=True, text=True, check=False, timeout=300)
+    assert run.returncode == 0, run.stderr
+    lines = [line for line in run.stderr.splitlines() if "usable CPUs" in line]
+    threads = "unknown" if blas_threads() is None else "1"
+    pattern = rf"INFO BLAS \S+ \S+, OpenBLAS core type \S+, BLAS threads {threads}, usable CPUs {usable_cpus()}"
+    assert len(lines) == 1 and re.fullmatch(pattern, lines[0]), run.stderr
+    assert lines[0] == run.stderr.splitlines()[0]
+    assert "usable CPUs" not in run.stdout
+    assert all(b"usable CPUs" not in p.read_bytes() for p in out.iterdir())

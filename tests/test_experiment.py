@@ -1,6 +1,5 @@
 """Sweep orchestration: seeding, CSV artifacts, summaries, reproducibility."""
 import csv
-import ctypes
 import hashlib
 import json
 import math
@@ -33,6 +32,7 @@ from fltp.experiment import (
     write_rounds_csv,
 )
 from fltp.federated import evaluate_global, run_flt_round
+from fltp.machine import describe
 from fltp.model import flat_length, load_params, train_local
 from fltp.seeding import TAG_TRAIN, derive_rng
 from fltp.simulate import pooled_training_set
@@ -487,21 +487,6 @@ DESK_FINGERPRINT = {
 PINNED_KERNEL = {"OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1"}
 
 
-def _blas_kernel() -> str:
-    """numpy's BLAS build and the OpenBLAS core type this process runs, the
-    one it picked for the CPU or the one OPENBLAS_CORETYPE named."""
-    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
-    core = "unknown"
-    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
-        try:
-            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
-        except (OSError, AttributeError):
-            continue
-        corename.argtypes, corename.restype = [], ctypes.c_char_p
-        core = corename().decode()
-    return f"BLAS {blas.get('name')} {blas.get('version')}, OpenBLAS core type {core}"
-
-
 def _pinned_kernel_missing() -> str | None:
     """Why this machine cannot run the pinned kernel, or None if it can."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
@@ -539,5 +524,5 @@ def test_desk_fingerprint(tmp_path):
 if __name__ == "__main__":
     # the fingerprint sweep: fltp's command line, then the kernel that ran it
     code = cli_main(sys.argv[1:])
-    print(_blas_kernel())
+    print(describe())
     sys.exit(code)

@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import os
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,8 +30,8 @@ from fltp.federated import (
     run_flt_round,
     save_checkpoint,
 )
-from fltp.metrics import RoundReport
-from fltp.model import ModelParams, TrainConfig, flat_length, forward, load_params, train_local
+from fltp.metrics import RoundReport, attack_judgments, prediction_accuracy, prediction_error
+from fltp.model import PREDICT_CHUNK, ModelParams, TrainConfig, flat_length, forward, load_params, loss, train_local
 from fltp.seeding import TAG_GATE, TAG_INIT, TAG_TRAIN, derive_rng
 from fltp.trace import AttackerType
 
@@ -445,20 +446,18 @@ def four_vehicle_cell(request):
     return cfg, vehicles, eval_set, initial, seed
 
 
-@pytest.fixture
-def trainer_pids(monkeypatch, tmp_path):
-    """Records the pid of every local training a round runs, in the round's
-    own process or in a forked one; the returned function reads and clears
-    the record."""
-    record = tmp_path / "trainer_pids"
-    real = federated.train_local
+def _pid_spy(monkeypatch, record, name):
+    """Replaces federated.<name> with a spy that appends the pid of each
+    call, in this process or a forked one, to the file record; returns the
+    function that reads and clears the record."""
+    real = getattr(federated, name)
 
     def spy(*args, **kwargs):
         with open(record, "a", encoding="utf-8") as fh:
             fh.write(f"{os.getpid()}\n")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(federated, "train_local", spy)
+    monkeypatch.setattr(federated, name, spy)
 
     def read():
         pids = [int(line) for line in record.read_text(encoding="utf-8").split()] if record.exists() else []
@@ -468,8 +467,22 @@ def trainer_pids(monkeypatch, tmp_path):
     return read
 
 
-def _set_cpus(monkeypatch, n):
+@pytest.fixture
+def trainer_pids(monkeypatch, tmp_path):
+    """Records the pid of every local training a round runs."""
+    return _pid_spy(monkeypatch, tmp_path / "trainer_pids", "train_local")
+
+
+@pytest.fixture
+def forward_pids(monkeypatch, tmp_path):
+    """Records the pid of every forward pass evaluate_global runs."""
+    return _pid_spy(monkeypatch, tmp_path / "forward_pids", "forward")
+
+
+def _set_cpus(monkeypatch, n, blas_threads=1):
+    """n usable CPUs, and a BLAS that reports blas_threads threads."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(federated, "blas_threads", lambda: blas_threads)
 
 
 def _assert_forked(pids, n_vehicles, cpus):
@@ -602,6 +615,104 @@ class TestRoundPaths:
         (params, report), = threaded
         assert params.flatten().tobytes() == forked[0].flatten().tobytes()
         assert report == forked[1]
+
+
+@pytest.fixture(scope="module")
+def pool_cell():
+    """The paper profile's 10-vehicle pool of 1620 windows (4 evaluation
+    chunks) and a perturbed initial model, so judgments differ by window."""
+    cfg = config_from_kv({"vehicle_counts": "10", "penetrations": "0.75"}, profile="paper")
+    _, _, eval_set, initial = build_cell_data(cfg, 0.75, 10, 4242)
+    assert eval_set.features.shape[0] == 1620
+    flat = initial.flatten()
+    model = ModelParams.unflatten(flat + derive_rng(3).normal(0.0, 0.3, flat.shape), initial.hidden_size)
+    return cfg, eval_set, model
+
+
+def _pool(eval_set, n, dtype=np.float64):
+    return EvalSet(eval_set.features[:n].astype(dtype), eval_set.labels[:n])
+
+
+def _reference_evaluation(params, eval_set, norm, threshold):
+    """evaluate_global as one forward over the whole pool plus its metrics."""
+    pred = forward(params, eval_set.features)
+    labels = eval_set.labels
+    judgments = attack_judgments(pred[:, :, 2], labels[:, :, 2], threshold)
+    codes = eval_set.attacker_codes
+    per_type = {int(code): prediction_accuracy(judgments[codes == code]) for code in np.unique(codes)}
+    err = prediction_error(pred[:, :, :2], labels[:, :, :2], norm)
+    return err, prediction_accuracy(judgments), per_type, loss(pred, labels)
+
+
+class TestForkedEvaluation:
+    """evaluate_global runs the pool's PREDICT_CHUNK-window chunks on forked
+    processes, one per usable CPU up to the chunk count, when there are two
+    or more chunks and it can fork safely; every path gives the bits of one
+    forward over the whole pool."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n", [1, 511, 512, 513, 1025, 1620])
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_equals_serial_reference(self, pool_cell, cpus, n, dtype, monkeypatch, forward_pids):
+        cfg, full, model = pool_cell
+        eval_set = _pool(full, n, dtype)
+        _set_cpus(monkeypatch, cpus)
+        result = evaluate_global(model, eval_set, cfg.norm, cfg.judgment_threshold)
+        pids = forward_pids()
+        chunks = -(-n // PREDICT_CHUNK)
+        assert len(pids) == chunks
+        if cpus == 1 or chunks == 1:
+            assert pids == [os.getpid()] * chunks
+        else:
+            assert os.getpid() not in pids
+            assert len(set(pids)) == min(cpus, chunks)
+        assert multiprocessing.active_children() == []
+        assert result == _reference_evaluation(model, eval_set, cfg.norm, cfg.judgment_threshold)
+
+    def test_child_exception_reraised_and_no_child_left(self, pool_cell, monkeypatch, forward_pids):
+        cfg, full, model = pool_cell
+        features = full.features.copy()
+        features[1000, 3, 4] = np.nan  # chunk 1
+        _set_cpus(monkeypatch, 2)
+        with pytest.raises(ValueError, match="window contains non-finite values"):
+            evaluate_global(model, EvalSet(features, full.labels), cfg.norm, cfg.judgment_threshold)
+        pids = forward_pids()
+        # child 0 runs chunks 0 and 2; child 1 runs chunks 1 and 3, and stops at chunk 1
+        assert len(pids) == 3 and len(set(pids)) == 2 and os.getpid() not in pids
+        assert multiprocessing.active_children() == []
+
+    def test_call_from_a_second_thread_runs_in_process(self, pool_cell, monkeypatch, forward_pids):
+        cfg, eval_set, model = pool_cell
+        _set_cpus(monkeypatch, 2)
+        forked = evaluate_global(model, eval_set, cfg.norm, cfg.judgment_threshold)
+        assert os.getpid() not in forward_pids()
+        threaded = []
+        worker = threading.Thread(target=lambda: threaded.append(evaluate_global(model, eval_set, cfg.norm, cfg.judgment_threshold)))
+        worker.start()
+        worker.join(timeout=120)
+        assert not worker.is_alive()
+        assert forward_pids() == [os.getpid()] * 4
+        assert threaded == [forked]
+
+    def test_blas_on_several_threads_keeps_the_round_in_process(
+        self, four_vehicle_cell, pool_cell, monkeypatch, trainer_pids, forward_pids
+    ):
+        """With W workers of several BLAS threads each the cores would be
+        oversubscribed, so a round trains and evaluates here, with the bytes
+        of the serial reference."""
+        cfg, vehicles, eval_set, initial, seed = four_vehicle_cell
+        _set_cpus(monkeypatch, 2, blas_threads=2)
+        params, report = _round(initial, four_vehicle_cell, "fl-tp", 1, 0.0)
+        assert trainer_pids() == [os.getpid()] * len(vehicles)
+        assert forward_pids() == [os.getpid()]
+        ref_params, ref = _reference_round(initial, vehicles, eval_set, cfg, seed, 1, 0.0, True)
+        forward_pids()  # the reference's own evaluation
+        assert params.flatten().tobytes() == ref_params.flatten().tobytes()
+        assert report == replace(ref, method="fl-tp")
+        pool_cfg, pool, model = pool_cell
+        result = evaluate_global(model, pool, pool_cfg.norm, pool_cfg.judgment_threshold)
+        assert forward_pids() == [os.getpid()] * 4
+        assert result == _reference_evaluation(model, pool, pool_cfg.norm, pool_cfg.judgment_threshold)
 
 
 class TestCentralized:

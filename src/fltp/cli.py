@@ -12,8 +12,8 @@ import sys
 from dataclasses import replace
 
 # One BLAS thread unless the caller chose otherwise. BLAS reads these when
-# numpy is first imported, by the imports below; the round's forked trainers
-# inherit them, so W trainers never run W x nproc BLAS threads.
+# numpy is first imported, by the imports below; the forked workers inherit
+# them, so W workers never run W x nproc BLAS threads.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
@@ -36,8 +36,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="worker threads, each running all methods of one data seed; with 1, each round trains its vehicles and "
-        "evaluates its pool on forked processes, up to one per usable CPU, unless BLAS runs more than one thread",
+        help="data seeds run at once, each on a forked worker process, at most one per usable CPU; with 1, each round "
+        "trains its vehicles and evaluates its pool on forked processes instead, unless BLAS runs more than one thread",
     )
 
     sum_p = sub.add_parser("summarize", help="rebuild summary.csv from per-round CSVs")

@@ -7,7 +7,6 @@ from __future__ import annotations
 import csv
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator
@@ -16,6 +15,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .federated import METHODS, EvalSet, VehicleData, run_flt_round, save_checkpoint
+from .machine import fork_map
 from .metrics import RoundReport, mean_std
 from .model import ModelParams, forward, loss
 from .seeding import TAG_CELL, TAG_INIT, TAG_SCENARIO, derive_rng, derive_seed
@@ -235,15 +235,13 @@ def sweep_cells(cfg: ExperimentConfig) -> list[SweepCell]:
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[Path]:
     """Execute the full sweep; returns the paths of all files written.
 
-    The cells of one data seed share one build (run_cells); data seeds may
-    run on several worker threads, and outputs are identical for any worker
-    count because every data seed is seeded and written independently. With
-    one thread, the default and the fast path, each round trains its
-    vehicles and evaluates its pool on up to one forked worker per usable
-    CPU (run_flt_round), unless numpy's BLAS runs more than one thread; with
-    two or more threads, every round trains and evaluates in-process, since
-    a fork beside a running thread is unsafe. The bytes are the same for any
-    CPU count.
+    The cells of one data seed share one build (run_cells). Up to `threads`
+    data seeds run at once, each on a forked worker process, at most one per
+    usable CPU, and their rounds run in-process, since only the main process
+    forks (fork_map). With one thread, the data seeds run here and each
+    round forks instead (run_flt_round). Every data seed is seeded and
+    written independently, so the bytes are the same for any `threads` and
+    CPU count; a worker's exception, such as a divergence, is raised here.
     out_dir is created once every cell has finished, so a failed run leaves
     none behind (checkpoints make their own directories). The summary is
     rebuilt from the rounds files this run wrote, by the same reader as
@@ -256,11 +254,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[Path]:
     for cell in cells:  # method-major, so each group keeps cfg.methods order
         groups.setdefault((cell.pen_idx, cell.veh_idx, cell.repeat), []).append(cell)
 
-    if threads == 1:
-        group_reports = [run_cells(cfg, group) for group in groups.values()]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            group_reports = list(pool.map(lambda g: run_cells(cfg, g), groups.values()))
+    group_reports = fork_map(lambda group: run_cells(cfg, group), list(groups.values()), threads)
     reports_of: dict[SweepCell, list[RoundReport]] = {}
     for group, reports in zip(groups.values(), group_reports):
         reports_of.update(zip(group, reports))

@@ -5,18 +5,15 @@ data."""
 from __future__ import annotations
 
 import json
-import multiprocessing
-import threading
 from dataclasses import dataclass, fields
 from enum import Enum
-from multiprocessing.connection import Connection
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence, TypeVar
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .features import NormalizationSpec
-from .machine import blas_threads, usable_cpus
+from .machine import fork_map
 from .metrics import RoundReport, attack_judgments, prediction_accuracy, prediction_error
 from .model import PREDICT_CHUNK, ModelParams, TrainConfig, forward, loss, save_params, train_local
 from .seeding import TAG_GATE, TAG_TRAIN, derive_rng
@@ -27,9 +24,6 @@ CLEANLINESS_FLOOR = 1e-6
 
 #: tolerance on the aggregation weight sum
 WEIGHT_SUM_TOL = 1e-9
-
-Item = TypeVar("Item")
-Result = TypeVar("Result")
 
 
 class AggregationMode(Enum):
@@ -206,7 +200,7 @@ def evaluate_global(
     accuracy for the codes present, loss).
 
     The pool's PREDICT_CHUNK-window chunks run forward on forked workers
-    when there are two or more and forking is safe (_fork_map), else here.
+    when there are two or more and forking is safe (fork_map), else here.
     Each chunk is the pass forward makes over those windows anyway, so both
     paths give the same bits.
     """
@@ -214,7 +208,7 @@ def evaluate_global(
     if x.shape[0] == 0:
         raise ValueError("empty evaluation set")
     starts = range(0, x.shape[0], PREDICT_CHUNK)
-    chunks = _fork_map(lambda start: forward(params, x[start : start + PREDICT_CHUNK]), starts)
+    chunks = fork_map(lambda start: forward(params, x[start : start + PREDICT_CHUNK]), starts)
     pred = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
     err = prediction_error(pred[:, :, :2], eval_set.labels[:, :, :2], norm)
     judgments = attack_judgments(pred[:, :, 2], eval_set.labels[:, :, 2], judgment_threshold)
@@ -227,69 +221,6 @@ def evaluate_global(
     return err, acc, per_type, loss(pred, eval_set.labels)
 
 
-def _run_share(conn: Connection, fn: Callable[[Item], Result], share: Sequence[Item]) -> None:
-    """A forked worker's body: send (None, fn of each item of its share), or
-    (the exception that stopped it, None)."""
-    try:
-        result = (None, [fn(item) for item in share])
-    except Exception as exc:  # re-raised by the parent
-        result = (exc, None)
-    conn.send(result)
-    conn.close()
-
-
-def _fork_map(fn: Callable[[Item], Result], items: Sequence[Item]) -> list[Result]:
-    """fn of each item, in order.
-
-    With W = min(usable CPUs, items) of at least 2, in a process that runs
-    no other thread (a fork beside a running thread can deadlock the child)
-    and whose BLAS runs one thread or an unknown number (W workers of
-    several BLAS threads each would oversubscribe the cores), W forked
-    children run items k, k + W, ...: each reads the inputs it inherited and
-    sends back only its results. Otherwise the items run here, one after
-    another. Every child is joined before this returns or raises; a child's
-    exception is raised here, and a child that exits without sending its
-    results raises RuntimeError.
-    """
-    workers = min(usable_cpus(), len(items))
-    if workers < 2 or threading.active_count() > 1 or (blas_threads() or 1) > 1:
-        return [fn(item) for item in items]
-
-    ctx = multiprocessing.get_context("fork")
-    children = []
-    try:
-        for k in range(workers):
-            receiver, sender = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_run_share, args=(sender, fn, items[k::workers]))
-            child.start()
-            sender.close()  # so the receiver sees EOF once the child exits
-            children.append((child, receiver))
-        results: list = [None] * len(items)
-        failure: Exception | None = None
-        for k, (child, receiver) in enumerate(children):
-            try:
-                error, share = receiver.recv()
-            except EOFError:  # the child exited without sending
-                child.join()
-                error = RuntimeError(
-                    f"worker process {child.pid} exited with code {child.exitcode} "
-                    f"before sending the results of its {len(items[k::workers])} items"
-                )
-            if error is None:
-                results[k::workers] = share
-            elif failure is None:
-                failure = error
-        if failure is not None:
-            raise failure
-        return results
-    finally:
-        for child, receiver in children:
-            receiver.close()
-            if child.is_alive():
-                child.terminate()
-            child.join()
-
-
 def _train_vehicles(
     global_params: ModelParams,
     vehicles: list[VehicleData],
@@ -298,7 +229,7 @@ def _train_vehicles(
     round_idx: int,
 ) -> list[np.ndarray]:
     """Each vehicle's locally trained flat parameters, in the given order,
-    on forked workers or here (_fork_map). Every vehicle's stream derives
+    on forked workers or here (fork_map). Every vehicle's stream derives
     from (seed, round_idx, vehicle_id), so both paths give the same bits.
     """
 
@@ -315,7 +246,7 @@ def _train_vehicles(
         )
         return trained.flatten()
 
-    return _fork_map(train_one, vehicles)
+    return fork_map(train_one, vehicles)
 
 
 def run_flt_round(
@@ -339,9 +270,10 @@ def run_flt_round(
     Per-vehicle training streams derive from (seed, round_idx, vehicle_id),
     so the result is independent of any execution interleaving. The vehicles
     train, and the pool's chunks are evaluated, on forked processes, up to
-    one per usable CPU, or in-process, with the same bytes (_fork_map). They
+    one per usable CPU, or in-process, with the same bytes (fork_map). They
     stay in-process with one vehicle or chunk, one usable CPU, another
-    thread running, or a BLAS on more than one thread.
+    thread running, a BLAS on more than one thread, or in a forked worker
+    (a data seed of run_experiment on two or more workers).
     """
     if not vehicles:
         raise ValueError("no vehicles")

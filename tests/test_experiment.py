@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -36,6 +37,7 @@ from fltp.machine import describe
 from fltp.model import flat_length, load_params, train_local
 from fltp.seeding import TAG_TRAIN, derive_rng
 from fltp.simulate import pooled_training_set
+from forking import pid_spy, set_cpus
 
 
 def _tiny_cfg(out_dir, **overrides):
@@ -55,6 +57,34 @@ def _tiny_cfg(out_dir, **overrides):
     }
     kv.update(overrides)
     return config_from_kv(kv)
+
+
+def _build_spy(monkeypatch, record):
+    """Replaces experiment.build_cell_data with a spy that appends the pid
+    and the data seed of each call, in this process or a forked one, to the
+    file record; returns the function that reads and clears the record as
+    (pid, seed) pairs."""
+    build = experiment.build_cell_data
+
+    def spy(cfg, penetration, n_vehicles, seed):
+        with open(record, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {seed}\n")
+        return build(cfg, penetration, n_vehicles, seed)
+
+    monkeypatch.setattr(experiment, "build_cell_data", spy)
+
+    def read():
+        lines = record.read_text(encoding="utf-8").splitlines() if record.exists() else []
+        record.unlink(missing_ok=True)
+        return [tuple(int(field) for field in line.split()) for line in lines]
+
+    return read
+
+
+def _assert_same_bytes(files_a, files_b):
+    assert [p.name for p in files_a] == [p.name for p in files_b]
+    for pa, pb in zip(files_a, files_b):
+        assert pa.read_bytes() == pb.read_bytes(), pa.name
 
 
 def _read_csv(path):
@@ -280,23 +310,62 @@ class TestRunExperiment:
         cfg_b = _tiny_cfg(tmp_path / "b")
         files_a = run_experiment(cfg_a, threads=1)
         files_b = run_experiment(cfg_b, threads=3)
-        assert [p.name for p in files_a] == [p.name for p in files_b]
-        for pa, pb in zip(files_a, files_b):
-            assert pa.read_bytes() == pb.read_bytes(), pa.name
+        _assert_same_bytes(files_a, files_b)
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_one_build_per_data_seed(self, tmp_path, monkeypatch, threads):
-        seeds = []
-        build = experiment.build_cell_data
-
-        def counted(cfg, penetration, n_vehicles, seed):
-            seeds.append(seed)
-            return build(cfg, penetration, n_vehicles, seed)
-
-        monkeypatch.setattr(experiment, "build_cell_data", counted)
+        set_cpus(monkeypatch, 2)  # so 3 threads fork the data seeds
+        builds = _build_spy(monkeypatch, tmp_path / "builds")
         cfg = _tiny_cfg(tmp_path / "out", penetrations="0.25, 0.75", global_rounds="1")
         run_experiment(cfg, threads=threads)
+        seeds = [seed for _, seed in builds()]
         assert len(seeds) == len(set(seeds)) == 4  # 3 methods x 2 penetrations x 2 repeats
+
+    def test_data_seeds_fork_one_level(self, tmp_path, monkeypatch):
+        """On 2 workers each data seed builds and trains in a forked worker,
+        and its rounds train there, in-process: nothing forks twice."""
+        set_cpus(monkeypatch, 2)
+        builds = _build_spy(monkeypatch, tmp_path / "builds")
+        trainings = pid_spy(monkeypatch, tmp_path / "trainings", federated, "train_local")
+        serial = run_experiment(_tiny_cfg(tmp_path / "serial", penetrations="0.25, 0.75", global_rounds="1"))
+        serial_trainings, serial_builds = trainings(), builds()
+        assert {pid for pid, _ in serial_builds} == {os.getpid()}
+        assert set(serial_trainings) - {os.getpid()}  # one thread: rounds of several vehicles fork
+        forked = run_experiment(_tiny_cfg(tmp_path / "forked", penetrations="0.25, 0.75", global_rounds="1"), threads=2)
+        build_pids = [pid for pid, _ in builds()]
+        assert len(build_pids) == 4 and os.getpid() not in build_pids
+        assert len(set(build_pids)) == 2  # min(2 workers, 4 data seeds)
+        forked_trainings = trainings()
+        assert len(forked_trainings) == len(serial_trainings)
+        assert set(forked_trainings) == set(build_pids)
+        assert multiprocessing.active_children() == []
+        _assert_same_bytes(serial, forked)
+
+    def test_out_of_range_threads_start_one_worker_per_cpu(self, tmp_path, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        builds = _build_spy(monkeypatch, tmp_path / "builds")
+        serial = run_experiment(_tiny_cfg(tmp_path / "serial", penetrations="0.25, 0.75", global_rounds="1"))
+        builds()
+        wide = run_experiment(_tiny_cfg(tmp_path / "wide", penetrations="0.25, 0.75", global_rounds="1"), threads=10**6)
+        pids = [pid for pid, _ in builds()]
+        assert len(pids) == 4 and os.getpid() not in pids
+        assert len(set(pids)) == 2  # 4 data seeds on the 2 usable CPUs
+        assert multiprocessing.active_children() == []
+        _assert_same_bytes(serial, wide)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_divergence_fails_loudly_on_any_worker_count(self, tmp_path, monkeypatch, threads):
+        """A diverged data seed stops the sweep with the same message whether
+        it ran here or on a forked worker, and no out_dir is created."""
+        set_cpus(monkeypatch, 2)
+        builds = _build_spy(monkeypatch, tmp_path / "builds")
+        cfg = _tiny_cfg(tmp_path / "out", methods="fl-tp", learning_rate="5000")
+        seed = cell_seed(cfg.master_seed, 0, 0, 0)
+        with pytest.raises(ValueError, match=rf"^fl-tp diverged at round 1 \(cell seed {seed}\): "):
+            run_experiment(cfg, threads=threads)
+        assert not (tmp_path / "out").exists()
+        assert (os.getpid() in {pid for pid, _ in builds()}) == (threads == 1)
+        assert multiprocessing.active_children() == []
 
     def test_run_cell_writes_the_sweeps_bytes(self, tmp_path):
         cfg = _tiny_cfg(tmp_path / "out")

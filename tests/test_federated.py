@@ -34,6 +34,7 @@ from fltp.metrics import RoundReport, attack_judgments, prediction_accuracy, pre
 from fltp.model import PREDICT_CHUNK, ModelParams, TrainConfig, flat_length, forward, load_params, loss, train_local
 from fltp.seeding import TAG_GATE, TAG_INIT, TAG_TRAIN, derive_rng
 from fltp.trace import AttackerType
+from forking import pid_spy, set_cpus
 
 NORM = NormalizationSpec(region_side=10_000.0, v_max=40.0)
 
@@ -446,43 +447,16 @@ def four_vehicle_cell(request):
     return cfg, vehicles, eval_set, initial, seed
 
 
-def _pid_spy(monkeypatch, record, name):
-    """Replaces federated.<name> with a spy that appends the pid of each
-    call, in this process or a forked one, to the file record; returns the
-    function that reads and clears the record."""
-    real = getattr(federated, name)
-
-    def spy(*args, **kwargs):
-        with open(record, "a", encoding="utf-8") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(federated, name, spy)
-
-    def read():
-        pids = [int(line) for line in record.read_text(encoding="utf-8").split()] if record.exists() else []
-        record.unlink(missing_ok=True)
-        return pids
-
-    return read
-
-
 @pytest.fixture
 def trainer_pids(monkeypatch, tmp_path):
     """Records the pid of every local training a round runs."""
-    return _pid_spy(monkeypatch, tmp_path / "trainer_pids", "train_local")
+    return pid_spy(monkeypatch, tmp_path / "trainer_pids", federated, "train_local")
 
 
 @pytest.fixture
 def forward_pids(monkeypatch, tmp_path):
     """Records the pid of every forward pass evaluate_global runs."""
-    return _pid_spy(monkeypatch, tmp_path / "forward_pids", "forward")
-
-
-def _set_cpus(monkeypatch, n, blas_threads=1):
-    """n usable CPUs, and a BLAS that reports blas_threads threads."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-    monkeypatch.setattr(federated, "blas_threads", lambda: blas_threads)
+    return pid_spy(monkeypatch, tmp_path / "forward_pids", federated, "forward")
 
 
 def _assert_forked(pids, n_vehicles, cpus):
@@ -547,7 +521,7 @@ class TestRoundPaths:
     @pytest.mark.parametrize("method", ["fl-tp", "fed-avg"])
     def test_rounds_equal_serial_reference(self, four_vehicle_cell, method, cpus, monkeypatch, trainer_pids):
         cfg, vehicles, eval_set, initial, seed = four_vehicle_cell
-        _set_cpus(monkeypatch, cpus)
+        set_cpus(monkeypatch, cpus)
         params = ref_params = initial
         prev_accuracy = 0.0
         modes = []
@@ -574,7 +548,7 @@ class TestRoundPaths:
 
     def test_child_exception_reraised_and_no_child_left(self, four_vehicle_cell, monkeypatch, trainer_pids):
         cfg, vehicles, eval_set, initial, seed = four_vehicle_cell
-        _set_cpus(monkeypatch, 2)
+        set_cpus(monkeypatch, 2)
         bad = vehicles[1]
         features = bad.features.copy()
         features[0, 0, 0] = np.nan
@@ -588,7 +562,7 @@ class TestRoundPaths:
 
     def test_child_that_dies_without_a_result(self, four_vehicle_cell, monkeypatch):
         cfg, vehicles, eval_set, initial, seed = four_vehicle_cell
-        _set_cpus(monkeypatch, 2)
+        set_cpus(monkeypatch, 2)
         parent = os.getpid()
 
         def dying(*args, **kwargs):
@@ -602,7 +576,7 @@ class TestRoundPaths:
         assert multiprocessing.active_children() == []
 
     def test_round_in_a_second_thread_trains_in_process(self, four_vehicle_cell, monkeypatch, trainer_pids):
-        _set_cpus(monkeypatch, 2)
+        set_cpus(monkeypatch, 2)
         initial = four_vehicle_cell[3]
         forked = _round(initial, four_vehicle_cell, "fl-tp", 1, 0.0)
         _assert_forked(trainer_pids(), len(four_vehicle_cell[1]), 2)
@@ -656,7 +630,7 @@ class TestForkedEvaluation:
     def test_equals_serial_reference(self, pool_cell, cpus, n, dtype, monkeypatch, forward_pids):
         cfg, full, model = pool_cell
         eval_set = _pool(full, n, dtype)
-        _set_cpus(monkeypatch, cpus)
+        set_cpus(monkeypatch, cpus)
         result = evaluate_global(model, eval_set, cfg.norm, cfg.judgment_threshold)
         pids = forward_pids()
         chunks = -(-n // PREDICT_CHUNK)
@@ -673,7 +647,7 @@ class TestForkedEvaluation:
         cfg, full, model = pool_cell
         features = full.features.copy()
         features[1000, 3, 4] = np.nan  # chunk 1
-        _set_cpus(monkeypatch, 2)
+        set_cpus(monkeypatch, 2)
         with pytest.raises(ValueError, match="window contains non-finite values"):
             evaluate_global(model, EvalSet(features, full.labels), cfg.norm, cfg.judgment_threshold)
         pids = forward_pids()
@@ -683,7 +657,7 @@ class TestForkedEvaluation:
 
     def test_call_from_a_second_thread_runs_in_process(self, pool_cell, monkeypatch, forward_pids):
         cfg, eval_set, model = pool_cell
-        _set_cpus(monkeypatch, 2)
+        set_cpus(monkeypatch, 2)
         forked = evaluate_global(model, eval_set, cfg.norm, cfg.judgment_threshold)
         assert os.getpid() not in forward_pids()
         threaded = []
@@ -701,7 +675,7 @@ class TestForkedEvaluation:
         oversubscribed, so a round trains and evaluates here, with the bytes
         of the serial reference."""
         cfg, vehicles, eval_set, initial, seed = four_vehicle_cell
-        _set_cpus(monkeypatch, 2, blas_threads=2)
+        set_cpus(monkeypatch, 2, blas_threads=2)
         params, report = _round(initial, four_vehicle_cell, "fl-tp", 1, 0.0)
         assert trainer_pids() == [os.getpid()] * len(vehicles)
         assert forward_pids() == [os.getpid()]

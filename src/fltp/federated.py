@@ -15,7 +15,7 @@ import numpy as np
 from .features import NormalizationSpec
 from .machine import fork_map
 from .metrics import RoundReport, attack_judgments, prediction_accuracy, prediction_error
-from .model import PREDICT_CHUNK, ModelParams, TrainConfig, forward, loss, save_params, train_local
+from .model import ModelParams, TrainConfig, forward, loss, save_params, train_local
 from .seeding import TAG_GATE, TAG_TRAIN, derive_rng
 from .trace import ATTACK_CLASSES, AttackerType
 
@@ -79,10 +79,6 @@ class InfluenceTable:
     def value_for(self, attacker: AttackerType) -> float:
         """The factor of the field named after the attack class."""
         return getattr(self, attacker.name.lower())
-
-    @classmethod
-    def zeros(cls) -> "InfluenceTable":
-        return cls(0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 @dataclass
@@ -197,19 +193,12 @@ def evaluate_global(
     """Evaluate one model on the held-out pool.
 
     Returns (trajectory error in metres, attack accuracy, per-attacker-code
-    accuracy for the codes present, loss).
-
-    The pool's PREDICT_CHUNK-window chunks run forward on forked workers
-    when there are two or more and forking is safe (fork_map), else here.
-    Each chunk is the pass forward makes over those windows anyway, so both
-    paths give the same bits.
+    accuracy for the codes present, loss). The pool's predictions come from
+    one forward call, which may run its chunks on forked processes.
     """
-    x = eval_set.features
-    if x.shape[0] == 0:
+    if eval_set.features.shape[0] == 0:
         raise ValueError("empty evaluation set")
-    starts = range(0, x.shape[0], PREDICT_CHUNK)
-    chunks = fork_map(lambda start: forward(params, x[start : start + PREDICT_CHUNK]), starts)
-    pred = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    pred = forward(params, eval_set.features)
     err = prediction_error(pred[:, :, :2], eval_set.labels[:, :, :2], norm)
     judgments = attack_judgments(pred[:, :, 2], eval_set.labels[:, :, 2], judgment_threshold)
     acc = prediction_accuracy(judgments)
@@ -219,34 +208,6 @@ def evaluate_global(
     for code in np.flatnonzero(np.bincount(codes)).tolist():
         per_type[code] = prediction_accuracy(judgments[codes == code])
     return err, acc, per_type, loss(pred, eval_set.labels)
-
-
-def _train_vehicles(
-    global_params: ModelParams,
-    vehicles: list[VehicleData],
-    train: TrainConfig,
-    seed: int,
-    round_idx: int,
-) -> list[np.ndarray]:
-    """Each vehicle's locally trained flat parameters, in the given order,
-    on forked workers or here (fork_map). Every vehicle's stream derives
-    from (seed, round_idx, vehicle_id), so both paths give the same bits.
-    """
-
-    def train_one(vd: VehicleData) -> np.ndarray:
-        trained, _ = train_local(
-            global_params,
-            vd.features,
-            vd.labels,
-            episodes=train.local_episodes,
-            batch_size=train.batch_size,
-            learning_rate=train.learning_rate,
-            momentum=train.momentum,
-            rng=derive_rng(seed, TAG_TRAIN, round_idx, vd.vehicle_id),
-        )
-        return trained.flatten()
-
-    return fork_map(train_one, vehicles)
 
 
 def run_flt_round(
@@ -269,16 +230,30 @@ def run_flt_round(
 
     Per-vehicle training streams derive from (seed, round_idx, vehicle_id),
     so the result is independent of any execution interleaving. The vehicles
-    train, and the pool's chunks are evaluated, on forked processes, up to
-    one per usable CPU, or in-process, with the same bytes (fork_map). They
-    stay in-process with one vehicle or chunk, one usable CPU, another
-    thread running, a BLAS on more than one thread, or in a forked worker
-    (a data seed of run_experiment on two or more workers).
+    train on forked processes, up to one per usable CPU, or in-process, with
+    the same bytes (fork_map); they stay in-process with one vehicle, one
+    usable CPU, another thread running, a BLAS on more than one thread, or
+    in a forked worker (a data seed of run_experiment on two or more
+    workers). The evaluation's forward forks its chunks on the same terms.
     """
     if not vehicles:
         raise ValueError("no vehicles")
+
+    def train_one(vd: VehicleData) -> np.ndarray:
+        trained, _ = train_local(
+            global_params,
+            vd.features,
+            vd.labels,
+            episodes=train.local_episodes,
+            batch_size=train.batch_size,
+            learning_rate=train.learning_rate,
+            momentum=train.momentum,
+            rng=derive_rng(seed, TAG_TRAIN, round_idx, vd.vehicle_id),
+        )
+        return trained.flatten()
+
     ordered = sorted(vehicles, key=lambda v: v.vehicle_id)
-    flats = _train_vehicles(global_params, ordered, train, seed, round_idx)
+    flats = fork_map(train_one, ordered)
     updates = [
         LocalUpdate(vd.vehicle_id, flat, vd.attack_histogram(), vd.n_samples) for vd, flat in zip(ordered, flats)
     ]

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .features import FEATURE_DIM, LABEL_DIM, WINDOW_INPUT_STEPS, WINDOW_LABEL_STEPS
+from .machine import fork_map
 
 INPUT_DIM = FEATURE_DIM
 OUTPUT_DIM = WINDOW_LABEL_STEPS * LABEL_DIM  # 15
@@ -81,10 +82,6 @@ class ModelParams:
         s = 1.0 / np.sqrt(hidden_size)
         return cls.view(rng.uniform(-s, s, size=flat_length(hidden_size)), hidden_size)
 
-    @classmethod
-    def zeros(cls, hidden_size: int) -> "ModelParams":
-        return cls.view(np.zeros(flat_length(hidden_size)), hidden_size)
-
     def flatten(self) -> np.ndarray:
         return np.concatenate([getattr(self, f.name).ravel() for f in fields(self)])
 
@@ -97,9 +94,6 @@ class ModelParams:
                 f"expected {flat_length(hidden_size)} parameters for H={hidden_size}, got {flat.shape}"
             )
         return cls.view(flat.copy(), hidden_size)
-
-    def copy(self) -> "ModelParams":
-        return ModelParams.view(self.flatten(), self.hidden_size)
 
 
 @dataclass(frozen=True)
@@ -276,21 +270,23 @@ def forward_cached(params: ModelParams, window: np.ndarray) -> tuple[np.ndarray,
     return (pred[0] if single else pred), cache
 
 
-def _predict(params: ModelParams, x: np.ndarray, pool: dict[str, np.ndarray]) -> np.ndarray:
-    """Predictions for a (B, T, D) batch without a cache, PREDICT_CHUNK
-    windows at a time: the same values as one pass over the whole batch,
-    with working arrays that stay in cache and do not grow with B."""
-    chunks = [
-        _lstm(params, _time_major(x[start : start + PREDICT_CHUNK]), keep=False, pool=pool)[0]
-        for start in range(0, max(x.shape[0], 1), PREDICT_CHUNK)  # one pass even when B = 0
-    ]
-    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-
-
 def forward(params: ModelParams, window: np.ndarray) -> np.ndarray:
-    """Prediction only: forward_cached's loop without keeping the cache."""
+    """Prediction only: forward_cached's values without keeping the cache.
+
+    The batch runs PREDICT_CHUNK windows at a time, so the working arrays
+    stay in cache and do not grow with B. With two or more chunks they run
+    on forked processes when fork_map finds that safe, else here, one after
+    another; each process reuses one buffer pool. Every chunk is the pass
+    one call over its windows makes, so every path gives the same bits.
+    """
     x, single = _as_batch(window)
-    pred = _predict(params, x, {})
+    pool: dict[str, np.ndarray] = {}
+
+    def chunk(start: int) -> np.ndarray:
+        return _lstm(params, _time_major(x[start : start + PREDICT_CHUNK]), keep=False, pool=pool)[0]
+
+    chunks = fork_map(chunk, range(0, max(x.shape[0], 1), PREDICT_CHUNK))  # one pass even when B = 0
+    pred = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
     return pred[0] if single else pred
 
 
@@ -389,10 +385,12 @@ def train_local(
     Each episode reshuffles the sample order with the supplied rng and sweeps
     batches of at most batch_size (the trailing partial batch is kept).
     Returns the trained float64 parameters and the full-dataset loss
-    afterwards. The precision follows the features (see _as_batch): the
-    parameters and velocity are float64 master copies, and with float32
-    features each batch's forward and backward run on a float32 copy of the
-    parameters, whose float32 gradient is added into the float64 velocity.
+    afterwards, from forward over the whole dataset (which may fork its
+    chunks) once the batch buffers are released. The precision follows the
+    features (see _as_batch): the parameters and velocity are float64 master
+    copies, and with float32 features each batch's forward and backward run
+    on a float32 copy of the parameters, whose float32 gradient is added
+    into the float64 velocity.
     The values equal a loop of forward_cached, backward and sgd_step with a
     float64 OptimizerState bit for bit; here the parameters, gradient and
     velocity are flat buffers updated in place.
@@ -426,15 +424,15 @@ def train_local(
             idx = order[start : start + batch_size]
             if weights is not theta:
                 np.copyto(weights, theta)
-            _, cache = _lstm(batch_params, xt[:, idx], keep=True, pool=pool)
-            backward(cache, y[idx], out=grad)
+            backward(_lstm(batch_params, xt[:, idx], keep=True, pool=pool)[1], y[idx], out=grad)
             velocity *= momentum
             velocity += grad
             np.multiply(velocity, learning_rate, out=step)
             theta -= step
     if weights is not theta:
         np.copyto(weights, theta)
-    return ModelParams.view(theta, h_size), loss(_predict(batch_params, x, pool), y)
+    pool.clear()  # no cache holds the batch buffers, so forward can reuse their memory
+    return ModelParams.view(theta, h_size), loss(forward(batch_params, x), y)
 
 
 def save_params(params: ModelParams, path: str | Path) -> None:

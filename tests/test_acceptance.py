@@ -113,7 +113,7 @@ def test_criterion_2_weighting_oracle(capsys):
         assert abs(w[1] - 1e-6 / (1.0 + 1e-6)) <= 1e-12
 
         # zero influence collapses to the exact uniform average
-        w = mre_weights([upd(k, {1: 5 * k}, 40) for k in range(4)], InfluenceTable.zeros())
+        w = mre_weights([upd(k, {1: 5 * k}, 40) for k in range(4)], InfluenceTable(0.0, 0.0, 0.0, 0.0, 0.0))
         assert np.array_equal(w, np.full(4, 0.25))
 
         elapsed = time.perf_counter() - t0

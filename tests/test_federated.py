@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import fltp.model
 from fltp import federated
 from fltp.config import config_from_kv
 from fltp.experiment import build_cell_data
@@ -85,7 +86,7 @@ class TestMreWeights:
 
     def test_zero_influence_gives_exact_uniform(self):
         ups = [_update(k, {1: 10 * k}, 50) for k in range(3)]
-        w = mre_weights(ups, InfluenceTable.zeros())
+        w = mre_weights(ups, InfluenceTable(0.0, 0.0, 0.0, 0.0, 0.0))
         np.testing.assert_array_equal(w, np.full(3, 1.0 / 3.0))
 
     def test_fully_attacked_clamped_at_floor(self):
@@ -257,7 +258,7 @@ class TestEvaluateGlobal:
         labels = np.zeros((len(codes), 5, 3))
         labels[:, :, 2] = np.array(codes, dtype=float)[:, None]
         es = EvalSet(np.random.default_rng(2).uniform(0.0, 1.0, size=(len(codes), 10, 9)), labels)
-        _, _, per_type, _ = evaluate_global(ModelParams.zeros(4), es, NORM)
+        _, _, per_type, _ = evaluate_global(ModelParams.view(np.zeros(flat_length(4)), 4), es, NORM)
         assert list(per_type) == [0, 1, 3, 5]
         assert per_type[0] == 1.0 and per_type[5] == 0.0
 
@@ -271,7 +272,7 @@ class TestEvaluateGlobal:
         labels[:n_per, :, 2] = 0.0
         labels[n_per:, :, 2] = 3.0
         es = EvalSet(feats, labels)
-        err, acc, per_type, loss_value = evaluate_global(ModelParams.zeros(4), es, NORM)
+        err, acc, per_type, loss_value = evaluate_global(ModelParams.view(np.zeros(flat_length(4)), 4), es, NORM)
         assert err == pytest.approx(3000.0 * np.sqrt(2.0), rel=1e-12)
         assert acc == 0.5
         assert per_type == {0: 1.0, 3: 0.0}
@@ -282,7 +283,7 @@ class TestEvaluateGlobal:
     def test_empty_eval_set_rejected(self):
         es = EvalSet(np.zeros((0, 10, 9)), np.zeros((0, 5, 3)))
         with pytest.raises(ValueError):
-            evaluate_global(ModelParams.zeros(4), es, NORM)
+            evaluate_global(ModelParams.view(np.zeros(flat_length(4)), 4), es, NORM)
 
 
 class TestVehicleData:
@@ -405,7 +406,7 @@ class TestRunRound:
                 round_idx=r,
                 prev_accuracy=rep_flt.prediction_accuracy if r > 1 else 0.0,
                 gate=GateConfig(),
-                influence=InfluenceTable.zeros(),
+                influence=InfluenceTable(0.0, 0.0, 0.0, 0.0, 0.0),
                 train=train,
                 norm=NORM,
                 seed=55,
@@ -455,8 +456,9 @@ def trainer_pids(monkeypatch, tmp_path):
 
 @pytest.fixture
 def forward_pids(monkeypatch, tmp_path):
-    """Records the pid of every forward pass evaluate_global runs."""
-    return pid_spy(monkeypatch, tmp_path / "forward_pids", federated, "forward")
+    """Records the pid of every chunk pass forward runs (model._lstm, which
+    local training's batches run through too)."""
+    return pid_spy(monkeypatch, tmp_path / "forward_pids", fltp.model, "_lstm")
 
 
 def _assert_forked(pids, n_vehicles, cpus):
@@ -608,8 +610,10 @@ def _pool(eval_set, n, dtype=np.float64):
 
 
 def _reference_evaluation(params, eval_set, norm, threshold):
-    """evaluate_global as one forward over the whole pool plus its metrics."""
-    pred = forward(params, eval_set.features)
+    """evaluate_global as a serial loop of one-chunk forwards over the pool
+    (each runs in this process) plus its metrics."""
+    x = eval_set.features
+    pred = np.concatenate([forward(params, x[start : start + PREDICT_CHUNK]) for start in range(0, len(x), PREDICT_CHUNK)])
     labels = eval_set.labels
     judgments = attack_judgments(pred[:, :, 2], labels[:, :, 2], threshold)
     codes = eval_set.attacker_codes
@@ -619,10 +623,10 @@ def _reference_evaluation(params, eval_set, norm, threshold):
 
 
 class TestForkedEvaluation:
-    """evaluate_global runs the pool's PREDICT_CHUNK-window chunks on forked
-    processes, one per usable CPU up to the chunk count, when there are two
-    or more chunks and it can fork safely; every path gives the bits of one
-    forward over the whole pool."""
+    """evaluate_global's forward runs the pool's PREDICT_CHUNK-window chunks
+    on forked processes, one per usable CPU up to the chunk count, when
+    there are two or more chunks and it can fork safely; every path gives
+    the bits of the serial reference."""
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("n", [1, 511, 512, 513, 1025, 1620])
@@ -650,6 +654,22 @@ class TestForkedEvaluation:
         set_cpus(monkeypatch, 2)
         with pytest.raises(ValueError, match="window contains non-finite values"):
             evaluate_global(model, EvalSet(features, full.labels), cfg.norm, cfg.judgment_threshold)
+        assert forward_pids() == []  # rejected before any chunk runs
+        assert multiprocessing.active_children() == []
+
+        parent = os.getpid()
+        chunk_1 = fltp.model._time_major(full.features[PREDICT_CHUNK : 2 * PREDICT_CHUNK])
+        spied = fltp.model._lstm
+
+        def chunk_1_fails(params, xt, *args, **kwargs):
+            result = spied(params, xt, *args, **kwargs)
+            if os.getpid() != parent and np.array_equal(xt, chunk_1):
+                raise ValueError("chunk 1 failed")
+            return result
+
+        monkeypatch.setattr(fltp.model, "_lstm", chunk_1_fails)
+        with pytest.raises(ValueError, match="chunk 1 failed"):
+            evaluate_global(model, full, cfg.norm, cfg.judgment_threshold)
         pids = forward_pids()
         # child 0 runs chunks 0 and 2; child 1 runs chunks 1 and 3, and stops at chunk 1
         assert len(pids) == 3 and len(set(pids)) == 2 and os.getpid() not in pids
@@ -678,7 +698,8 @@ class TestForkedEvaluation:
         set_cpus(monkeypatch, 2, blas_threads=2)
         params, report = _round(initial, four_vehicle_cell, "fl-tp", 1, 0.0)
         assert trainer_pids() == [os.getpid()] * len(vehicles)
-        assert forward_pids() == [os.getpid()]
+        pids = forward_pids()  # every training batch and evaluation chunk
+        assert pids and set(pids) == {os.getpid()}
         ref_params, ref = _reference_round(initial, vehicles, eval_set, cfg, seed, 1, 0.0, True)
         forward_pids()  # the reference's own evaluation
         assert params.flatten().tobytes() == ref_params.flatten().tobytes()

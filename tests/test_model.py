@@ -1,9 +1,12 @@
 """Recurrent predictor: forward oracle, gradient check, optimizer, serialization."""
+import multiprocessing
+import os
 import warnings
 
 import numpy as np
 import pytest
 
+from fltp import model
 from fltp.model import (
     INPUT_DIM,
     ForwardCache,
@@ -25,6 +28,7 @@ from fltp.model import (
     train_local,
 )
 from fltp.seeding import derive_rng
+from forking import pid_spy, set_cpus
 
 
 def textbook_forward(params: ModelParams, window: np.ndarray) -> np.ndarray:
@@ -94,7 +98,7 @@ class TestFlatLayout:
     def test_flatten_order(self):
         # each block's first element lands at the documented offset
         h = 3
-        p = ModelParams.zeros(h)
+        p = ModelParams.view(np.zeros(flat_length(h)), h)
         p.w_x[0, 0] = 1.0
         p.w_h[0, 0] = 2.0
         p.b[0] = 3.0
@@ -124,7 +128,7 @@ class TestFlatLayout:
 class TestForward:
     def test_zero_params_zero_output(self):
         x, _ = _sample(0)
-        np.testing.assert_array_equal(forward(ModelParams.zeros(6), x[0]), np.zeros((5, 3)))
+        np.testing.assert_array_equal(forward(ModelParams.view(np.zeros(flat_length(6)), 6), x[0]), np.zeros((5, 3)))
 
     def test_output_shapes(self):
         p = ModelParams.init(4, derive_rng(1))
@@ -156,12 +160,34 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(p, bad)
 
-    @pytest.mark.parametrize("batch", [1, 3, 130, 2 * PREDICT_CHUNK + 3])
-    def test_forward_equals_forward_cached(self, batch):
+    @pytest.mark.parametrize("batch", [0, 1, 3, 130, 2 * PREDICT_CHUNK + 3])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_forward_equals_forward_cached(self, cpus, batch, monkeypatch, tmp_path):
+        """forward gives forward_cached's bytes, with its PREDICT_CHUNK-window
+        chunks on forked processes only when there are two or more of them
+        and two usable CPUs."""
         p = ModelParams.init(6, derive_rng(9))
         x, _ = _sample(12, batch=batch)
-        np.testing.assert_array_equal(forward(p, x), forward_cached(p, x)[0])
-        np.testing.assert_array_equal(forward(p, x[0]), forward_cached(p, x[0])[0])
+        cached = forward_cached(p, x)[0]
+        single_cached = forward_cached(p, x[0])[0] if batch else None
+        set_cpus(monkeypatch, cpus)
+        chunk_pids = pid_spy(monkeypatch, tmp_path / "chunk_pids", model, "_lstm")
+        pred = forward(p, x)
+        pids = chunk_pids()
+        chunks = max(-(-batch // PREDICT_CHUNK), 1)  # one pass even when B = 0
+        assert len(pids) == chunks
+        if cpus == 2 and chunks >= 2:
+            assert os.getpid() not in pids and len(set(pids)) == 2
+        else:
+            assert pids == [os.getpid()] * chunks
+        assert multiprocessing.active_children() == []
+        assert pred.shape == (batch, 5, 3)
+        assert pred.tobytes() == cached.tobytes()
+        if batch:
+            single = forward(p, x[0])
+            assert chunk_pids() == [os.getpid()]
+            assert single.shape == (5, 3)
+            assert single.tobytes() == single_cached.tobytes()
 
     def test_gates_match_logistic_without_warnings(self):
         """Every pre-activation x in [-800, 800] reaches all four gates
@@ -169,7 +195,7 @@ class TestForward:
         and o gates hold the logistic of x, finite and without a
         RuntimeWarning, and the g gate tanh(x)."""
         x = np.linspace(-800.0, 800.0, 160_001)
-        params = ModelParams.zeros(1)
+        params = ModelParams.view(np.zeros(flat_length(1)), 1)
         params.w_x[:, 0] = 1.0
         xt = np.zeros((2, x.size, INPUT_DIM))
         xt[:, :, 0] = x

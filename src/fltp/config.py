@@ -184,11 +184,16 @@ class ExperimentConfig:
         for p in self.penetrations:
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"penetrations: value {p} outside [0, 1]")
+        # a run id prints its penetration with :g; two values it prints alike would share output files
+        if len({f"{p:g}" for p in self.penetrations}) != len(self.penetrations):
+            raise ConfigError(f"penetrations: duplicate entries in {list(self.penetrations)} (as run ids print them)")
         if not self.vehicle_counts:
             raise ConfigError("vehicle_counts: at least one value required")
         for n in self.vehicle_counts:
             if n < 2:
                 raise ConfigError(f"vehicle_counts: value {n} below 2")
+        if len(set(self.vehicle_counts)) != len(self.vehicle_counts):
+            raise ConfigError(f"vehicle_counts: duplicate entries in {list(self.vehicle_counts)}")
         if self.repeats < 1:
             raise ConfigError(f"repeats: must be >= 1, got {self.repeats}")
         if self.master_seed < 0:

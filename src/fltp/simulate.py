@@ -10,7 +10,7 @@ from .attacks import AttackParams, inject
 from .features import NormalizationSpec, link_windows
 from .federated import EvalSet, VehicleData
 from .seeding import TAG_ATTACK, TAG_LINK, derive_rng
-from .trace import Messages, Scenario, delivery_time, synth_rssi
+from .trace import Messages, Scenario, synth_rssi
 
 
 def falsified_claims(scenario: Scenario, attack: AttackParams) -> dict[int, np.ndarray]:
@@ -26,16 +26,16 @@ def falsified_claims(scenario: Scenario, attack: AttackParams) -> dict[int, np.n
     }
 
 
-def link_columns(scenario: Scenario, attack: AttackParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def link_columns(scenario: Scenario, attack: AttackParams) -> tuple[np.ndarray, np.ndarray]:
     """Every (sender, receiver) link of the scenario, receiver-major with the
-    senders ascending: links (S, 2) = sender, receiver; claims (S, steps, 5)
-    = the sender's claimed pos_x, pos_y, spd_x, spd_y and the link's RSSI;
-    and the true sender-receiver distance (S, steps).
+    senders ascending: links (S, 2) = sender, receiver; and claims
+    (S, steps, 5) = the sender's claimed pos_x, pos_y, spd_x, spd_y and the
+    link's RSSI.
 
-    RSSI follows the distance through the scenario's channel; the shadowing
-    of link (s, r) is drawn from derive_rng(seed, TAG_LINK, s, r), one draw
-    per step in step order. Links (s, r) and (r, s) have the same distance,
-    bit for bit, and its path loss is computed once.
+    RSSI follows the true sender-receiver distance through the scenario's
+    channel; the shadowing of link (s, r) is drawn from
+    derive_rng(seed, TAG_LINK, s, r), one draw per step in step order. Links
+    (s, r) and (r, s) share one distance and its path loss, computed once.
     """
     cfg = scenario.config
     n = cfg.n_vehicles
@@ -47,30 +47,24 @@ def link_columns(scenario: Scenario, attack: AttackParams) -> tuple[np.ndarray, 
     pair_of[near, far] = pair_of[far, near] = np.arange(len(near))
     gap = pos[near] - pos[far]
     pair_distance = np.hypot(gap[..., 0], gap[..., 1])
-    pair = pair_of[links[:, 0], links[:, 1]]
-    distance = pair_distance[pair]
-    claims = np.empty(distance.shape + (5,))
+    claims = np.empty((len(links), len(scenario.kinematics), 5))
     claims[..., :4] = np.stack([sent[v] for v in range(n)])[links[:, 0]]
     link_rngs = [derive_rng(cfg.rng_seed, TAG_LINK, sender, receiver) for sender, receiver in links.tolist()]
-    claims[..., 4] = synth_rssi(pair_distance, cfg.channel, link_rngs, rows=pair)
-    return links, claims, distance
+    claims[..., 4] = synth_rssi(pair_distance, cfg.channel, link_rngs, pair_of[links[:, 0], links[:, 1]])
+    return links, claims
 
 
 def broadcast_streams(scenario: Scenario, attack: AttackParams) -> dict[tuple[int, int], Messages]:
     """Message streams keyed by (sender, receiver), sender-major, one message
-    per step: link_columns' claims and RSSI, and a delivery time that adds
-    the propagation delay to the send time. No two streams share memory."""
-    links, claims, distance = link_columns(scenario, attack)
+    per step: link_columns' claims and RSSI. No two streams share memory."""
+    links, claims = link_columns(scenario, attack)
     steps = claims.shape[1]
-    t_snd = np.arange(steps) * scenario.config.dt
     streams: dict[tuple[int, int], Messages] = {}
     for i in np.lexsort((links[:, 1], links[:, 0])).tolist():
         sender, receiver = links[i].tolist()
         streams[(sender, receiver)] = Messages(
             sender_id=np.full(steps, sender, dtype=np.int64),
             step=np.arange(steps, dtype=np.int64),
-            t_snd=t_snd.copy(),
-            t_rev=delivery_time(t_snd, distance[i]),
             claims=claims[i],
             truth_attacker=np.full(steps, int(scenario.attacker_types[sender]), dtype=np.int64),
         )
@@ -95,7 +89,7 @@ def assemble_datasets(
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    links, claims, _ = link_columns(scenario, attack)
+    links, claims = link_columns(scenario, attack)
     n = scenario.config.n_vehicles
     n_links, steps = claims.shape[:2]
     step = np.broadcast_to(np.arange(steps, dtype=np.int64), (n_links, steps))

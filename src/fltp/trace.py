@@ -11,8 +11,6 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-SPEED_OF_LIGHT = 299_792_458.0  # m/s, default message propagation speed
-
 # reception-log record kinds (VeReMi convention)
 LOG_TYPE_GPS = 2
 LOG_TYPE_BSM = 3
@@ -57,24 +55,19 @@ class IngestError(ValueError):
 @dataclass(frozen=True, eq=False)
 class Messages:
     """A received stream of basic safety messages as columns, one row per
-    message: the claimed kinematics plus the physical-layer observables
-    (RSSI, timing) and the ground-truth sender class used for supervision.
-
-    sender_id, step and truth_attacker are (L,) int64; t_snd and t_rev are
-    (L,) float; claims is (L, 5) = claimed pos_x, pos_y, spd_x, spd_y and
-    the RSSI.
+    message: sender_id, step and truth_attacker (the sender's ground-truth
+    class, the supervision target) are (L,) int64; claims is (L, 5) =
+    claimed pos_x, pos_y, spd_x, spd_y and the RSSI.
     """
 
     sender_id: np.ndarray
     step: np.ndarray
-    t_snd: np.ndarray
-    t_rev: np.ndarray
     claims: np.ndarray
     truth_attacker: np.ndarray
 
     def __post_init__(self) -> None:
         n = len(self.step)
-        columns = (self.sender_id, self.step, self.t_snd, self.t_rev, self.truth_attacker)
+        columns = (self.sender_id, self.step, self.truth_attacker)
         if any(c.shape != (n,) for c in columns) or self.claims.shape != (n, 5):
             raise ValueError(f"message columns disagree on length {n}")
 
@@ -146,56 +139,27 @@ class Scenario:
         return np.arange(len(self.kinematics), dtype=np.int64), self.kinematics[:, vehicle_id]
 
 
-def _check_distance(distance: float | np.ndarray) -> None:
-    if np.any(np.asarray(distance) < 0):
-        raise ValueError(f"distance must be >= 0, got {np.min(distance)}")
-
-
 def synth_rssi(
-    distance: float | np.ndarray,
-    channel: ChannelConfig,
-    rng: np.random.Generator | Sequence[np.random.Generator],
-    rows: np.ndarray | None = None,
-) -> float | np.ndarray:
+    distance: np.ndarray, channel: ChannelConfig, rngs: Sequence[np.random.Generator], rows: np.ndarray
+) -> np.ndarray:
     """Log-distance path-loss RSSI in dBm with Gaussian shadowing.
 
     rssi = tx − 10·n·log10(d/d0) + N(0, σ); distances below the reference
-    distance are clamped to it. A float gives a float; an array gives an
-    array, with its shadowing drawn in one call (the same values, in order,
-    as one scalar call per element). A sequence of generators, one per row
-    of a 2-D distance array, draws each row's shadowing from its own
-    generator in one call. With rows, output row k takes the path loss of
-    distance row rows[k], so links that share a distance share its
-    logarithms; the shadowing is drawn per output row.
+    distance are clamped to it. Output row k takes the path loss of row
+    rows[k] of the 2-D distance array, so links that share a distance share
+    its logarithms, and draws its shadowing from rngs[k] in one call.
     """
-    _check_distance(distance)
-    d = np.asarray(distance, dtype=float)
-    ratio = np.maximum(d, channel.reference_distance) / channel.reference_distance
+    if np.any(distance < 0):
+        raise ValueError(f"distance must be >= 0, got {np.min(distance)}")
+    ratio = np.maximum(distance, channel.reference_distance) / channel.reference_distance
     # math.log10 per element: np.log10 differs from it in the last bit on about
     # 3 % of inputs, which would change every RSSI feature downstream
-    log_ratio = np.array([math.log10(x) for x in ratio.ravel().tolist()]).reshape(d.shape)
-    path_loss = 10.0 * channel.path_loss_exponent * log_ratio
-    if rows is not None:
-        path_loss = path_loss[rows]
-    if isinstance(rng, np.random.Generator):
-        shadowing = rng.normal(0.0, channel.shadowing_sigma, size=path_loss.shape or None)
-    else:
-        if path_loss.ndim != 2 or len(rng) != len(path_loss):
-            raise ValueError(f"need one generator per row of a 2-D distance array, got {len(rng)} for {path_loss.shape}")
-        shadowing = np.stack([g.normal(0.0, channel.shadowing_sigma, size=path_loss.shape[1]) for g in rng])
-    rssi = channel.tx_power_dbm - path_loss + shadowing
-    return float(rssi) if rssi.ndim == 0 else rssi
-
-
-def delivery_time(
-    t_snd: float | np.ndarray, distance: float | np.ndarray, spd_msg: float = SPEED_OF_LIGHT
-) -> float | np.ndarray:
-    """Reception timestamp for a message sent at t_snd over the given
-    distance; either argument may be an array."""
-    _check_distance(distance)
-    if spd_msg <= 0:
-        raise ValueError(f"message speed must be > 0, got {spd_msg}")
-    return t_snd + distance / spd_msg
+    log_ratio = np.array([math.log10(x) for x in ratio.ravel().tolist()]).reshape(ratio.shape)
+    path_loss = 10.0 * channel.path_loss_exponent * log_ratio[rows]
+    if len(rngs) != len(path_loss):
+        raise ValueError(f"need one generator per row, got {len(rngs)} for {len(path_loss)} output rows")
+    shadowing = np.stack([g.normal(0.0, channel.shadowing_sigma, size=path_loss.shape[1]) for g in rngs])
+    return channel.tx_power_dbm - path_loss + shadowing
 
 
 def step_kinematics(kinematics: np.ndarray, config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
@@ -247,22 +211,31 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
     return Scenario(config=config, attacker_types=types, kinematics=kinematics)
 
 
+def _real(value) -> float:
+    """float(value) of a JSON number; strings, booleans and null are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(value)
+    return float(value)
+
+
 def _xy(value) -> tuple[float, float]:
-    """The x and y entries of a pos/spd field; z is dropped."""
-    return float(value[0]), float(value[1])
+    """The x and y entries of a pos/spd field, a list of numbers (a string's
+    characters and an object's keys are refused as non-numbers); z is dropped."""
+    x, y, *_ = map(_real, value)
+    return x, y
 
 
 def _integer(value) -> int:
-    """int(value), refusing the fractional numbers int() would truncate."""
-    if isinstance(value, float) and not value.is_integer():
+    """int(value) of a JSON number, refusing the fractions int() would truncate."""
+    if not _real(value).is_integer():
         raise ValueError(value)
     return int(value)
 
 
-def _number(record: dict, key: str, path: Path, line_no: int, conv: Callable = float):
-    """conv(record[key]), which must hold only finite numbers; a missing,
-    non-numeric, non-finite or (for an integer field) fractional field raises
-    IngestError naming path:line."""
+def _number(record: dict, key: str, path: Path, line_no: int, conv: Callable = _real):
+    """conv(record[key]), which must hold only finite JSON numbers; a
+    missing, non-numeric, non-finite or (for an integer field) fractional
+    field raises IngestError naming path:line."""
     if key not in record:
         raise IngestError(f"{path}:{line_no}: missing field {key!r}")
     try:
@@ -291,16 +264,17 @@ def ingest_veremi(
     Log records with type 3 become the rows of the returned Messages (z
     components of pos/spd are dropped); records with type 2 are the receiving
     vehicle's own GPS track, returned as steps (L,) int64 and kinematics
-    (L, 4) = pos_x, pos_y, spd_x, spd_y; other type codes are skipped. Steps
-    are derived as floor(time / dt + 0.5): halves round up, so a log sampled
-    at k + 0.5 keeps one step per record.
+    (L, 4) = pos_x, pos_y, spd_x, spd_y; other type codes are skipped. The
+    step of a time t (a BSM's sendTime, a GPS record's rcvTime) is
+    floor(t / dt + 0.5): halves round up, so a log sampled at k + 0.5 keeps
+    one step per record.
 
     Raises ValueError unless dt is finite and > 0, and IngestError with the
-    file name and line number for unparseable or inconsistent lines,
-    including missing, non-numeric or non-finite fields, fractional type,
-    sender or attackerType values, senders absent from the ground truth and
-    attackerType codes absent from the mapping.
-    """
+    file name and line number for unparseable or inconsistent lines:
+    missing, non-finite or non-numeric fields (a JSON string or boolean is
+    not a number; a BSM's rcvTime is checked though it gives no step),
+    fractional type, sender or attackerType values, senders absent from the
+    ground truth and attackerType codes absent from the mapping."""
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and > 0, got {dt}")
     log_path = Path(log_path)
@@ -320,7 +294,6 @@ def ingest_veremi(
             truth_codes[sender] = _number(rec, "attackerType", ground_truth_path, line_no, _integer)
 
     ids: list[tuple[int, int, int]] = []  # sender, step, attacker class
-    times: list[tuple[float, float]] = []  # sent, received
     claims: list[tuple[float, ...]] = []
     ego_steps: list[int] = []
     ego_kinematics: list[tuple[float, ...]] = []
@@ -348,19 +321,15 @@ def ingest_veremi(
                     raise IngestError(f"{log_path}:{line_no}: unknown attackerType code {code} for sender {sender}")
                 pos = _number(rec, "pos", log_path, line_no, _xy)
                 spd = _number(rec, "spd", log_path, line_no, _xy)
-                t_snd = _number(rec, "sendTime", log_path, line_no)
-                t_rev = _number(rec, "rcvTime", log_path, line_no)
+                step = _step_of(_number(rec, "sendTime", log_path, line_no), dt)
+                _number(rec, "rcvTime", log_path, line_no)  # checked, not kept: the step follows sendTime
                 rssi = _number(rec, "RSSI", log_path, line_no)
-                ids.append((sender, _step_of(t_snd, dt), int(code_map[code])))
-                times.append((t_snd, t_rev))
+                ids.append((sender, step, int(code_map[code])))
                 claims.append((*pos, *spd, rssi))
     id_cols = np.array(ids, dtype=np.int64).reshape(-1, 3)
-    time_cols = np.array(times, dtype=float).reshape(-1, 2)
     messages = Messages(
         sender_id=id_cols[:, 0],
         step=id_cols[:, 1],
-        t_snd=time_cols[:, 0],
-        t_rev=time_cols[:, 1],
         claims=np.array(claims, dtype=float).reshape(-1, 5),
         truth_attacker=id_cols[:, 2],
     )

@@ -137,6 +137,9 @@ class TestValidation:
             ("vehicle_counts", "1"),
             ("methods", "fl-tp, gossip"),
             ("methods", "fl-tp, fl-tp"),
+            ("penetrations", "0.5, 0.5"),
+            ("penetrations", "0.1234567, 0.1234568"),  # both p0.123457 in a run id
+            ("vehicle_counts", "4, 10, 4"),
             ("train_fraction", "1.0"),
             ("judgment_threshold", "0"),
             ("gate_threshold", "1.5"),
@@ -151,6 +154,10 @@ class TestValidation:
     def test_bad_value_mentions_key(self, key, value):
         with pytest.raises(ConfigError, match=key.split("_")[0]):
             config_from_kv({key: value})
+
+    def test_close_penetrations_with_distinct_run_ids_accepted(self):
+        """Penetrations are repeated when their run ids' :g forms coincide."""
+        assert config_from_kv({"penetrations": "0.123457, 0.123458"}).penetrations == (0.123457, 0.123458)
 
     @pytest.mark.parametrize(
         "key,value",

@@ -42,13 +42,11 @@ def _cut(track, keep):
 
 
 def _messages(sender_ids, steps, claims, attacker=AttackerType.GENUINE):
-    """Messages sent at their step and received 1 µs later."""
+    """Messages of the given senders, steps and claims."""
     step = np.asarray(steps, dtype=np.int64)
     return Messages(
         sender_id=np.asarray(sender_ids, dtype=np.int64),
         step=step,
-        t_snd=step.astype(float),
-        t_rev=step + 1e-6,
         claims=np.asarray(claims, dtype=float).reshape(-1, 5),
         truth_attacker=np.full(len(step), int(attacker), dtype=np.int64),
     )

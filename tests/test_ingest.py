@@ -66,7 +66,6 @@ def test_fields_carried_and_z_dropped(sample_logs):
     msgs, (ego_steps, ego_kin) = ingest_veremi(*sample_logs)
     assert msgs.sender_id[0] == 101
     assert msgs.claims[0].tolist() == [100.0, 200.0, 5.0, -2.0, -60.5]  # pos x/y, spd x/y, RSSI
-    assert msgs.t_snd[0] == 0.0 and msgs.t_rev[0] == pytest.approx(1e-4)
     assert msgs.step[0] == 0
     assert msgs.step[2] == 1
     assert ego_steps.dtype == np.int64 and ego_steps.tolist() == [0]
@@ -202,6 +201,19 @@ def test_non_finite_dt_rejected(tmp_path, dt):
         {"type": math.inf},
         {"type": 3.7},  # int() would truncate it to a BSM record
         {"type": 2, "rcvTime": math.nan},  # the receiver's own GPS record
+        # JSON strings and booleans are not numbers, whatever float() or int() make of them
+        {"pos": "12"},  # would be read as the position (1.0, 2.0)
+        {"spd": [1.0, "2", 0.0]},
+        {"pos": [True, 0.0, 0.0]},
+        {"type": "3"},
+        {"type": True},
+        {"sender": "101"},
+        {"sender": True},  # would be read as sender 1
+        {"sendTime": "0"},
+        {"rcvTime": "0"},
+        {"RSSI": "-60.5"},
+        {"RSSI": False},
+        {"type": 2, "pos": "12"},
     ],
     ids=lambda f: ",".join(f"{k}={v!r}" for k, v in f.items()),
 )
@@ -222,6 +234,9 @@ def test_non_finite_or_non_numeric_field_rejected(tmp_path, sample_logs, fields)
         ("sender", {"sender": math.inf, "attackerType": 1}),
         ("sender", {"sender": 102.9, "attackerType": 1}),
         ("attackerType", {"sender": 102, "attackerType": 0.5}),
+        ("sender", {"sender": "102", "attackerType": 1}),
+        ("sender", {"sender": True, "attackerType": 1}),
+        ("attackerType", {"sender": 102, "attackerType": "1"}),
     ],
 )
 def test_non_finite_or_fractional_ground_truth_rejected(tmp_path, sample_logs, key, record):

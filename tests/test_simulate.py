@@ -9,8 +9,8 @@ from fltp.attacks import AttackParams
 from fltp.config import config_from_kv
 from fltp.features import NormalizationSpec, WINDOW_SPAN
 from fltp.seeding import TAG_LINK, derive_rng
-from fltp.simulate import assemble_datasets, broadcast_streams, falsified_claims, pooled_training_set
-from fltp.trace import SPEED_OF_LIGHT, AttackerType, ChannelConfig, Messages, ScenarioConfig, generate_scenario
+from fltp.simulate import assemble_datasets, broadcast_streams, falsified_claims, link_columns, pooled_training_set
+from fltp.trace import AttackerType, ChannelConfig, Messages, ScenarioConfig, generate_scenario
 from test_features import _reference_windows
 
 
@@ -84,8 +84,9 @@ class TestBroadcastStreams:
             assert (msgs.sender_id == s).all()
 
     def test_one_logarithm_per_unordered_pair(self, monkeypatch):
-        """Links (s, r) and (r, s) share their distance and its path loss."""
-        sc = _scenario(n_vehicles=5)
+        """Links (s, r) and (r, s) share their distance and its path loss:
+        without shadowing their RSSI is the same, bit for bit."""
+        sc = _scenario(n_vehicles=5, shadow=0.0)
         calls = []
 
         def log10(x, real=math.log10):
@@ -93,10 +94,11 @@ class TestBroadcastStreams:
             return real(x)
 
         monkeypatch.setattr(math, "log10", log10)
-        streams = broadcast_streams(sc, _attack(sc.config))
+        links, claims = link_columns(sc, _attack(sc.config))
         assert len(calls) == 5 * 4 // 2 * sc.config.n_steps
-        for (s, r), msgs in streams.items():
-            assert msgs.t_rev.tobytes() == streams[(r, s)].t_rev.tobytes()
+        rssi = {(s, r): claims[i, :, 4] for i, (s, r) in enumerate(links.tolist())}
+        for (s, r), column in rssi.items():
+            assert column.tobytes() == rssi[(r, s)].tobytes()
 
     def test_columns_are_typed_and_owned(self):
         """int64 ids, steps and classes; no two streams share a writable array."""
@@ -125,13 +127,6 @@ class TestBroadcastStreams:
         sc = _scenario(n_vehicles=3)
         streams = broadcast_streams(sc, _attack(sc.config))
         assert not np.array_equal(streams[(0, 1)].claims[:, 4], streams[(0, 2)].claims[:, 4])
-
-    def test_delivery_after_send(self):
-        sc = _scenario()
-        streams = broadcast_streams(sc, _attack(sc.config))
-        for msgs in streams.values():
-            assert (msgs.t_rev >= msgs.t_snd).all()
-            assert (msgs.t_rev - msgs.t_snd < 1e-3).all()  # sub-ms propagation
 
     def test_truth_attacker_tagged(self):
         sc = _scenario(penetration=0.75, n_vehicles=5)
@@ -240,20 +235,16 @@ def _reference_broadcast(scenario, attack):
                 (s_x, s_y, _, _), (r_x, r_y, _, _) = row[sender], row[receiver]
                 distance = float(np.hypot(s_x - r_x, s_y - r_y))
                 pos_x, pos_y, spd_x, spd_y = claims[sender][step].tolist()
-                t_snd = step * cfg.dt
                 d = max(distance, ch.reference_distance)
                 path_loss = 10.0 * ch.path_loss_exponent * math.log10(d / ch.reference_distance)
                 rssi = ch.tx_power_dbm - path_loss + link_rng.normal(0.0, ch.shadowing_sigma)
-                t_rev = t_snd + distance / SPEED_OF_LIGHT
-                rows.append((sender, step, t_snd, t_rev, pos_x, pos_y, spd_x, spd_y, rssi))
+                rows.append((sender, step, pos_x, pos_y, spd_x, spd_y, rssi))
             ids = np.array([r[:2] for r in rows], dtype=np.int64)
             floats = np.array([r[2:] for r in rows], dtype=float)
             streams[(sender, receiver)] = Messages(
                 sender_id=ids[:, 0],
                 step=ids[:, 1],
-                t_snd=floats[:, 0],
-                t_rev=floats[:, 1],
-                claims=floats[:, 2:],
+                claims=floats,
                 truth_attacker=np.full(len(rows), int(scenario.attacker_types[sender]), dtype=np.int64),
             )
     return streams

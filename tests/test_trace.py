@@ -3,7 +3,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from fltp.config import config_from_kv
 from fltp.trace import (
@@ -13,18 +12,15 @@ from fltp.trace import (
     Messages,
     ScenarioConfig,
     attacker_count,
-    delivery_time,
     generate_scenario,
     step_kinematics,
     synth_rssi,
 )
 
-SPEED_OF_LIGHT = 299_792_458.0
-
 
 def _messages(n, n_claims=None):
     ids = np.arange(n, dtype=np.int64)
-    return Messages(ids, ids, ids * 1.0, ids + 1e-6, np.zeros((n if n_claims is None else n_claims, 5)), ids)
+    return Messages(ids, ids, np.zeros((n if n_claims is None else n_claims, 5)), ids)
 
 
 class TestMessages:
@@ -37,9 +33,14 @@ class TestMessages:
             _messages(3, n_claims=4)
         ids = np.arange(3, dtype=np.int64)
         with pytest.raises(ValueError):
-            Messages(ids, ids, np.zeros(2), ids * 1.0, np.zeros((3, 5)), ids)
+            Messages(ids, ids, np.zeros((3, 5)), ids[:2])
         with pytest.raises(ValueError):
-            Messages(ids, ids, ids * 1.0, ids * 1.0, np.zeros((3, 4)), ids)
+            Messages(ids, ids, np.zeros((3, 4)), ids)
+
+
+def _rssi(distances, ch, rng):
+    """synth_rssi of one row of distances, drawn from one generator."""
+    return synth_rssi(np.array([distances], dtype=float), ch, [rng], np.array([0]))[0]
 
 
 class TestSynthRssi:
@@ -48,109 +49,58 @@ class TestSynthRssi:
 
     def test_at_reference_distance_equals_tx_power(self):
         ch = ChannelConfig(tx_power_dbm=20.0, shadowing_sigma=0.0)
-        assert synth_rssi(1.0, ch, self._rng()) == pytest.approx(20.0, abs=1e-12)
+        assert _rssi([1.0], ch, self._rng())[0] == pytest.approx(20.0, abs=1e-12)
 
     def test_decade_distance_drop(self):
         ch = ChannelConfig(tx_power_dbm=20.0, path_loss_exponent=2.0, shadowing_sigma=0.0)
-        assert synth_rssi(10.0, ch, self._rng()) == pytest.approx(0.0, abs=1e-9)
+        assert _rssi([10.0], ch, self._rng())[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_frozen_value_250m(self):
         # 20 - 20*log10(250)
         ch = ChannelConfig(tx_power_dbm=20.0, path_loss_exponent=2.0, reference_distance=1.0, shadowing_sigma=0.0)
-        assert synth_rssi(250.0, ch, self._rng()) == pytest.approx(-27.95880017344075, abs=1e-3)
+        assert _rssi([250.0], ch, self._rng())[0] == pytest.approx(-27.95880017344075, abs=1e-3)
 
     def test_below_reference_clamps(self):
         ch = ChannelConfig(shadowing_sigma=0.0)
-        assert synth_rssi(0.01, ch, self._rng()) == synth_rssi(1.0, ch, self._rng())
+        assert _rssi([0.01], ch, self._rng())[0] == _rssi([1.0], ch, self._rng())[0]
 
     def test_monotone_decreasing_without_noise(self):
         ch = ChannelConfig(shadowing_sigma=0.0)
-        rng = self._rng()
-        values = [synth_rssi(d, ch, rng) for d in np.linspace(1.0, 5000.0, 50)]
+        values = _rssi(np.linspace(1.0, 5000.0, 50), ch, self._rng()).tolist()
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_shadowing_reproducible(self):
         ch = ChannelConfig(shadowing_sigma=3.0)
-        a = synth_rssi(100.0, ch, np.random.default_rng(42))
-        b = synth_rssi(100.0, ch, np.random.default_rng(42))
-        assert a == b
+        a = _rssi([100.0], ch, np.random.default_rng(42))
+        b = _rssi([100.0], ch, np.random.default_rng(42))
+        assert a.tobytes() == b.tobytes()
 
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):
-            synth_rssi(-1.0, ChannelConfig(), self._rng())
-
-    @pytest.mark.parametrize("sigma", [0.0, 2.0])
-    def test_array_equals_scalar_calls(self, sigma):
-        ch = ChannelConfig(tx_power_dbm=17.0, path_loss_exponent=2.7, reference_distance=1.5, shadowing_sigma=sigma)
-        d = np.concatenate([[0.0, 1.5, 1.0], np.random.default_rng(5).uniform(0.0, 15_000.0, size=2000)])
-        scalar_rng, array_rng = np.random.default_rng(9), np.random.default_rng(9)
-        expected = [synth_rssi(float(x), ch, scalar_rng) for x in d]
-        got = synth_rssi(d, ch, array_rng)
-        assert got.shape == d.shape
-        assert got.tolist() == expected
-        assert array_rng.random() == scalar_rng.random()  # the same number of draws
+            _rssi([-1.0], ChannelConfig(), self._rng())
 
     def test_generator_per_row_equals_one_call_per_row(self):
         ch = ChannelConfig(shadowing_sigma=2.0)
         d = np.random.default_rng(5).uniform(0.0, 15_000.0, size=(3, 40))
-        got = synth_rssi(d, ch, [np.random.default_rng(k) for k in range(3)])
-        expected = np.stack([synth_rssi(row, ch, np.random.default_rng(k)) for k, row in enumerate(d)])
+        got = synth_rssi(d, ch, [np.random.default_rng(k) for k in range(3)], np.arange(3))
+        expected = np.stack([_rssi(row, ch, np.random.default_rng(k)) for k, row in enumerate(d)])
         assert got.tobytes() == expected.tobytes()
         with pytest.raises(ValueError, match="one generator per row"):
-            synth_rssi(d, ch, [np.random.default_rng(0)])
+            synth_rssi(d, ch, [np.random.default_rng(0)], np.arange(3))
 
     def test_rows_share_a_distance_row(self):
         ch = ChannelConfig(shadowing_sigma=2.0)
         d = np.random.default_rng(5).uniform(0.0, 15_000.0, size=(3, 40))
         rows = np.array([2, 0, 2, 1, 0])
-        got = synth_rssi(d, ch, [np.random.default_rng(k) for k in range(5)], rows=rows)
-        expected = synth_rssi(d[rows], ch, [np.random.default_rng(k) for k in range(5)])
+        got = synth_rssi(d, ch, [np.random.default_rng(k) for k in range(5)], rows)
+        expected = synth_rssi(d[rows], ch, [np.random.default_rng(k) for k in range(5)], np.arange(5))
         assert got.tobytes() == expected.tobytes()
         with pytest.raises(ValueError, match="one generator per row"):
-            synth_rssi(d, ch, [np.random.default_rng(0)] * 3, rows=rows)
+            synth_rssi(d, ch, [np.random.default_rng(0)] * 3, rows)
 
     def test_array_with_negative_distance_rejected(self):
         with pytest.raises(ValueError):
-            synth_rssi(np.array([3.0, -1.0]), ChannelConfig(), self._rng())
-
-
-class TestDeliveryTime:
-    def test_zero_distance(self):
-        assert delivery_time(5.0, 0.0) == 5.0
-
-    def test_one_light_second(self):
-        assert delivery_time(0.0, SPEED_OF_LIGHT) == pytest.approx(1.0, abs=1e-12)
-
-    def test_frozen_300m(self):
-        assert delivery_time(0.0, 300.0) == pytest.approx(1.000692285594456e-06, abs=1e-12)
-
-    def test_custom_message_speed(self):
-        assert delivery_time(1.0, 30.0, spd_msg=10.0) == pytest.approx(4.0, abs=1e-12)
-
-    @pytest.mark.parametrize("bad_spd", [0.0, -3.0])
-    def test_bad_speed_rejected(self, bad_spd):
-        with pytest.raises(ValueError):
-            delivery_time(0.0, 1.0, spd_msg=bad_spd)
-
-    def test_negative_distance_rejected(self):
-        with pytest.raises(ValueError):
-            delivery_time(0.0, -1.0)
-
-    def test_array_equals_scalar_calls(self):
-        rng = np.random.default_rng(3)
-        t_snd = np.arange(500) * 0.1
-        d = rng.uniform(0.0, 15_000.0, size=500)
-        expected = [delivery_time(float(t), float(x)) for t, x in zip(t_snd, d)]
-        assert delivery_time(t_snd, d).tolist() == expected
-
-    def test_array_with_negative_distance_rejected(self):
-        with pytest.raises(ValueError):
-            delivery_time(np.zeros(2), np.array([1.0, -1.0]))
-
-    @given(st.floats(min_value=1.0, max_value=1e7))
-    def test_linear_in_distance(self, d):
-        base = delivery_time(0.0, d)
-        assert delivery_time(0.0, 2.0 * d) == pytest.approx(2.0 * base, rel=1e-12)
+            _rssi([3.0, -1.0], ChannelConfig(), self._rng())
 
 
 def _cfg(**kw):

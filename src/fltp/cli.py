@@ -17,7 +17,7 @@ from dataclasses import replace
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-from .config import ConfigError, load_config
+from .config import PROFILES, ConfigError, load_config
 from .experiment import export_summary, run_experiment
 from .machine import describe
 from .trace import IngestError
@@ -29,7 +29,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute a sweep")
     run_p.add_argument("--config", required=True, help="flat key = value config file")
-    run_p.add_argument("--profile", choices=("desk", "paper"), default=None, help="scale preset applied under the config file")
+    run_p.add_argument("--profile", choices=sorted(PROFILES), default=None, help="scale preset applied under the config file")
     run_p.add_argument("--seed", type=int, default=None, help="override master_seed")
     run_p.add_argument("--out", default=None, help="override out_dir")
     run_p.add_argument(

@@ -1,17 +1,18 @@
 """Experiment configuration: a flat key = value text format, profile
 overrides, and the resolved ExperimentConfig object.
 
-Precedence, lowest to highest: built-in defaults, --profile overrides,
-keys in the config file, CLI flags (--seed / --out / --threads).
+Precedence, lowest to highest: the records' field defaults, --profile
+overrides, keys in the config file, CLI flags (--seed / --out / --threads).
 
-Adding a key is one KEYS entry, whose dotted path (e.g. "train.hidden_size")
-names the dataclass field its value fills: config_from_kv builds each section
-from the keys under its path, and dump_config reads the same paths back.
+A key is a record field with its default, plus one KEYS entry holding its
+name, its parser and the dotted path (e.g. "train.hidden_size") of the field
+its value fills: config_from_kv builds each record from the keys set under its
+path, and dump_config reads the same paths back.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
 from pathlib import Path
@@ -72,11 +73,11 @@ def _float_or_none(key: str, text: str) -> float | None:
 
 
 class ConfigKey(NamedTuple):
-    """One flat config key: its text default, the parser turning text into a
-    value, and the dotted path of the ExperimentConfig field the value fills."""
+    """One flat config key: the parser turning its text into a value, and the
+    dotted path of the ExperimentConfig field the value fills. The field's own
+    default is the key's default."""
 
     name: str
-    default: str
     parse: Callable[[str, str], Any]
     path: str
 
@@ -84,58 +85,55 @@ class ConfigKey(NamedTuple):
         return attrgetter(self.path)(cfg)
 
 
-def _key(name: str, default: str, parse: Callable[[str, str], Any], path: str | None = None) -> ConfigKey:
-    return ConfigKey(name, default, parse, path or name)
+def _key(name: str, parse: Callable[[str, str], Any], path: str | None = None) -> ConfigKey:
+    return ConfigKey(name, parse, path or name)
 
 
 #: every config key, in dump order
 KEYS: tuple[ConfigKey, ...] = (
-    _key("methods", ", ".join(METHODS), _list(str)),
-    _key("penetrations", "0.25, 0.5, 0.75", _list(float)),
-    _key("vehicle_counts", "4, 10, 20", _list(int)),
-    _key("repeats", "50", _int),
-    _key("master_seed", "42", _int),
-    _key("out_dir", "results", _str),
-    _key("region_side", "10000", _float, "scenario.region_side"),
-    _key("dt", "1.0", _float, "scenario.dt"),
-    _key("n_steps", "100", _int, "scenario.n_steps"),
-    _key("v_max", "40", _float, "scenario.v_max"),
-    _key("accel_sigma", "0.5", _float, "scenario.accel_sigma"),
-    _key("tx_power_dbm", "20", _float, "scenario.channel.tx_power_dbm"),
-    _key("path_loss_exponent", "2.0", _float, "scenario.channel.path_loss_exponent"),
-    _key("reference_distance", "1.0", _float, "scenario.channel.reference_distance"),
-    _key("shadowing_sigma", "2.0", _float, "scenario.channel.shadowing_sigma"),
-    _key("rssi_min", "-100", _float, "norm.rssi_min"),
-    _key("rssi_max", "-40", _float, "norm.rssi_max"),
-    _key("hidden_size", "64", _int, "train.hidden_size"),
-    _key("learning_rate", "1e-5", _float, "train.learning_rate"),
-    _key("momentum", "0.5", _float, "train.momentum"),
-    _key("batch_size", "128", _int, "train.batch_size"),
-    _key("local_episodes", "10", _int, "train.local_episodes"),
-    _key("global_rounds", "300", _int, "train.global_rounds"),
+    _key("methods", _list(str)),
+    _key("penetrations", _list(float)),
+    _key("vehicle_counts", _list(int)),
+    _key("repeats", _int),
+    _key("master_seed", _int),
+    _key("out_dir", _str),
+    _key("region_side", _float, "scenario.region_side"),
+    _key("dt", _float, "scenario.dt"),
+    _key("n_steps", _int, "scenario.n_steps"),
+    _key("v_max", _float, "scenario.v_max"),
+    _key("accel_sigma", _float, "scenario.accel_sigma"),
+    _key("tx_power_dbm", _float, "scenario.channel.tx_power_dbm"),
+    _key("path_loss_exponent", _float, "scenario.channel.path_loss_exponent"),
+    _key("reference_distance", _float, "scenario.channel.reference_distance"),
+    _key("shadowing_sigma", _float, "scenario.channel.shadowing_sigma"),
+    _key("rssi_min", _float, "norm.rssi_min"),
+    _key("rssi_max", _float, "norm.rssi_max"),
+    _key("hidden_size", _int, "train.hidden_size"),
+    _key("learning_rate", _float, "train.learning_rate"),
+    _key("momentum", _float, "train.momentum"),
+    _key("batch_size", _int, "train.batch_size"),
+    _key("local_episodes", _int, "train.local_episodes"),
+    _key("global_rounds", _int, "train.global_rounds"),
     # the dtype of local training; aggregation and evaluation stay float64
-    _key("precision", "float64", _str, "train.precision"),
-    _key("gate_strategy", "accuracy", _strategy, "gate.strategy"),
-    _key("gate_threshold", "0.2", _float, "gate.threshold"),
-    _key("influence_constant", "1.0", _float, "influence.constant"),
-    _key("influence_constant_offset", "0.8", _float, "influence.constant_offset"),
-    _key("influence_random", "1.0", _float, "influence.random"),
-    _key("influence_random_offset", "0.8", _float, "influence.random_offset"),
-    _key("influence_eventual_stop", "1.0", _float, "influence.eventual_stop"),
+    _key("precision", _str, "train.precision"),
+    _key("gate_strategy", _strategy, "gate.strategy"),
+    _key("gate_threshold", _float, "gate.threshold"),
+    _key("influence_constant", _float, "influence.constant"),
+    _key("influence_constant_offset", _float, "influence.constant_offset"),
+    _key("influence_random", _float, "influence.random"),
+    _key("influence_random_offset", _float, "influence.random_offset"),
+    _key("influence_eventual_stop", _float, "influence.eventual_stop"),
     # an empty fixed point means the region centre
-    _key("attack_fixed_x", "", _float_or_none, "attack.fixed_x"),
-    _key("attack_fixed_y", "", _float_or_none, "attack.fixed_y"),
-    _key("attack_offset_x", "250", _float, "attack.offset_x"),
-    _key("attack_offset_y", "-150", _float, "attack.offset_y"),
-    _key("attack_random_offset_max", "300", _float, "attack.random_offset_max"),
-    _key("attack_stop_probability", "0.3", _float, "attack.stop_probability"),
-    _key("train_fraction", "0.8", _float),
-    _key("judgment_threshold", "0.5", _float),
-    _key("checkpoints", "false", _bool),
+    _key("attack_fixed_x", _float_or_none, "attack.fixed_x"),
+    _key("attack_fixed_y", _float_or_none, "attack.fixed_y"),
+    _key("attack_offset_x", _float, "attack.offset_x"),
+    _key("attack_offset_y", _float, "attack.offset_y"),
+    _key("attack_random_offset_max", _float, "attack.random_offset_max"),
+    _key("attack_stop_probability", _float, "attack.stop_probability"),
+    _key("train_fraction", _float),
+    _key("judgment_threshold", _float),
+    _key("checkpoints", _bool),
 )
-
-#: built-in defaults (full-scale protocol)
-DEFAULTS: dict[str, str] = {key.name: key.default for key in KEYS}
 
 #: profile overrides; "desk" is the CI-scale protocol
 PROFILES: dict[str, dict[str, str]] = {
@@ -153,20 +151,23 @@ PROFILES: dict[str, dict[str, str]] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    methods: tuple[str, ...]
-    penetrations: tuple[float, ...]
-    vehicle_counts: tuple[int, ...]
-    repeats: int
-    master_seed: int
-    out_dir: str
-    scenario: ScenarioConfig  # template; n_vehicles/penetration/seed set per cell
-    attack: AttackParams
+    """The resolved experiment; its defaults, and its records', are the
+    full-scale protocol."""
+
+    methods: tuple[str, ...] = tuple(METHODS)
+    penetrations: tuple[float, ...] = (0.25, 0.5, 0.75)
+    vehicle_counts: tuple[int, ...] = (4, 10, 20)
+    repeats: int = 50
+    master_seed: int = 42
+    out_dir: str = "results"
+    scenario: ScenarioConfig = field(default_factory=ScenarioConfig)  # template; n_vehicles/penetration/seed set per cell
+    attack: AttackParams  # takes the scenario's region, so has no default
     norm: NormalizationSpec
-    train: TrainConfig
-    gate: GateConfig
-    influence: InfluenceTable
+    train: TrainConfig = field(default_factory=TrainConfig)
+    gate: GateConfig = field(default_factory=GateConfig)
+    influence: InfluenceTable = field(default_factory=InfluenceTable)
     train_fraction: float = 0.8
     judgment_threshold: float = 0.5
     checkpoints: bool = False
@@ -198,6 +199,8 @@ class ExperimentConfig:
             raise ConfigError(f"repeats: must be >= 1, got {self.repeats}")
         if self.master_seed < 0:
             raise ConfigError(f"master_seed: must be >= 0, got {self.master_seed}")
+        if not self.out_dir:
+            raise ConfigError("out_dir: must not be empty")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError(f"train_fraction: must be in (0, 1), got {self.train_fraction}")
         if self.judgment_threshold <= 0:
@@ -223,41 +226,38 @@ def parse_kv_text(text: str, source: str = "<config>") -> dict[str, str]:
     return out
 
 
-def _section(values: dict[str, Any], path: str) -> dict[str, Any]:
-    """The values whose path names a field directly under `path` ("" for
-    ExperimentConfig itself), keyed by field name."""
-    return {p.rpartition(".")[2]: value for p, value in values.items() if p.rpartition(".")[0] == path}
-
-
 def config_from_kv(kv_in: dict[str, str], profile: str | None = None) -> ExperimentConfig:
     """Resolve raw key/value strings (plus optional profile) to a validated
-    ExperimentConfig. Unknown keys are errors."""
-    for key in kv_in:
-        if key not in DEFAULTS:
-            raise ConfigError(f"unknown config key: {key}")
-    kv = dict(DEFAULTS)
-    if profile is not None:
-        if profile not in PROFILES:
-            raise ConfigError(f"unknown profile: {profile!r} (choose from {sorted(PROFILES)})")
-        kv.update(PROFILES[profile])
-    kv.update(kv_in)
-    values = {key.path: key.parse(key.name, kv[key.name]) for key in KEYS}
+    ExperimentConfig. Only the keys set are parsed; each record's defaults
+    fill the rest. Unknown keys are errors."""
+    if profile is not None and profile not in PROFILES:
+        raise ConfigError(f"unknown profile: {profile!r} (choose from {sorted(PROFILES)})")
+    kv = {**PROFILES.get(profile, {}), **kv_in}
+    set_keys = [key for key in KEYS if key.name in kv]
+    if unknown := kv.keys() - {key.name for key in set_keys}:
+        raise ConfigError(f"unknown config key: {', '.join(sorted(unknown))}")
+    values = {key.name: key.parse(key.name, kv[key.name]) for key in set_keys}
 
-    try:
-        channel = ChannelConfig(**_section(values, "scenario.channel"))
-        scenario = ScenarioConfig(**_section(values, "scenario"), channel=channel)
-        region = {"region_side": scenario.region_side, "v_max": scenario.v_max}
-        return ExperimentConfig(
-            **_section(values, ""),
-            scenario=scenario,
-            attack=AttackParams(**region, **_section(values, "attack")),
-            norm=NormalizationSpec(**region, **_section(values, "norm")),
-            train=TrainConfig(**_section(values, "train")),
-            gate=GateConfig(**_section(values, "gate")),
-            influence=InfluenceTable(**_section(values, "influence")),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    def build(record: Callable[..., Any], path: str, **fixed: Any) -> Any:
+        """`record` from the set keys whose path names a field directly under
+        `path`; a rejection names those keys."""
+        keys = [key for key in set_keys if key.path.rpartition(".")[0] == path]
+        try:
+            return record(**{key.path.rpartition(".")[2]: values[key.name] for key in keys}, **fixed)
+        except ValueError as exc:
+            raise ConfigError(f"{', '.join(key.name for key in keys)}: {exc}") from exc
+
+    scenario = build(ScenarioConfig, "scenario", channel=build(ChannelConfig, "scenario.channel"))
+    region = {"region_side": scenario.region_side, "v_max": scenario.v_max}
+    return ExperimentConfig(  # its own checks name their key
+        **{key.name: values[key.name] for key in set_keys if "." not in key.path},
+        scenario=scenario,
+        attack=build(AttackParams, "attack", **region),
+        norm=build(NormalizationSpec, "norm", **region),
+        train=build(TrainConfig, "train"),
+        gate=build(GateConfig, "gate"),
+        influence=build(InfluenceTable, "influence"),
+    )
 
 
 def load_config(path: str | Path, profile: str | None = None) -> ExperimentConfig:

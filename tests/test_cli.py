@@ -61,6 +61,16 @@ class TestRun:
         assert "error: master_seed: must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_out_rejected(self, tiny_config, tmp_path, capsys, monkeypatch):
+        """An empty --out would write into the working directory."""
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        rc = main(["run", "--config", str(tiny_config), "--out", ""])
+        assert rc == 1
+        assert "error: out_dir: must not be empty" in capsys.readouterr().err
+        assert list(cwd.iterdir()) == []
+
     def test_missing_config_is_error(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "absent.cfg")])
         assert rc == 1

@@ -8,7 +8,7 @@ import pytest
 from fltp.attacks import AttackParams, inject
 from fltp.config import (
     ConfigError,
-    DEFAULTS,
+    ExperimentConfig,
     KEYS,
     PROFILES,
     config_from_kv,
@@ -79,8 +79,15 @@ class TestDefaults:
 
     def test_all_default_keys_resolve(self):
         # every documented key round-trips through the resolver unchanged
-        cfg = config_from_kv(dict(DEFAULTS))
+        cfg = config_from_kv(parse_kv_text(dump_config(config_from_kv({}))))
         assert cfg.repeats == 50
+
+    def test_empty_input_is_the_record_defaults(self):
+        """An empty config is what the records declare: no key carries a
+        default of its own."""
+        scenario = ScenarioConfig()
+        region = {"region_side": scenario.region_side, "v_max": scenario.v_max}
+        assert config_from_kv({}) == ExperimentConfig(attack=AttackParams(**region), norm=NormalizationSpec(**region))
 
 
 class TestProfiles:
@@ -103,6 +110,10 @@ class TestProfiles:
     def test_unknown_profile(self):
         with pytest.raises(ConfigError, match="unknown profile"):
             config_from_kv({}, profile="cluster")
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_every_profile_key_is_a_key(self, profile):
+        assert set(PROFILES[profile]) <= {key.name for key in KEYS}
 
     def test_file_beats_profile(self):
         cfg = config_from_kv({"global_rounds": "7"}, profile="desk")
@@ -149,10 +160,15 @@ class TestValidation:
             ("precision", "float16"),
             ("dt", "0"),
             ("reference_distance", "0"),
+            ("out_dir", ""),
+            ("attack_stop_probability", "2"),
+            ("influence_constant", "-1"),
+            ("influence_eventual_stop", "-1"),
+            ("attack_random_offset_max", "-1"),
         ],
     )
     def test_bad_value_mentions_key(self, key, value):
-        with pytest.raises(ConfigError, match=key.split("_")[0]):
+        with pytest.raises(ConfigError, match=key):
             config_from_kv({key: value})
 
     def test_close_penetrations_with_distinct_run_ids_accepted(self):
@@ -179,7 +195,7 @@ class TestValidation:
             config_from_kv({"vehicle_counts": ","})
 
     def test_stop_probability_bounds(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="attack_stop_probability"):
             config_from_kv({"attack_stop_probability": "1.5"})
 
 
@@ -266,7 +282,7 @@ class TestRoundTrip:
         assert claims.tolist() == [[1500.0, 1500.0, 0.0, 0.0]] * 2
 
 
-#: a valid value differing from its default for every key in DEFAULTS
+#: a valid value differing from its default for every key in KEYS
 NON_DEFAULTS = {
     "methods": "centralized, fl-tp",
     "penetrations": "0.1, 0.9",
@@ -313,7 +329,7 @@ NON_DEFAULTS = {
 
 class TestKeyTable:
     def test_every_key_has_a_non_default_case(self):
-        assert set(NON_DEFAULTS) == set(DEFAULTS)
+        assert set(NON_DEFAULTS) == {key.name for key in KEYS}
 
     @pytest.mark.parametrize("key", sorted(NON_DEFAULTS))
     def test_each_key_reaches_the_config(self, key):
@@ -337,7 +353,7 @@ class TestKeyTable:
     def test_all_keys_changed_round_trip(self, tmp_path):
         cfg = config_from_kv(NON_DEFAULTS)
         text = dump_config(cfg)
-        assert [line.split(" = ")[0] for line in text.splitlines()] == list(DEFAULTS)
+        assert [line.split(" = ")[0] for line in text.splitlines()] == [key.name for key in KEYS]
         path = tmp_path / "dump.cfg"
         path.write_text(text, encoding="utf-8")
         assert load_config(path) == cfg

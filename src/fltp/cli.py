@@ -17,10 +17,9 @@ from dataclasses import replace
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-from .config import PROFILES, ConfigError, load_config
+from .config import PROFILES, load_config
 from .experiment import export_summary, run_experiment
 from .machine import describe
-from .trace import IngestError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,7 +61,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             out = export_summary(args.in_dir, args.out_file)
             print(f"wrote {out}")
-    except (ConfigError, IngestError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # a ConfigError, a divergence or a malformed rounds file
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

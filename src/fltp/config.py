@@ -205,6 +205,9 @@ class ExperimentConfig:
             raise ConfigError(f"train_fraction: must be in (0, 1), got {self.train_fraction}")
         if self.judgment_threshold <= 0:
             raise ConfigError(f"judgment_threshold: must be > 0, got {self.judgment_threshold}")
+        for name in ("region_side", "v_max"):  # claims are made and normalized in the scenario's region
+            if {getattr(self.attack, name), getattr(self.norm, name)} != {own := getattr(self.scenario, name)}:
+                raise ConfigError(f"{name}: the attack and norm records must have the scenario's {own!r}")
 
 
 def parse_kv_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -286,5 +289,11 @@ def _format(value: Any) -> str:
 
 def dump_config(cfg: ExperimentConfig) -> str:
     """Serialize a resolved config back to the flat text form; feeding the
-    result to load_config reproduces an equal ExperimentConfig."""
-    return "".join(f"{key.name} = {_format(key.get(cfg))}".rstrip() + "\n" for key in KEYS)
+    result to load_config reproduces an equal ExperimentConfig. A value whose
+    text holds a '#' or a line break, or has leading or trailing whitespace,
+    would not read back; it raises ConfigError naming its key."""
+    texts = {key.name: _format(key.get(cfg)) for key in KEYS}
+    for name, text in texts.items():
+        if "#" in text or len(text.splitlines()) > 1 or text != text.strip():
+            raise ConfigError(f"{name}: {text!r} would not read back from a config file")
+    return "".join(f"{name} = {text}".rstrip() + "\n" for name, text in texts.items())

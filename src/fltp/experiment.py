@@ -174,15 +174,11 @@ def run_cells(cfg: ExperimentConfig, cells: list[SweepCell]) -> list[list[RoundR
     limit = divergence_limit(initial, eval_set)
     all_reports = []
     for cell in cells:
-        checkpoint_dir = Path(cfg.out_dir) / "checkpoints" / cell.run_id
         t0 = time.perf_counter()
         reports = []
         for params, report in run_method_rounds(cfg, cell.method, vehicles, eval_set, initial, seed, limit):
             if cfg.checkpoints:
-                if report.round_idx == 1:  # a run that fails in round 1 leaves the previous run's files
-                    for stale in (*checkpoint_dir.glob("round_*.params"), *checkpoint_dir.glob("round_*.json")):
-                        stale.unlink()
-                save_checkpoint(checkpoint_dir, report.round_idx, params, report)
+                save_checkpoint(Path(cfg.out_dir) / "checkpoints" / cell.run_id, report.round_idx, params, report)
             reports.append(report)
         all_reports.append(reports)
         log.info("cell %s finished in %.1fs", cell.run_id, time.perf_counter() - t0)
@@ -328,25 +324,33 @@ def write_summary_csv(path: Path, final_rows: list[dict]) -> None:
             )
 
 
+#: the rounds-file columns the summary reads, each with its parser
+FINAL_COLUMNS = dict(
+    run_id=str, method=str, penetration=float, n_vehicles=int, repeat=int, round=int, pred_error_m=float, atk_accuracy=float
+)
+
+
 def read_final_rows(paths: list[Path]) -> list[dict]:
     """The final-round row of every run in the given rounds files, in
-    (method, penetration, n_vehicles, repeat) order."""
+    (method, penetration, n_vehicles, repeat) order. A row lacking one of
+    FINAL_COLUMNS or holding a value its parser refuses raises ValueError
+    naming path:line and the column."""
     final_by_run: dict[str, dict] = {}
     for path in paths:
         with open(path, newline="", encoding="utf-8") as fh:
-            for rec in csv.DictReader(fh):
-                row = {
-                    "method": rec["method"],
-                    "penetration": float(rec["penetration"]),
-                    "n_vehicles": int(rec["n_vehicles"]),
-                    "repeat": int(rec["repeat"]),
-                    "round": int(rec["round"]),
-                    "pred_error_m": float(rec["pred_error_m"]),
-                    "atk_accuracy": float(rec["atk_accuracy"]),
-                }
-                prev = final_by_run.get(rec["run_id"])
+            reader = csv.DictReader(fh)
+            for rec in reader:
+                row = {}
+                for column, parse in FINAL_COLUMNS.items():
+                    if (text := rec.get(column)) is None:  # the header or a short row lacks the column
+                        raise ValueError(f"{path}:{reader.line_num}: column {column!r}: no value")
+                    try:
+                        row[column] = parse(text)
+                    except ValueError:
+                        raise ValueError(f"{path}:{reader.line_num}: column {column!r}: cannot read {text!r}") from None
+                prev = final_by_run.get(row["run_id"])
                 if prev is None or row["round"] > prev["round"]:
-                    final_by_run[rec["run_id"]] = row
+                    final_by_run[row["run_id"]] = row
     # Numeric sort (not run_id string sort: "rep10" < "rep2") fixes the
     # per-group accumulation order, and so every output bit.
     return sorted(

@@ -196,8 +196,6 @@ def evaluate_global(
     accuracy for the codes present, loss). The pool's predictions come from
     one forward call, which may run its chunks on forked processes.
     """
-    if eval_set.features.shape[0] == 0:
-        raise ValueError("empty evaluation set")
     pred = forward(params, eval_set.features)
     err = prediction_error(pred[:, :, :2], eval_set.labels[:, :, :2], norm)
     judgments = attack_judgments(pred[:, :, 2], eval_set.labels[:, :, 2], judgment_threshold)
@@ -285,9 +283,13 @@ def save_checkpoint(
     params: ModelParams,
     report: RoundReport,
 ) -> tuple[Path, Path]:
-    """Write the round's parameter blob plus a JSON sidecar describing it."""
+    """Write the round's parameter blob plus a JSON sidecar describing it;
+    round 1 first deletes the round files a previous run left there."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    if round_idx == 1:
+        for stale in (*directory.glob("round_*.params"), *directory.glob("round_*.json")):
+            stale.unlink()
     blob = directory / f"round_{round_idx:04d}.params"
     sidecar = directory / f"round_{round_idx:04d}.json"
     save_params(params, blob)

@@ -1,10 +1,10 @@
-"""Recurrent trajectory/attack predictor: a single-layer LSTM with a linear
+"""Recurrent trajectory/attack predictor: a one-layer LSTM with a linear
 head, written directly on numpy with a hand-derived backward pass.
 
-Input is a (10, 9) feature window (or a batch of them); output is a (5, 3)
-block: five future normalized positions plus the attack-class regression
-value replicated per step. Gate order inside stacked parameters is
-input, forget, cell, output.
+Input is a non-empty (B, 10, 9) batch of feature windows (one window w is
+the batch w[None]); output is a (B, 5, 3) batch of blocks: five future
+normalized positions plus the attack-class regression value replicated per
+step. Gate order inside stacked parameters is input, forget, cell, output.
 
 The compute dtype follows the input windows: float32 windows run in float32,
 anything else in float64. Parameters, the optimizer's velocity, saved blobs
@@ -147,19 +147,16 @@ class ForwardCache:
     pred: np.ndarray  # (B, 5, 3)
 
 
-def _as_batch(window: np.ndarray) -> tuple[np.ndarray, bool]:
-    """The window as a (B, T, D) batch in the compute dtype: float32 stays
-    float32, anything else becomes float64."""
-    x = np.asarray(window)
+def _as_batch(windows: np.ndarray) -> np.ndarray:
+    """The one check of the model's input: a non-empty (B, 10, 9) batch of
+    finite windows, cast to the compute dtype (float32, or else float64)."""
+    x = np.asarray(windows)
+    if x.ndim != 3 or x.shape[0] == 0 or x.shape[1:] != (WINDOW_INPUT_STEPS, INPUT_DIM):
+        raise ValueError(f"expected a non-empty (B, {WINDOW_INPUT_STEPS}, {INPUT_DIM}) batch of windows, got shape {x.shape}")
     x = x.astype(np.float32 if x.dtype == np.float32 else np.float64, copy=False)
-    single = x.ndim == 2
-    if single:
-        x = x[None, :, :]
-    if x.ndim != 3 or x.shape[1] != WINDOW_INPUT_STEPS or x.shape[2] != INPUT_DIM:
-        raise ValueError(f"expected window shape ({WINDOW_INPUT_STEPS}, {INPUT_DIM}) or a batch of them, got {np.asarray(window).shape}")
     if not np.isfinite(x).all():
         raise ValueError("window contains non-finite values")
-    return x, single
+    return x
 
 
 def _time_major(x: np.ndarray) -> np.ndarray:
@@ -195,7 +192,7 @@ def _lstm(
     Each step projects its own input, so the working set is a few (B, 4H)
     arrays whatever T is. That GEMM runs over an even number of rows: with B
     odd it takes one row of the next step along (of the previous step at the
-    last one). OpenBLAS's Haswell DGEMM rounds a single leftover row
+    last one). OpenBLAS's Haswell DGEMM rounds one leftover row
     differently from rows it computes in blocks, and at B = 1 the GEMM
     becomes a GEMV that sums in another order; with the extra row every
     float64 projection equals that row's in one GEMM over all T·B rows, on
@@ -260,14 +257,9 @@ def _lstm(
 
 
 def forward_cached(params: ModelParams, window: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Run the LSTM over a window (10, 9) or batch (B, 10, 9).
-
-    Returns the prediction, shape (5, 3) or (B, 5, 3), plus the activation
-    cache consumed by backward().
-    """
-    x, single = _as_batch(window)
-    pred, cache = _lstm(params, _time_major(x), keep=True)
-    return (pred[0] if single else pred), cache
+    """The LSTM's (B, 5, 3) prediction for a non-empty (B, 10, 9) batch of
+    windows, plus the activation cache consumed by backward()."""
+    return _lstm(params, _time_major(_as_batch(window)), keep=True)
 
 
 def forward(params: ModelParams, window: np.ndarray) -> np.ndarray:
@@ -279,19 +271,18 @@ def forward(params: ModelParams, window: np.ndarray) -> np.ndarray:
     another; each process reuses one buffer pool. Every chunk is the pass
     one call over its windows makes, so every path gives the same bits.
     """
-    x, single = _as_batch(window)
+    x = _as_batch(window)
     pool: dict[str, np.ndarray] = {}
 
     def chunk(start: int) -> np.ndarray:
         return _lstm(params, _time_major(x[start : start + PREDICT_CHUNK]), keep=False, pool=pool)[0]
 
-    chunks = fork_map(chunk, range(0, max(x.shape[0], 1), PREDICT_CHUNK))  # one pass even when B = 0
-    pred = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-    return pred[0] if single else pred
+    chunks = fork_map(chunk, range(0, x.shape[0], PREDICT_CHUNK))
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
 def loss(pred: np.ndarray, labels: np.ndarray) -> float:
-    """Sum of squared residuals over the (5, 3) block, averaged over the batch.
+    """Sum of squared residuals per (5, 3) block, averaged over B >= 1 blocks.
 
     Position and attack-code residuals enter identically; per sample the five
     step rows are summed, not averaged.
@@ -300,24 +291,19 @@ def loss(pred: np.ndarray, labels: np.ndarray) -> float:
     y = np.asarray(labels, dtype=float)
     if p.shape != y.shape:
         raise ValueError(f"prediction shape {p.shape} != label shape {y.shape}")
-    if p.ndim == 2:
-        p = p[None]
-        y = y[None]
     if p.ndim != 3 or p.shape[0] == 0:
         raise ValueError(f"expected a non-empty batch of (5, 3) blocks, got shape {np.asarray(pred).shape}")
     return float(np.sum((p - y) ** 2) / p.shape[0])
 
 
 def backward(cache: ForwardCache, labels: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Gradient of loss() w.r.t. the flattened parameters, via backprop
-    through time over the cached activations, in the cache's dtype. Written
-    into out (a flat vector of flat_length(H) values of that dtype) when
-    given, else into a new array."""
+    """Gradient of loss() against (B, 5, 3) labels w.r.t. the flattened
+    parameters, via backprop through time over the cached activations, in
+    the cache's dtype. Written into out (a flat vector of flat_length(H)
+    values of that dtype) when given, else into a new array."""
     params = cache.params
     dtype = cache.xt.dtype
     y = np.asarray(labels, dtype=dtype)
-    if y.ndim == 2:
-        y = y[None]
     steps, batch = cache.xt.shape[0], cache.xt.shape[1]
     h_size = params.hidden_size
     if y.shape != cache.pred.shape:
@@ -380,7 +366,7 @@ def train_local(
     momentum: float,
     rng: np.random.Generator,
 ) -> tuple[ModelParams, float]:
-    """Mini-batch momentum-SGD over a local dataset.
+    """Mini-batch momentum-SGD over (N, 10, 9) features and (N, 5, 3) labels.
 
     Each episode reshuffles the sample order with the supplied rng and sweeps
     batches of at most batch_size (the trailing partial batch is kept).
@@ -395,10 +381,7 @@ def train_local(
     float64 OptimizerState bit for bit; here the parameters, gradient and
     velocity are flat buffers updated in place.
     """
-    x = np.asarray(features)
-    if x.ndim != 3 or x.shape[0] == 0:
-        raise ValueError(f"expected a non-empty (N, {WINDOW_INPUT_STEPS}, {INPUT_DIM}) feature array, got {x.shape}")
-    x, _ = _as_batch(x)  # compute dtype, shape and finiteness, once for every batch drawn from x
+    x = _as_batch(features)  # compute dtype, shape and finiteness, once for every batch drawn from x
     y = np.asarray(labels, dtype=x.dtype)
     if y.shape != (x.shape[0], WINDOW_LABEL_STEPS, LABEL_DIM):
         raise ValueError(f"label shape {y.shape} does not match {x.shape[0]} samples")

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -252,6 +252,22 @@ def _step_of(t: float, dt: float) -> int:
     return math.floor(t / dt + 0.5)
 
 
+def _json_lines(path: Path) -> Iterator[tuple[int, dict]]:
+    """(line number, record) for each non-blank line of a JSON-Lines file;
+    a line that is not a JSON object raises IngestError naming path:line."""
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise IngestError(f"{path}:{line_no}: {exc}") from exc
+            if not isinstance(rec, dict):
+                raise IngestError(f"{path}:{line_no}: expected a JSON object, got {line.strip()!r}")
+            yield line_no, rec
+
+
 def ingest_veremi(
     log_path: str | Path,
     ground_truth_path: str | Path,
@@ -270,11 +286,11 @@ def ingest_veremi(
     one step per record.
 
     Raises ValueError unless dt is finite and > 0, and IngestError with the
-    file name and line number for unparseable or inconsistent lines:
-    missing, non-finite or non-numeric fields (a JSON string or boolean is
-    not a number; a BSM's rcvTime is checked though it gives no step),
-    fractional type, sender or attackerType values, senders absent from the
-    ground truth and attackerType codes absent from the mapping."""
+    file name and line number for unparseable or inconsistent lines: no JSON
+    object, missing, non-finite or non-numeric fields (a JSON string or
+    boolean is not a number; a BSM's rcvTime is checked though it gives no
+    step), fractional type, sender or attackerType values, senders absent
+    from the ground truth and attackerType codes absent from the mapping."""
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and > 0, got {dt}")
     log_path = Path(log_path)
@@ -282,50 +298,36 @@ def ingest_veremi(
     code_map = dict(DEFAULT_ATTACKER_CODE_MAP if attacker_code_map is None else attacker_code_map)
 
     truth_codes: dict[int, int] = {}
-    with open(ground_truth_path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise IngestError(f"{ground_truth_path}:{line_no}: {exc}") from exc
-            sender = _number(rec, "sender", ground_truth_path, line_no, _integer)
-            truth_codes[sender] = _number(rec, "attackerType", ground_truth_path, line_no, _integer)
+    for line_no, rec in _json_lines(ground_truth_path):
+        sender = _number(rec, "sender", ground_truth_path, line_no, _integer)
+        truth_codes[sender] = _number(rec, "attackerType", ground_truth_path, line_no, _integer)
 
     ids: list[tuple[int, int, int]] = []  # sender, step, attacker class
     claims: list[tuple[float, ...]] = []
     ego_steps: list[int] = []
     ego_kinematics: list[tuple[float, ...]] = []
-    with open(log_path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise IngestError(f"{log_path}:{line_no}: {exc}") from exc
-            rec_type = _number(rec, "type", log_path, line_no, _integer)
-            if rec_type == LOG_TYPE_GPS:
-                pos = _number(rec, "pos", log_path, line_no, _xy)
-                spd = _number(rec, "spd", log_path, line_no, _xy)
-                t_rcv = _number(rec, "rcvTime", log_path, line_no)
-                ego_steps.append(_step_of(t_rcv, dt))
-                ego_kinematics.append((*pos, *spd))
-            elif rec_type == LOG_TYPE_BSM:
-                sender = _number(rec, "sender", log_path, line_no, _integer)
-                if sender not in truth_codes:
-                    raise IngestError(f"{log_path}:{line_no}: sender {sender} missing from ground truth")
-                code = truth_codes[sender]
-                if code not in code_map:
-                    raise IngestError(f"{log_path}:{line_no}: unknown attackerType code {code} for sender {sender}")
-                pos = _number(rec, "pos", log_path, line_no, _xy)
-                spd = _number(rec, "spd", log_path, line_no, _xy)
-                step = _step_of(_number(rec, "sendTime", log_path, line_no), dt)
-                _number(rec, "rcvTime", log_path, line_no)  # checked, not kept: the step follows sendTime
-                rssi = _number(rec, "RSSI", log_path, line_no)
-                ids.append((sender, step, int(code_map[code])))
-                claims.append((*pos, *spd, rssi))
+    for line_no, rec in _json_lines(log_path):
+        rec_type = _number(rec, "type", log_path, line_no, _integer)
+        if rec_type == LOG_TYPE_GPS:
+            pos = _number(rec, "pos", log_path, line_no, _xy)
+            spd = _number(rec, "spd", log_path, line_no, _xy)
+            t_rcv = _number(rec, "rcvTime", log_path, line_no)
+            ego_steps.append(_step_of(t_rcv, dt))
+            ego_kinematics.append((*pos, *spd))
+        elif rec_type == LOG_TYPE_BSM:
+            sender = _number(rec, "sender", log_path, line_no, _integer)
+            if sender not in truth_codes:
+                raise IngestError(f"{log_path}:{line_no}: sender {sender} missing from ground truth")
+            code = truth_codes[sender]
+            if code not in code_map:
+                raise IngestError(f"{log_path}:{line_no}: unknown attackerType code {code} for sender {sender}")
+            pos = _number(rec, "pos", log_path, line_no, _xy)
+            spd = _number(rec, "spd", log_path, line_no, _xy)
+            step = _step_of(_number(rec, "sendTime", log_path, line_no), dt)
+            _number(rec, "rcvTime", log_path, line_no)  # checked, not kept: the step follows sendTime
+            rssi = _number(rec, "RSSI", log_path, line_no)
+            ids.append((sender, step, int(code_map[code])))
+            claims.append((*pos, *spd, rssi))
     id_cols = np.array(ids, dtype=np.int64).reshape(-1, 3)
     messages = Messages(
         sender_id=id_cols[:, 0],

@@ -141,6 +141,20 @@ class TestSummarize:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_malformed_rounds_file_is_one_error_line(self, tmp_path, capsys):
+        """A rounds file cut inside a row exits 1 with one error line naming
+        the file, the line and the column, and writes no summary."""
+        path = tmp_path / "rounds_x.csv"
+        path.write_text(
+            "run_id,method,penetration,n_vehicles,repeat,round,mode,pred_error_m,atk_accuracy,loss\n"
+            "fl-tp_p0.5_v4_rep0,fl-tp,0.5,4,0,1,uniform,1.5,0.5,0.1\n"
+            "fl-tp_p0.5_v4_rep0,fl-tp,0.5\n",
+            encoding="utf-8",
+        )
+        assert main(["summarize", "--in", str(tmp_path), "--out", str(tmp_path / "s.csv")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {path}:3: column 'n_vehicles': no value"]
+        assert not (tmp_path / "s.csv").exists()
+
 
 class TestArgparse:
     def test_subcommand_required(self):

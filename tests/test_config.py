@@ -281,6 +281,24 @@ class TestRoundTrip:
         claims = inject(AttackerType.CONSTANT, np.zeros((2, 4)), cfg.attack, np.random.default_rng(0))
         assert claims.tolist() == [[1500.0, 1500.0, 0.0, 0.0]] * 2
 
+    @pytest.mark.parametrize("out_dir", ["runs#1", " runs", "runs ", "runs\nmore"])
+    def test_value_that_would_not_read_back_refused(self, out_dir):
+        """'#' starts a comment, values are stripped and a line ends a key,
+        so such a value would load back as another; dumping it raises."""
+        with pytest.raises(ConfigError, match="^out_dir: "):
+            dump_config(replace(config_from_kv({}), out_dir=out_dir))
+
+
+@pytest.mark.parametrize("record", ["attack", "norm"])
+@pytest.mark.parametrize("key", ["region_side", "v_max"])
+def test_region_must_be_the_scenarios(record, key):
+    """Claims are made and normalized in the scenario's region, the only one
+    dump_config writes; a record with another is refused, naming the key."""
+    cfg = config_from_kv({})
+    other = replace(getattr(cfg, record), **{key: getattr(cfg.scenario, key) / 2})
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        replace(cfg, **{record: other})
+
 
 #: a valid value differing from its default for every key in KEYS
 NON_DEFAULTS = {

@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +26,7 @@ from fltp.experiment import (
     divergence_limit,
     error_improvement_pct,
     export_summary,
+    read_final_rows,
     run_cell,
     run_cells,
     run_experiment,
@@ -535,6 +537,41 @@ class TestExportSummary:
     def test_empty_dir_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no rounds_"):
             export_summary(tmp_path, tmp_path / "x.csv")
+
+
+#: a rounds file of two rounds, and how each malformation of it is named
+GOOD_ROUNDS = [
+    ",".join(ROUNDS_HEADER),
+    "fl-tp_p0.5_v4_rep0,fl-tp,0.5,4,0,1,uniform,1.5,0.5,0.1",
+    "fl-tp_p0.5_v4_rep0,fl-tp,0.5,4,0,2,mre,1.25,0.75,0.05",
+]
+MALFORMED_ROUNDS = {
+    "missing column": ([GOOD_ROUNDS[0].replace(",round,", ",rnd,"), *GOOD_ROUNDS[1:]], ":2: column 'round': no value"),
+    "truncated row": ([*GOOD_ROUNDS[:2], GOOD_ROUNDS[2][:24]], ":3: column 'penetration': no value"),
+    "bad number": ([*GOOD_ROUNDS[:2], GOOD_ROUNDS[2].replace("1.25", "abc")], ":3: column 'pred_error_m': cannot read 'abc'"),
+}
+
+
+def test_read_final_rows_reads_the_last_round(tmp_path):
+    path = tmp_path / "rounds_x.csv"
+    path.write_text("\n".join(GOOD_ROUNDS) + "\n", encoding="utf-8")
+    (row,) = read_final_rows([path])
+    assert row == dict(
+        run_id="fl-tp_p0.5_v4_rep0", method="fl-tp", penetration=0.5, n_vehicles=4, repeat=0, round=2,
+        pred_error_m=1.25, atk_accuracy=0.75,
+    )
+    assert [type(row[k]) for k in ("n_vehicles", "repeat", "round")] == [int] * 3
+
+
+@pytest.mark.parametrize("case", MALFORMED_ROUNDS)
+def test_malformed_rounds_file_named(tmp_path, case):
+    """A missing column, a short row or a value that does not parse raises
+    ValueError naming the file, the line and the column."""
+    lines, where = MALFORMED_ROUNDS[case]
+    path = tmp_path / "rounds_x.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path) + where)}$"):
+        read_final_rows([path])
 
 
 # sha256 of the desk protocol's outputs at penetration 0.75 (4 vehicles,

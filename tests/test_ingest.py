@@ -90,6 +90,20 @@ def test_malformed_line_reports_line_number(tmp_path, sample_logs):
         ingest_veremi(broken, gt)
 
 
+@pytest.mark.parametrize("line", ["5", "null", "true", "[1]"])
+@pytest.mark.parametrize("which", ["log", "ground truth"])
+def test_non_object_line_reports_line_number(tmp_path, sample_logs, which, line):
+    """A JSON line that parses but is not an object is malformed in either file."""
+    log, gt = sample_logs
+    broken = tmp_path / "broken.json"
+    good = log if which == "log" else gt
+    broken.write_text(good.read_text() + line + "\n", encoding="utf-8")
+    args = (broken, gt) if which == "log" else (log, broken)
+    lines = len(good.read_text().splitlines()) + 1
+    with pytest.raises(IngestError, match=rf"broken\.json:{lines}: expected a JSON object"):
+        ingest_veremi(*args)
+
+
 def test_missing_field_reports_line_number(tmp_path, sample_logs):
     _, gt = sample_logs
     log = tmp_path / "nofield.json"

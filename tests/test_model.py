@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from fltp import model
+from fltp.features import NormalizationSpec
+from fltp.federated import EvalSet, evaluate_global
 from fltp.model import (
     INPUT_DIM,
     ForwardCache,
@@ -128,53 +130,77 @@ class TestFlatLayout:
 class TestForward:
     def test_zero_params_zero_output(self):
         x, _ = _sample(0)
-        np.testing.assert_array_equal(forward(ModelParams.view(np.zeros(flat_length(6)), 6), x[0]), np.zeros((5, 3)))
+        np.testing.assert_array_equal(forward(ModelParams.view(np.zeros(flat_length(6)), 6), x), np.zeros((1, 5, 3)))
 
     def test_output_shapes(self):
         p = ModelParams.init(4, derive_rng(1))
         x, _ = _sample(1, batch=3)
-        assert forward(p, x[0]).shape == (5, 3)
+        assert forward(p, x[:1]).shape == (1, 5, 3)
         assert forward(p, x).shape == (3, 5, 3)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_textbook_oracle(self, seed):
         p = ModelParams.init(5, derive_rng(100, seed))
         x, _ = _sample(seed)
-        np.testing.assert_allclose(forward(p, x[0]), textbook_forward(p, x[0]), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(forward(p, x[:1])[0], textbook_forward(p, x[0]), rtol=0, atol=1e-10)
 
     def test_batch_consistent_with_singles(self):
         p = ModelParams.init(7, derive_rng(8))
         x, _ = _sample(2, batch=4)
         batched = forward(p, x)
         for k in range(4):
-            np.testing.assert_allclose(batched[k], forward(p, x[k]), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(batched[k], forward(p, x[k : k + 1])[0], rtol=0, atol=1e-12)
 
     def test_rejects_bad_shapes_and_nan(self):
         p = ModelParams.init(4, derive_rng(1))
         with pytest.raises(ValueError):
-            forward(p, np.zeros((9, 9)))
+            forward(p, np.zeros((1, 9, 9)))
         with pytest.raises(ValueError):
-            forward(p, np.zeros((10, 8)))
-        bad = np.zeros((10, 9))
-        bad[3, 3] = np.nan
-        with pytest.raises(ValueError):
+            forward(p, np.zeros((1, 10, 8)))
+        bad = np.zeros((1, 10, 9))
+        bad[0, 3, 3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
             forward(p, bad)
+
+    @pytest.mark.parametrize("entry", ["forward", "forward_cached", "train_local", "evaluate_global"])
+    def test_entry_point_takes_only_non_empty_batches(self, entry):
+        """Each entry point rejects a 2-D window and an empty batch; one
+        window w is the batch w[None]."""
+        p = ModelParams.init(4, derive_rng(1))
+        x, y = _sample(3)
+        kw = dict(episodes=1, batch_size=4, learning_rate=0.1, momentum=0.5, rng=derive_rng(1))
+        norm = NormalizationSpec(region_side=10_000.0, v_max=40.0)
+        call = {
+            "forward": lambda w, labels: forward(p, w),
+            "forward_cached": lambda w, labels: forward_cached(p, w),
+            "train_local": lambda w, labels: train_local(p, w, labels, **kw),
+            "evaluate_global": lambda w, labels: evaluate_global(p, EvalSet(w, labels), norm),
+        }[entry]
+        call(x, y)  # a batch of one
+        for w, labels in ((x[0], y[0]), (x[:0], y[:0])):
+            with pytest.raises(ValueError, match=r"non-empty \(B, 10, 9\) batch"):
+                call(w, labels)
 
     @pytest.mark.parametrize("batch", [0, 1, 3, 130, 2 * PREDICT_CHUNK + 3])
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_forward_equals_forward_cached(self, cpus, batch, monkeypatch, tmp_path):
         """forward gives forward_cached's bytes, with its PREDICT_CHUNK-window
         chunks on forked processes only when there are two or more of them
-        and two usable CPUs."""
+        and two usable CPUs. Both reject an empty batch."""
         p = ModelParams.init(6, derive_rng(9))
         x, _ = _sample(12, batch=batch)
+        if batch == 0:
+            for entry in (forward, forward_cached):
+                with pytest.raises(ValueError, match="non-empty"):
+                    entry(p, x)
+            return
         cached = forward_cached(p, x)[0]
-        single_cached = forward_cached(p, x[0])[0] if batch else None
+        single_cached = forward_cached(p, x[:1])[0]
         set_cpus(monkeypatch, cpus)
         chunk_pids = pid_spy(monkeypatch, tmp_path / "chunk_pids", model, "_lstm")
         pred = forward(p, x)
         pids = chunk_pids()
-        chunks = max(-(-batch // PREDICT_CHUNK), 1)  # one pass even when B = 0
+        chunks = -(-batch // PREDICT_CHUNK)
         assert len(pids) == chunks
         if cpus == 2 and chunks >= 2:
             assert os.getpid() not in pids and len(set(pids)) == 2
@@ -183,11 +209,10 @@ class TestForward:
         assert multiprocessing.active_children() == []
         assert pred.shape == (batch, 5, 3)
         assert pred.tobytes() == cached.tobytes()
-        if batch:
-            single = forward(p, x[0])
-            assert chunk_pids() == [os.getpid()]
-            assert single.shape == (5, 3)
-            assert single.tobytes() == single_cached.tobytes()
+        single = forward(p, x[:1])
+        assert chunk_pids() == [os.getpid()]
+        assert single.shape == (1, 5, 3)
+        assert single.tobytes() == single_cached.tobytes()
 
     def test_gates_match_logistic_without_warnings(self):
         """Every pre-activation x in [-800, 800] reaches all four gates
@@ -309,16 +334,16 @@ class TestMatchesStackedLoop:
 
 class TestLoss:
     def test_hand_case(self):
-        pred = np.zeros((5, 3))
-        y = np.zeros((5, 3))
-        y[0, 0] = 1.0
-        y[1, 1] = 1.0
+        pred = np.zeros((1, 5, 3))
+        y = np.zeros((1, 5, 3))
+        y[0, 0, 0] = 1.0
+        y[0, 1, 1] = 1.0
         assert loss(pred, y) == 2.0
 
     def test_batch_mean_semantics(self):
         pred = np.zeros((5, 3))
         y = np.full((5, 3), 0.5)  # 15 * 0.25 = 3.75 per sample
-        single = loss(pred, y)
+        single = loss(pred[None], y[None])
         assert single == 3.75
         assert loss(np.stack([pred, pred]), np.stack([y, y])) == single
         zero = np.zeros((5, 3))

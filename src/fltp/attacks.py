@@ -6,13 +6,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trace import AttackerType
+from .trace import AttackerType, ScenarioConfig
 
 
 @dataclass(frozen=True)
 class AttackParams:
-    region_side: float
-    v_max: float
+    """The attack_* keys. It holds no region: inject fakes claims within the
+    region and speed bound of the ScenarioConfig it is given."""
+
     fixed_x: float | None = None  # constant attack: claimed position; None is the region centre
     fixed_y: float | None = None
     offset_x: float = 250.0  # constant-offset attack, m
@@ -25,20 +26,18 @@ class AttackParams:
             raise ValueError(f"stop probability must lie in [0, 1], got {self.stop_probability}")
         if self.random_offset_max < 0:
             raise ValueError(f"random_offset_max must be >= 0, got {self.random_offset_max}")
-        if self.region_side <= 0:
-            raise ValueError(f"region_side must be > 0, got {self.region_side}")
-        if self.v_max <= 0:
-            raise ValueError(f"v_max must be > 0, got {self.v_max}")
 
 
 def inject(
     attacker: AttackerType,
     truth: np.ndarray,
     params: AttackParams,
+    scenario: ScenarioConfig,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Claimed kinematics of one sender's whole track: truth is (L, 4) =
-    pos_x, pos_y, spd_x, spd_y per step, and so is the result.
+    pos_x, pos_y, spd_x, spd_y per step, and so is the result. The claims
+    are made in the scenario's region [0, R]^2 and speed bound v_max.
 
     Claimed positions: Constant sends the fixed point, the region centre on
     an axis left None; the offset attacks add the fixed offset, or a fresh
@@ -61,7 +60,7 @@ def inject(
     if attacker is AttackerType.GENUINE:
         return truth.copy()
     if attacker is AttackerType.CONSTANT:
-        centre = params.region_side / 2.0
+        centre = scenario.region_side / 2.0
         fixed = [centre if c is None else c for c in (params.fixed_x, params.fixed_y)]
         return np.tile((*fixed, 0.0, 0.0), (n, 1))
     if attacker in (AttackerType.CONSTANT_OFFSET, AttackerType.RANDOM_OFFSET):
@@ -69,9 +68,9 @@ def inject(
             offset = np.array((params.offset_x, params.offset_y), dtype=float)
         else:
             offset = rng.uniform(-params.random_offset_max, params.random_offset_max, size=(n, 2))
-        return np.hstack([pos + offset, spd + offset * (params.v_max / params.region_side)])
+        return np.hstack([pos + offset, spd + offset * (scenario.v_max / scenario.region_side)])
     if attacker is AttackerType.RANDOM:
-        r, v = params.region_side, params.v_max
+        r, v = scenario.region_side, scenario.v_max
         return rng.uniform((0.0, 0.0, -v, -v), (r, r, v, v), size=(n, 4))
     if attacker is AttackerType.EVENTUAL_STOP:
         stop = (rng.random(n) < params.stop_probability)[:, None]

@@ -106,8 +106,8 @@ KEYS: tuple[ConfigKey, ...] = (
     _key("path_loss_exponent", _float, "scenario.channel.path_loss_exponent"),
     _key("reference_distance", _float, "scenario.channel.reference_distance"),
     _key("shadowing_sigma", _float, "scenario.channel.shadowing_sigma"),
-    _key("rssi_min", _float, "norm.rssi_min"),
-    _key("rssi_max", _float, "norm.rssi_max"),
+    _key("rssi_min", _float),
+    _key("rssi_max", _float),
     _key("hidden_size", _int, "train.hidden_size"),
     _key("learning_rate", _float, "train.learning_rate"),
     _key("momentum", _float, "train.momentum"),
@@ -154,7 +154,9 @@ PROFILES: dict[str, dict[str, str]] = {
 @dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     """The resolved experiment; its defaults, and its records', are the
-    full-scale protocol."""
+    full-scale protocol. The scenario alone holds the region side and speed
+    bound: the attacks fake claims within them, and norm is derived from
+    them and the rssi band whenever a config is built or replaced."""
 
     methods: tuple[str, ...] = tuple(METHODS)
     penetrations: tuple[float, ...] = (0.25, 0.5, 0.75)
@@ -163,8 +165,10 @@ class ExperimentConfig:
     master_seed: int = 42
     out_dir: str = "results"
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)  # template; n_vehicles/penetration/seed set per cell
-    attack: AttackParams  # takes the scenario's region, so has no default
-    norm: NormalizationSpec
+    attack: AttackParams = field(default_factory=AttackParams)
+    rssi_min: float = -100.0  # dBm the rssi feature maps to 0
+    rssi_max: float = -40.0  # dBm the rssi feature maps to 1
+    norm: NormalizationSpec = field(init=False)
     train: TrainConfig = field(default_factory=TrainConfig)
     gate: GateConfig = field(default_factory=GateConfig)
     influence: InfluenceTable = field(default_factory=InfluenceTable)
@@ -205,9 +209,11 @@ class ExperimentConfig:
             raise ConfigError(f"train_fraction: must be in (0, 1), got {self.train_fraction}")
         if self.judgment_threshold <= 0:
             raise ConfigError(f"judgment_threshold: must be > 0, got {self.judgment_threshold}")
-        for name in ("region_side", "v_max"):  # claims are made and normalized in the scenario's region
-            if {getattr(self.attack, name), getattr(self.norm, name)} != {own := getattr(self.scenario, name)}:
-                raise ConfigError(f"{name}: the attack and norm records must have the scenario's {own!r}")
+        try:
+            norm = NormalizationSpec(self.scenario.region_side, self.scenario.v_max, self.rssi_min, self.rssi_max)
+        except ValueError as exc:
+            raise ConfigError(f"rssi_min, rssi_max: {exc}") from exc
+        object.__setattr__(self, "norm", norm)
 
 
 def parse_kv_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -250,13 +256,10 @@ def config_from_kv(kv_in: dict[str, str], profile: str | None = None) -> Experim
         except ValueError as exc:
             raise ConfigError(f"{', '.join(key.name for key in keys)}: {exc}") from exc
 
-    scenario = build(ScenarioConfig, "scenario", channel=build(ChannelConfig, "scenario.channel"))
-    region = {"region_side": scenario.region_side, "v_max": scenario.v_max}
     return ExperimentConfig(  # its own checks name their key
         **{key.name: values[key.name] for key in set_keys if "." not in key.path},
-        scenario=scenario,
-        attack=build(AttackParams, "attack", **region),
-        norm=build(NormalizationSpec, "norm", **region),
+        scenario=build(ScenarioConfig, "scenario", channel=build(ChannelConfig, "scenario.channel")),
+        attack=build(AttackParams, "attack"),
         train=build(TrainConfig, "train"),
         gate=build(GateConfig, "gate"),
         influence=build(InfluenceTable, "influence"),

@@ -5,6 +5,7 @@ byte-reproducible for any worker count."""
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import time
 from dataclasses import dataclass, replace
@@ -334,23 +335,27 @@ def read_final_rows(paths: list[Path]) -> list[dict]:
     """The final-round row of every run in the given rounds files, in
     (method, penetration, n_vehicles, repeat) order. A row lacking one of
     FINAL_COLUMNS or holding a value its parser refuses raises ValueError
-    naming path:line and the column."""
+    naming path:line and the column; a file that is not UTF-8 raises
+    ValueError naming the path."""
     final_by_run: dict[str, dict] = {}
     for path in paths:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            for rec in reader:
-                row = {}
-                for column, parse in FINAL_COLUMNS.items():
-                    if (text := rec.get(column)) is None:  # the header or a short row lacks the column
-                        raise ValueError(f"{path}:{reader.line_num}: column {column!r}: no value")
-                    try:
-                        row[column] = parse(text)
-                    except ValueError:
-                        raise ValueError(f"{path}:{reader.line_num}: column {column!r}: cannot read {text!r}") from None
-                prev = final_by_run.get(row["run_id"])
-                if prev is None or row["round"] > prev["round"]:
-                    final_by_run[row["run_id"]] = row
+        try:
+            content = Path(path).read_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        reader = csv.DictReader(io.StringIO(content, newline=""))
+        for rec in reader:
+            row = {}
+            for column, parse in FINAL_COLUMNS.items():
+                if (text := rec.get(column)) is None:  # the header or a short row lacks the column
+                    raise ValueError(f"{path}:{reader.line_num}: column {column!r}: no value")
+                try:
+                    row[column] = parse(text)
+                except ValueError:
+                    raise ValueError(f"{path}:{reader.line_num}: column {column!r}: cannot read {text!r}") from None
+            prev = final_by_run.get(row["run_id"])
+            if prev is None or row["round"] > prev["round"]:
+                final_by_run[row["run_id"]] = row
     # Numeric sort (not run_id string sort: "rep10" < "rep2") fixes the
     # per-group accumulation order, and so every output bit.
     return sorted(
@@ -365,6 +370,8 @@ def export_summary(rounds_dir: str | Path, out_file: str | Path) -> Path:
     files = sorted(rounds_dir.glob("rounds_*.csv"))
     if not files:
         raise ValueError(f"no rounds_*.csv files under {rounds_dir}")
+    if not (rows := read_final_rows(files)):
+        raise ValueError(f"no rounds rows under {rounds_dir}")
     out_file = Path(out_file)
-    write_summary_csv(out_file, read_final_rows(files))
+    write_summary_csv(out_file, rows)
     return out_file

@@ -46,10 +46,13 @@ _NOT_CONSECUTIVE = "truth states must cover consecutive steps"
 
 @dataclass(frozen=True)
 class NormalizationSpec:
+    """The feature and label scales. ExperimentConfig.norm builds it from the
+    scenario's region_side and v_max and the rssi_min and rssi_max keys."""
+
     region_side: float
     v_max: float
-    rssi_min: float = -100.0
-    rssi_max: float = -40.0
+    rssi_min: float
+    rssi_max: float
 
     def __post_init__(self) -> None:
         if self.region_side <= 0:

@@ -433,6 +433,8 @@ def load_params(path: str | Path) -> ModelParams:
     hidden_size, input_dim, output_dim = struct.unpack("<III", raw[4:16])
     if input_dim != INPUT_DIM or output_dim != OUTPUT_DIM:
         raise ValueError(f"{path}: unsupported dims ({input_dim}, {output_dim})")
+    if hidden_size < 1:
+        raise ValueError(f"{path}: hidden_size must be >= 1, got {hidden_size}")
     flat = np.frombuffer(raw[16:], dtype="<f8")
     if flat.shape[0] != flat_length(hidden_size):
         raise ValueError(f"{path}: expected {flat_length(hidden_size)} values, found {flat.shape[0]}")

@@ -19,9 +19,9 @@ def falsified_claims(scenario: Scenario, attack: AttackParams) -> dict[int, np.n
     An attacker broadcasts the same falsified values to all receivers; the
     falsification stream of sender v derives from (scenario seed, v).
     """
-    seed = scenario.config.rng_seed
+    cfg = scenario.config
     return {
-        v: inject(attacker, scenario.kinematics[:, v], attack, derive_rng(seed, TAG_ATTACK, v))
+        v: inject(attacker, scenario.kinematics[:, v], attack, cfg, derive_rng(cfg.rng_seed, TAG_ATTACK, v))
         for v, attacker in sorted(scenario.attacker_types.items())
     }
 

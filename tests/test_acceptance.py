@@ -30,7 +30,7 @@ from fltp.federated import (
 from fltp.metrics import attack_judgments, mean_std, prediction_accuracy, prediction_error
 from fltp.model import ModelParams, backward, forward, forward_cached, loss
 from fltp.seeding import derive_rng
-from fltp.trace import AttackerType
+from fltp.trace import AttackerType, ScenarioConfig
 
 pytestmark = pytest.mark.acceptance
 
@@ -127,17 +127,17 @@ def test_criterion_3_injector_statistics(capsys):
     with criterion(capsys, 3, "injector-statistics"):
         t0 = time.perf_counter()
         region, v_max, n = 10_000.0, 40.0, 10_000
-        params = AttackParams(region, v_max)
+        params, scenario = AttackParams(), ScenarioConfig(region_side=region, v_max=v_max)
         t = np.arange(n, dtype=float)
         truths = np.column_stack([4000.0 + 0.1 * t, 6000.0 - 0.1 * t, np.full(n, 5.0), np.full(n, -3.0)])
 
         # eventual stop: stop frequency within 3 sigma of 0.3 over 10k messages
-        claims = inject(AttackerType.EVENTUAL_STOP, truths, params, derive_rng(31_337))
+        claims = inject(AttackerType.EVENTUAL_STOP, truths, params, scenario, derive_rng(31_337))
         stops = np.all(claims[:, 2:] == 0.0, axis=1).sum()
         assert abs(stops / n - 0.3) <= 0.014, f"stop frequency {stops / n:.4f}"
 
         # fully random claims: uniform support and mean within 3 sigma
-        claims = inject(AttackerType.RANDOM, truths, params, derive_rng(31_338))
+        claims = inject(AttackerType.RANDOM, truths, params, scenario, derive_rng(31_338))
         ps, ss = claims[:, :2], claims[:, 2:]
         assert ps.min() >= 0.0 and ps.max() <= region
         assert np.abs(ss).max() <= v_max
@@ -145,7 +145,7 @@ def test_criterion_3_injector_statistics(capsys):
         assert np.all(np.abs(ps.mean(axis=0) - region / 2.0) <= tol), ps.mean(axis=0)
 
         # random offset: bounded support, zero-centred within 3 sigma
-        claims = inject(AttackerType.RANDOM_OFFSET, truths, params, derive_rng(31_339))
+        claims = inject(AttackerType.RANDOM_OFFSET, truths, params, scenario, derive_rng(31_339))
         offs = claims[:, :2] - truths[:, :2]
         bound = params.random_offset_max
         assert np.abs(offs).max() <= bound
@@ -161,7 +161,7 @@ def test_criterion_3_injector_statistics(capsys):
 
 def test_criterion_4_metric_oracles(capsys):
     with criterion(capsys, 4, "metric-oracles"):
-        norm = NormalizationSpec(region_side=10_000.0, v_max=40.0)
+        norm = NormalizationSpec(region_side=10_000.0, v_max=40.0, rssi_min=-100.0, rssi_max=-40.0)
 
         # dyadic coordinates make the distances exactly representable
         pred = np.zeros((1, 2))

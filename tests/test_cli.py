@@ -155,6 +155,16 @@ class TestSummarize:
         assert capsys.readouterr().err.splitlines() == [f"error: {path}:3: column 'n_vehicles': no value"]
         assert not (tmp_path / "s.csv").exists()
 
+    def test_rounds_file_not_utf8_is_one_error_line(self, tmp_path, capsys):
+        """A rounds file that is not UTF-8 exits 1 with one error line naming
+        the file, and writes no summary."""
+        path = tmp_path / "rounds_x.csv"
+        path.write_bytes(b"\xff\xfe")
+        assert main(["summarize", "--in", str(tmp_path), "--out", str(tmp_path / "s.csv")]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {path}: not UTF-8 text ")
+        assert not (tmp_path / "s.csv").exists()
+
 
 class TestArgparse:
     def test_subcommand_required(self):

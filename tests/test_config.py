@@ -85,9 +85,11 @@ class TestDefaults:
     def test_empty_input_is_the_record_defaults(self):
         """An empty config is what the records declare: no key carries a
         default of its own."""
-        scenario = ScenarioConfig()
-        region = {"region_side": scenario.region_side, "v_max": scenario.v_max}
-        assert config_from_kv({}) == ExperimentConfig(attack=AttackParams(**region), norm=NormalizationSpec(**region))
+        assert config_from_kv({}) == ExperimentConfig()
+
+    def test_norm_is_the_scenarios_region_and_the_rssi_band(self):
+        cfg = config_from_kv({"rssi_min": "-95", "rssi_max": "-35"})
+        assert cfg.norm == NormalizationSpec(region_side=10_000.0, v_max=40.0, rssi_min=-95.0, rssi_max=-35.0)
 
 
 class TestProfiles:
@@ -204,11 +206,11 @@ class TestValidation:
 RECORDS = [
     (ChannelConfig(), "reference_distance", 0.0, "reference_distance must be > 0"),
     (ScenarioConfig(), "n_vehicles", 1, "n_vehicles must be >= 2"),
-    (NormalizationSpec(region_side=1.0, v_max=1.0), "rssi_min", -40.0, "rssi_min must be < rssi_max"),
+    (NormalizationSpec(region_side=1.0, v_max=1.0, rssi_min=-100.0, rssi_max=-40.0), "rssi_min", -40.0, "rssi_min must be < rssi_max"),
     (TrainConfig(), "hidden_size", 0, "hidden_size must be >= 1"),
     (GateConfig(), "threshold", 1.5, "gate threshold must be in"),
     (InfluenceTable(), "constant", -1.0, "influence factor constant must be >= 0"),
-    (AttackParams(region_side=1.0, v_max=1.0), "stop_probability", 1.5, "stop probability must lie"),
+    (AttackParams(), "stop_probability", 1.5, "stop probability must lie"),
     (config_from_kv({}), "master_seed", -1, "master_seed: must be >= 0"),
 ]
 
@@ -219,7 +221,7 @@ class TestRecords:
     replaced into an invalid state, and cannot be changed afterwards."""
 
     def test_construction_rejects(self, record, field, bad, message):
-        kwargs = {f.name: getattr(record, f.name) for f in fields(record)}
+        kwargs = {f.name: getattr(record, f.name) for f in fields(record) if f.init}
         with pytest.raises(ValueError, match=message):
             type(record)(**{**kwargs, field: bad})
 
@@ -278,7 +280,7 @@ class TestRoundTrip:
         path.write_text(text.replace("region_side = 10000.0\n", "region_side = 3000\n"), encoding="utf-8")
         cfg = load_config(path)
         assert cfg.scenario.region_side == 3000.0
-        claims = inject(AttackerType.CONSTANT, np.zeros((2, 4)), cfg.attack, np.random.default_rng(0))
+        claims = inject(AttackerType.CONSTANT, np.zeros((2, 4)), cfg.attack, cfg.scenario, np.random.default_rng(0))
         assert claims.tolist() == [[1500.0, 1500.0, 0.0, 0.0]] * 2
 
     @pytest.mark.parametrize("out_dir", ["runs#1", " runs", "runs ", "runs\nmore"])
@@ -289,15 +291,31 @@ class TestRoundTrip:
             dump_config(replace(config_from_kv({}), out_dir=out_dir))
 
 
-@pytest.mark.parametrize("record", ["attack", "norm"])
-@pytest.mark.parametrize("key", ["region_side", "v_max"])
-def test_region_must_be_the_scenarios(record, key):
-    """Claims are made and normalized in the scenario's region, the only one
-    dump_config writes; a record with another is refused, naming the key."""
+def test_replaced_region_moves_norm_and_attacks():
+    """The scenario holds the only region: replacing it rescales the features
+    and moves the constant attack's default point to the new centre."""
     cfg = config_from_kv({})
-    other = replace(getattr(cfg, record), **{key: getattr(cfg.scenario, key) / 2})
-    with pytest.raises(ConfigError, match=f"^{key}: "):
-        replace(cfg, **{record: other})
+    moved = replace(cfg, scenario=replace(cfg.scenario, region_side=3000.0))
+    assert (cfg.norm.region_side, moved.norm.region_side) == (10_000.0, 3000.0)
+    claims = inject(AttackerType.CONSTANT, np.zeros((1, 4)), moved.attack, moved.scenario, np.random.default_rng(0))
+    assert claims.tolist() == [[1500.0, 1500.0, 0.0, 0.0]]
+
+
+def test_rssi_band_rejection_names_both_keys():
+    """norm checks the band when a config is built or replaced; the
+    rejection names both keys, since either may be the one at fault."""
+    message = r"^rssi_min, rssi_max: rssi_min must be < rssi_max"
+    with pytest.raises(ConfigError, match=message):
+        config_from_kv({"rssi_min": "-40"})
+    with pytest.raises(ConfigError, match=message):
+        replace(config_from_kv({}), rssi_max=-100.0)
+
+
+def test_norm_cannot_be_set_apart_from_its_sources():
+    with pytest.raises(TypeError):
+        ExperimentConfig(norm=NormalizationSpec(region_side=1.0, v_max=1.0, rssi_min=-100.0, rssi_max=-40.0))
+    with pytest.raises(ValueError, match="init=False"):
+        replace(config_from_kv({}), norm=config_from_kv({}).norm)
 
 
 #: a valid value differing from its default for every key in KEYS

@@ -538,6 +538,13 @@ class TestExportSummary:
         with pytest.raises(ValueError, match="no rounds_"):
             export_summary(tmp_path, tmp_path / "x.csv")
 
+    def test_files_without_rows_rejected(self, tmp_path):
+        """Rounds files holding only a header give no summary to write."""
+        (tmp_path / "rounds_x.csv").write_text(",".join(ROUNDS_HEADER) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^no rounds rows under {re.escape(str(tmp_path))}$"):
+            export_summary(tmp_path, tmp_path / "x.csv")
+        assert not (tmp_path / "x.csv").exists()
+
 
 #: a rounds file of two rounds, and how each malformation of it is named
 GOOD_ROUNDS = [
@@ -571,6 +578,13 @@ def test_malformed_rounds_file_named(tmp_path, case):
     path = tmp_path / "rounds_x.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path) + where)}$"):
+        read_final_rows([path])
+
+
+def test_rounds_file_not_utf8_named(tmp_path):
+    path = tmp_path / "rounds_x.csv"
+    path.write_bytes(("\n".join(GOOD_ROUNDS) + "\n").encode("utf-8") + b"\xff\xfe\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not UTF-8 text "):
         read_final_rows([path])
 
 

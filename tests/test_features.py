@@ -20,7 +20,7 @@ from fltp.trace import AttackerType, Messages
 
 R = 10_000.0
 V_MAX = 40.0
-SPEC = NormalizationSpec(region_side=R, v_max=V_MAX)
+SPEC = NormalizationSpec(region_side=R, v_max=V_MAX, rssi_min=-100.0, rssi_max=-40.0)
 
 
 def _track(n, x0=1000.0, y0=2000.0, sx=10.0, sy=-5.0):
@@ -551,4 +551,4 @@ class TestSpecValidation:
 
     def test_bad_region(self):
         with pytest.raises(ValueError):
-            NormalizationSpec(region_side=0.0, v_max=V_MAX)
+            NormalizationSpec(region_side=0.0, v_max=V_MAX, rssi_min=-100.0, rssi_max=-40.0)

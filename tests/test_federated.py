@@ -37,7 +37,7 @@ from fltp.seeding import TAG_GATE, TAG_INIT, TAG_TRAIN, derive_rng
 from fltp.trace import AttackerType
 from forking import pid_spy, set_cpus
 
-NORM = NormalizationSpec(region_side=10_000.0, v_max=40.0)
+NORM = NormalizationSpec(region_side=10_000.0, v_max=40.0, rssi_min=-100.0, rssi_max=-40.0)
 
 
 def _update(vid, counts, total, params=None):

@@ -286,7 +286,8 @@ def _windows_of_log(tmp_path, t0):
     _write(gt, [{"sender": 101, "attackerType": 0}])
     msgs, ego = ingest_veremi(log, gt)
     sender = (msgs.step, msgs.claims[:, :4])
-    return windows_from_stream(msgs, ego, sender, AttackerType.GENUINE, NormalizationSpec(region_side=10_000.0, v_max=40.0))
+    norm = NormalizationSpec(region_side=10_000.0, v_max=40.0, rssi_min=-100.0, rssi_max=-40.0)
+    return windows_from_stream(msgs, ego, sender, AttackerType.GENUINE, norm)
 
 
 def test_log_late_start_windows_like_one_at_zero(tmp_path):

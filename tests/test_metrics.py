@@ -1,5 +1,6 @@
 """Metric contracts: metre-space error, judgment threshold, summaries."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from fltp.metrics import (
     prediction_error,
 )
 
-NORM = NormalizationSpec(region_side=10_000.0, v_max=40.0)
+NORM = NormalizationSpec(region_side=10_000.0, v_max=40.0, rssi_min=-100.0, rssi_max=-40.0)
 
 
 def attack_judgment(atk_pdt: float, atk_lb: float, threshold: float = 0.5) -> bool:
@@ -83,8 +84,8 @@ class TestPredictionError:
     def test_scales_with_region(self):
         pred = np.zeros((2, 2))
         label = np.full((2, 2), 0.1)
-        small = prediction_error(pred, label, NormalizationSpec(region_side=100.0, v_max=40.0))
-        big = prediction_error(pred, label, NormalizationSpec(region_side=200.0, v_max=40.0))
+        small = prediction_error(pred, label, replace(NORM, region_side=100.0))
+        big = prediction_error(pred, label, replace(NORM, region_side=200.0))
         assert big == pytest.approx(2 * small, rel=1e-12)
 
     def test_validation(self):

@@ -1,6 +1,7 @@
 """Recurrent predictor: forward oracle, gradient check, optimizer, serialization."""
 import multiprocessing
 import os
+import re
 import warnings
 
 import numpy as np
@@ -169,7 +170,7 @@ class TestForward:
         p = ModelParams.init(4, derive_rng(1))
         x, y = _sample(3)
         kw = dict(episodes=1, batch_size=4, learning_rate=0.1, momentum=0.5, rng=derive_rng(1))
-        norm = NormalizationSpec(region_side=10_000.0, v_max=40.0)
+        norm = NormalizationSpec(region_side=10_000.0, v_max=40.0, rssi_min=-100.0, rssi_max=-40.0)
         call = {
             "forward": lambda w, labels: forward(p, w),
             "forward_cached": lambda w, labels: forward_cached(p, w),
@@ -628,4 +629,14 @@ class TestSerialization:
         path = tmp_path / "dims.params"
         path.write_bytes(b"FLTP" + st.pack("<III", 4, 8, 15) + bytes(8))
         with pytest.raises(ValueError):
+            load_params(path)
+
+    def test_zero_hidden_size_rejected(self, tmp_path):
+        """A blob of hidden size 0 holds a valid zero-length flat vector but
+        no model; ModelParams.init and TrainConfig refuse that size too."""
+        import struct as st
+
+        path = tmp_path / "empty.params"
+        path.write_bytes(b"FLTP" + st.pack("<III", 0, INPUT_DIM, OUTPUT_DIM) + bytes(8 * flat_length(0)))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: hidden_size must be >= 1, got 0$"):
             load_params(path)

@@ -26,11 +26,10 @@ def _scenario(n_vehicles=4, penetration=0.5, n_steps=40, seed=2024, shadow=2.0):
 
 
 def _norm(cfg):
-    return NormalizationSpec(region_side=cfg.region_side, v_max=cfg.v_max)
+    return NormalizationSpec(region_side=cfg.region_side, v_max=cfg.v_max, rssi_min=-100.0, rssi_max=-40.0)
 
 
-def _attack(cfg):
-    return AttackParams(cfg.region_side, cfg.v_max)
+ATTACK = AttackParams()
 
 
 def _truth(scenario, v):
@@ -45,13 +44,13 @@ def _columns(msgs):
 class TestFalsifiedClaims:
     def test_genuine_claims_equal_truth(self):
         sc = _scenario(penetration=0.0)
-        claims = falsified_claims(sc, _attack(sc.config))
+        claims = falsified_claims(sc, ATTACK)
         for v in range(sc.config.n_vehicles):
             assert claims[v].tobytes() == _truth(sc, v).tobytes()
 
     def test_attackers_diverge_from_truth(self):
         sc = _scenario(penetration=1.0, n_vehicles=6)
-        claims = falsified_claims(sc, _attack(sc.config))
+        claims = falsified_claims(sc, ATTACK)
         for v, kind in sc.attacker_types.items():
             if kind is AttackerType.GENUINE:
                 continue
@@ -60,14 +59,14 @@ class TestFalsifiedClaims:
 
     def test_claims_cover_all_vehicles_and_steps(self):
         sc = _scenario()
-        claims = falsified_claims(sc, _attack(sc.config))
+        claims = falsified_claims(sc, ATTACK)
         assert sorted(claims) == list(range(sc.config.n_vehicles))
         assert all(track.shape == (sc.config.n_steps, 4) for track in claims.values())
 
     def test_deterministic(self):
         sc = _scenario()
-        a = falsified_claims(sc, _attack(sc.config))
-        b = falsified_claims(sc, _attack(sc.config))
+        a = falsified_claims(sc, ATTACK)
+        b = falsified_claims(sc, ATTACK)
         assert list(a) == list(b)
         assert all(a[v].tobytes() == b[v].tobytes() for v in a)
 
@@ -75,7 +74,7 @@ class TestFalsifiedClaims:
 class TestBroadcastStreams:
     def test_directed_pairs_once_per_step(self):
         sc = _scenario()
-        streams = broadcast_streams(sc, _attack(sc.config))
+        streams = broadcast_streams(sc, ATTACK)
         n = sc.config.n_vehicles
         assert set(streams) == {(s, r) for s in range(n) for r in range(n) if s != r}
         for (s, r), msgs in streams.items():
@@ -94,7 +93,7 @@ class TestBroadcastStreams:
             return real(x)
 
         monkeypatch.setattr(math, "log10", log10)
-        links, claims = link_columns(sc, _attack(sc.config))
+        links, claims = link_columns(sc, ATTACK)
         assert len(calls) == 5 * 4 // 2 * sc.config.n_steps
         rssi = {(s, r): claims[i, :, 4] for i, (s, r) in enumerate(links.tolist())}
         for (s, r), column in rssi.items():
@@ -103,7 +102,7 @@ class TestBroadcastStreams:
     def test_columns_are_typed_and_owned(self):
         """int64 ids, steps and classes; no two streams share a writable array."""
         sc = _scenario()
-        streams = list(broadcast_streams(sc, _attack(sc.config)).values())
+        streams = list(broadcast_streams(sc, ATTACK).values())
         for msgs in streams:
             for name in ("sender_id", "step", "truth_attacker"):
                 assert getattr(msgs, name).dtype == np.int64
@@ -116,7 +115,7 @@ class TestBroadcastStreams:
 
     def test_group_cast_shares_claims(self):
         sc = _scenario(penetration=1.0, n_vehicles=5)
-        streams = broadcast_streams(sc, _attack(sc.config))
+        streams = broadcast_streams(sc, ATTACK)
         for s in range(5):
             receivers = [r for r in range(5) if r != s]
             first = streams[(s, receivers[0])]
@@ -125,19 +124,19 @@ class TestBroadcastStreams:
 
     def test_rssi_differs_per_link_under_shadowing(self):
         sc = _scenario(n_vehicles=3)
-        streams = broadcast_streams(sc, _attack(sc.config))
+        streams = broadcast_streams(sc, ATTACK)
         assert not np.array_equal(streams[(0, 1)].claims[:, 4], streams[(0, 2)].claims[:, 4])
 
     def test_truth_attacker_tagged(self):
         sc = _scenario(penetration=0.75, n_vehicles=5)
-        streams = broadcast_streams(sc, _attack(sc.config))
+        streams = broadcast_streams(sc, ATTACK)
         for (s, _), msgs in streams.items():
             assert (msgs.truth_attacker == int(sc.attacker_types[s])).all()
 
     def test_deterministic(self):
         sc = _scenario()
-        a = broadcast_streams(sc, _attack(sc.config))
-        b = broadcast_streams(sc, _attack(sc.config))
+        a = broadcast_streams(sc, ATTACK)
+        b = broadcast_streams(sc, ATTACK)
         assert list(a) == list(b)
         for key in a:
             for name, col in _columns(a[key]).items():
@@ -147,7 +146,7 @@ class TestBroadcastStreams:
 class TestAssembleDatasets:
     def test_sizes_and_split(self):
         sc = _scenario(n_steps=40)  # 40 messages per stream -> 26 windows each
-        vehicles, eval_set = assemble_datasets(sc, _attack(sc.config), _norm(sc.config))
+        vehicles, eval_set = assemble_datasets(sc, ATTACK, _norm(sc.config))
         n = sc.config.n_vehicles
         per_stream = sc.config.n_steps - (WINDOW_SPAN - 1)
         n_train = int(per_stream * 0.8)
@@ -160,12 +159,12 @@ class TestAssembleDatasets:
 
     def test_vehicle_ids_ascending(self):
         sc = _scenario()
-        vehicles, _ = assemble_datasets(sc, _attack(sc.config), _norm(sc.config))
+        vehicles, _ = assemble_datasets(sc, ATTACK, _norm(sc.config))
         assert [v.vehicle_id for v in vehicles] == list(range(sc.config.n_vehicles))
 
     def test_histogram_matches_attacker_census(self):
         sc = _scenario(penetration=0.5)
-        vehicles, _ = assemble_datasets(sc, _attack(sc.config), _norm(sc.config))
+        vehicles, _ = assemble_datasets(sc, ATTACK, _norm(sc.config))
         attacked_ids = {v for v, k in sc.attacker_types.items() if k is not AttackerType.GENUINE}
         for vd in vehicles:
             hist = vd.attack_histogram()
@@ -179,7 +178,7 @@ class TestAssembleDatasets:
 
     def test_eval_pool_codes_match_scenario(self):
         sc = _scenario(penetration=1.0, n_vehicles=6)
-        _, eval_set = assemble_datasets(sc, _attack(sc.config), _norm(sc.config))
+        _, eval_set = assemble_datasets(sc, ATTACK, _norm(sc.config))
         present = set(int(c) for c in eval_set.attacker_codes)
         scenario_codes = {int(k) for k in sc.attacker_types.values()}
         assert present <= scenario_codes
@@ -187,18 +186,18 @@ class TestAssembleDatasets:
     def test_too_short_scenario_raises(self):
         sc = _scenario(n_steps=14)  # 15 messages -> 1 window -> 0 train windows
         with pytest.raises(ValueError):
-            assemble_datasets(sc, _attack(sc.config), _norm(sc.config))
+            assemble_datasets(sc, ATTACK, _norm(sc.config))
 
     def test_bad_fraction_rejected(self):
         sc = _scenario()
         for frac in (0.0, 1.0, -0.1):
             with pytest.raises(ValueError):
-                assemble_datasets(sc, _attack(sc.config), _norm(sc.config), train_fraction=frac)
+                assemble_datasets(sc, ATTACK, _norm(sc.config), train_fraction=frac)
 
     def test_deterministic(self):
         sc = _scenario()
-        va, ea = assemble_datasets(sc, _attack(sc.config), _norm(sc.config))
-        vb, eb = assemble_datasets(sc, _attack(sc.config), _norm(sc.config))
+        va, ea = assemble_datasets(sc, ATTACK, _norm(sc.config))
+        vb, eb = assemble_datasets(sc, ATTACK, _norm(sc.config))
         for a, b in zip(va, vb):
             np.testing.assert_array_equal(a.features, b.features)
             np.testing.assert_array_equal(a.labels, b.labels)
@@ -208,7 +207,7 @@ class TestAssembleDatasets:
 class TestPooledTrainingSet:
     def test_concatenates_in_id_order(self):
         sc = _scenario()
-        vehicles, _ = assemble_datasets(sc, _attack(sc.config), _norm(sc.config))
+        vehicles, _ = assemble_datasets(sc, ATTACK, _norm(sc.config))
         x, y = pooled_training_set(list(reversed(vehicles)))
         assert x.shape[0] == sum(v.n_samples for v in vehicles)
         offset = 0

@@ -17,7 +17,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .federated import METHODS, EvalSet, VehicleData, run_flt_round, save_checkpoint
 from .machine import fork_map
-from .metrics import RoundReport, mean_std
+from .metrics import MetricSummary, RoundReport, mean_std
 from .model import ModelParams, forward, loss
 from .seeding import TAG_CELL, TAG_INIT, TAG_SCENARIO, derive_rng, derive_seed
 from .simulate import assemble_datasets, pooled_training_set
@@ -78,17 +78,15 @@ def cell_seed(master_seed: int, pen_idx: int, veh_idx: int, repeat: int) -> int:
 
 
 def accuracy_improvement_pct(value: float, baseline: float) -> float:
-    """Relative accuracy gain over a baseline, in percent."""
-    if baseline <= 0:
-        raise ValueError(f"baseline accuracy must be > 0, got {baseline}")
-    return (value - baseline) / baseline * 100.0
+    """Relative accuracy gain over a baseline, in percent; nan unless the
+    baseline is > 0, so a nan baseline gives nan too."""
+    return (value - baseline) / baseline * 100.0 if baseline > 0 else float("nan")
 
 
 def error_improvement_pct(value: float, baseline: float) -> float:
-    """Relative error reduction against a baseline, in percent."""
-    if baseline <= 0:
-        raise ValueError(f"baseline error must be > 0, got {baseline}")
-    return (baseline - value) / baseline * 100.0
+    """Relative error reduction against a baseline, in percent; nan unless
+    the baseline is > 0, so a nan baseline gives nan too."""
+    return (baseline - value) / baseline * 100.0 if baseline > 0 else float("nan")
 
 
 def build_cell_data(cfg: ExperimentConfig, penetration: float, n_vehicles: int, seed: int):
@@ -194,10 +192,6 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _nan_if_none(x: float | None) -> float:
-    return float("nan") if x is None else x
-
-
 def write_rounds_csv(path: Path, cell: SweepCell, reports: list[RoundReport]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -239,6 +233,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[Path]:
     round forks instead (run_flt_round). Every data seed is seeded and
     written independently, so the bytes are the same for any `threads` and
     CPU count; a worker's exception, such as a divergence, is raised here.
+    An out_dir whose nearest existing path (itself or an ancestor) is not a
+    directory raises ValueError before any cell runs; the check creates nothing.
     out_dir is created once every cell has finished, so a failed run leaves
     none behind (checkpoints make their own directories). The summary is
     rebuilt from the rounds files this run wrote, by the same reader as
@@ -246,6 +242,10 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[Path]:
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    out_dir = Path(cfg.out_dir)
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise ValueError(f"out_dir {out_dir}: {existing} is not a directory")
     cells = sweep_cells(cfg)
     groups: dict[tuple[int, int, int], list[SweepCell]] = {}
     for cell in cells:  # method-major, so each group keeps cfg.methods order
@@ -256,7 +256,6 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[Path]:
     for group, reports in zip(groups.values(), group_reports):
         reports_of.update(zip(group, reports))
 
-    out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     for cell in cells:
@@ -271,57 +270,38 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[Path]:
 
 
 def write_summary_csv(path: Path, final_rows: list[dict]) -> None:
-    """Aggregate final-round rows into one row per (method, penetration,
-    n_vehicles) with mean/std across repeats and improvement-over-centralized
-    columns (nan when no centralized baseline exists for the group)."""
+    """One row per (method, penetration, n_vehicles) of the final-round rows,
+    in that order: the repeat count, the final round, the mean and sample
+    std (nan for one repeat) of accuracy and error across repeats, and each
+    mean's improvement over the group's centralized mean (nan where no
+    centralized group exists or its mean is not > 0)."""
     groups: dict[tuple[str, float, int], list[dict]] = {}
     for row in final_rows:
         groups.setdefault((row["method"], row["penetration"], row["n_vehicles"]), []).append(row)
-
-    stats: dict[tuple[str, float, int], dict] = {}
-    for key, rows in groups.items():
-        acc = mean_std([r["atk_accuracy"] for r in rows])
-        err = mean_std([r["pred_error_m"] for r in rows])
-        stats[key] = {
-            "repeats": len(rows),
-            "final_round": max(r["round"] for r in rows),
-            "acc_mean": acc.mean,
-            "acc_std": _nan_if_none(acc.std),
-            "err_mean": err.mean,
-            "err_std": _nan_if_none(err.std),
-        }
+    summaries = {
+        key: (mean_std([r["atk_accuracy"] for r in rows]), mean_std([r["pred_error_m"] for r in rows]))
+        for key, rows in groups.items()
+    }
+    no_baseline = (MetricSummary(float("nan"), None),) * 2
 
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_HEADER)
-        for (method, pen, n_veh), st in sorted(
-            stats.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])
-        ):
-            base = stats.get(("centralized", pen, n_veh))
-            acc_gain = (
-                accuracy_improvement_pct(st["acc_mean"], base["acc_mean"])
-                if base is not None and base["acc_mean"] > 0
-                else float("nan")
-            )
-            err_gain = (
-                error_improvement_pct(st["err_mean"], base["err_mean"])
-                if base is not None and base["err_mean"] > 0
-                else float("nan")
+        for method, pen, n_veh in sorted(groups):
+            rows = groups[method, pen, n_veh]
+            acc, err = summaries[method, pen, n_veh]
+            base_acc, base_err = summaries.get(("centralized", pen, n_veh), no_baseline)
+            values = (
+                acc.mean,
+                acc.std,
+                err.mean,
+                err.std,
+                accuracy_improvement_pct(acc.mean, base_acc.mean),
+                error_improvement_pct(err.mean, base_err.mean),
             )
             writer.writerow(
-                [
-                    method,
-                    _fmt(pen),
-                    n_veh,
-                    st["repeats"],
-                    st["final_round"],
-                    _fmt(st["acc_mean"]),
-                    _fmt(st["acc_std"]),
-                    _fmt(st["err_mean"]),
-                    _fmt(st["err_std"]),
-                    _fmt(acc_gain),
-                    _fmt(err_gain),
-                ]
+                [method, _fmt(pen), n_veh, len(rows), max(r["round"] for r in rows)]
+                + [_fmt(float("nan") if x is None else x) for x in values]
             )
 
 

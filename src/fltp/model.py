@@ -435,7 +435,6 @@ def load_params(path: str | Path) -> ModelParams:
         raise ValueError(f"{path}: unsupported dims ({input_dim}, {output_dim})")
     if hidden_size < 1:
         raise ValueError(f"{path}: hidden_size must be >= 1, got {hidden_size}")
-    flat = np.frombuffer(raw[16:], dtype="<f8")
-    if flat.shape[0] != flat_length(hidden_size):
-        raise ValueError(f"{path}: expected {flat_length(hidden_size)} values, found {flat.shape[0]}")
-    return ModelParams.unflatten(flat.astype(float), hidden_size)
+    if len(raw) != (size := 16 + 8 * flat_length(hidden_size)):
+        raise ValueError(f"{path}: expected {size} bytes for hidden_size {hidden_size}, found {len(raw)}")
+    return ModelParams.unflatten(np.frombuffer(raw[16:], dtype="<f8").astype(float), hidden_size)

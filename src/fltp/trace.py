@@ -289,8 +289,10 @@ def ingest_veremi(
     file name and line number for unparseable or inconsistent lines: no JSON
     object, missing, non-finite or non-numeric fields (a JSON string or
     boolean is not a number; a BSM's rcvTime is checked though it gives no
-    step), fractional type, sender or attackerType values, senders absent
-    from the ground truth and attackerType codes absent from the mapping."""
+    step), fractional type, sender or attackerType values, a sender the
+    ground truth gives two attackerType codes (repeats of one code are
+    fine: VeReMi has one record per message), senders absent from the
+    ground truth and attackerType codes absent from the mapping."""
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and > 0, got {dt}")
     log_path = Path(log_path)
@@ -300,7 +302,12 @@ def ingest_veremi(
     truth_codes: dict[int, int] = {}
     for line_no, rec in _json_lines(ground_truth_path):
         sender = _number(rec, "sender", ground_truth_path, line_no, _integer)
-        truth_codes[sender] = _number(rec, "attackerType", ground_truth_path, line_no, _integer)
+        code = _number(rec, "attackerType", ground_truth_path, line_no, _integer)
+        if truth_codes.setdefault(sender, code) != code:
+            raise IngestError(
+                f"{ground_truth_path}:{line_no}: sender {sender} has attackerType {code}, "
+                f"but an earlier line gave {truth_codes[sender]}"
+            )
 
     ids: list[tuple[int, int, int]] = []  # sender, step, attacker class
     claims: list[tuple[float, ...]] = []

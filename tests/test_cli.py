@@ -1,4 +1,5 @@
 """Command-line interface: argument handling, exit codes, artifact writing."""
+import logging
 import os
 import re
 import subprocess
@@ -112,6 +113,19 @@ class TestRun:
         out = tmp_path / "results"
         assert main(["run", "--config", str(path), "--profile", "desk", "--out", str(out)]) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_out_under_a_file_is_error_before_any_cell(self, tiny_config, tmp_path, capsys, caplog, below):
+        """`--out` naming a regular file, or a path under one, stops the run
+        before its first cell with one error line naming the file."""
+        afile = tmp_path / "afile"
+        afile.write_text("", encoding="utf-8")
+        caplog.set_level(logging.INFO, logger="fltp")
+        assert main(["run", "--config", str(tiny_config), "--out", str(afile / below)]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1 and f"{afile} is not a directory" in errors[0]
+        assert not any("finished" in record.getMessage() for record in caplog.records)
+        assert afile.read_bytes() == b""
 
     def test_non_finite_config_value_is_error(self, tmp_path, capsys):
         # a NaN threshold would judge every window wrong rather than fail

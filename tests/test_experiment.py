@@ -120,11 +120,10 @@ class TestImprovements:
         assert accuracy_improvement_pct(0.5, 0.5) == 0.0
         assert error_improvement_pct(42.0, 42.0) == 0.0
 
-    def test_zero_baseline_rejected(self):
-        with pytest.raises(ValueError):
-            accuracy_improvement_pct(0.5, 0.0)
-        with pytest.raises(ValueError):
-            error_improvement_pct(10.0, 0.0)
+    @pytest.mark.parametrize("baseline", [0.0, -1.0, float("nan")])
+    def test_no_positive_baseline_gives_nan(self, baseline):
+        assert math.isnan(accuracy_improvement_pct(0.5, baseline))
+        assert math.isnan(error_improvement_pct(10.0, baseline))
 
 
 class TestSweepCells:
@@ -450,6 +449,18 @@ class TestRunExperiment:
         assert (out / "summary.csv").read_bytes() == clean
         assert not any("rep9" in p.name or "gossip" in p.name for p in written)
 
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_out_dir_under_a_file_rejected_before_any_cell(self, tmp_path, monkeypatch, below):
+        """An out_dir that is, or lies under, a regular file fails before any
+        cell runs, naming the path, and creates nothing."""
+        afile = tmp_path / "afile"
+        afile.write_text("not a directory\n", encoding="utf-8")
+        monkeypatch.setattr(experiment, "run_cells", lambda cfg, cells: pytest.fail("a cell ran"))
+        out = afile / below
+        with pytest.raises(ValueError, match=f"^out_dir {re.escape(str(out))}: {re.escape(str(afile))} is not a directory$"):
+            run_experiment(_tiny_cfg(out))
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+
     def test_thread_validation(self, tmp_path):
         cfg = _tiny_cfg(tmp_path / "out")
         with pytest.raises(ValueError):
@@ -557,6 +568,25 @@ MALFORMED_ROUNDS = {
     "truncated row": ([*GOOD_ROUNDS[:2], GOOD_ROUNDS[2][:24]], ":3: column 'penetration': no value"),
     "bad number": ([*GOOD_ROUNDS[:2], GOOD_ROUNDS[2].replace("1.25", "abc")], ":3: column 'pred_error_m': cannot read 'abc'"),
 }
+
+
+def test_zero_centralized_accuracy_gives_nan_accuracy_improvement(tmp_path):
+    """A centralized group whose final accuracy is 0 is no accuracy baseline:
+    every method's accuracy improvement is nan, while its error, which is
+    > 0, stays the baseline of the error improvement."""
+    finals = {"centralized": ("0.0", "10.0"), "fed-avg": ("0.25", "5.0"), "fl-tp": ("0.5", "2.5")}
+    for method, (acc, err) in finals.items():
+        run_id = f"{method}_p0.5_v4_rep0"
+        (tmp_path / f"rounds_{run_id}.csv").write_text(
+            f"{','.join(ROUNDS_HEADER)}\n"
+            f"{run_id},{method},0.5,4,0,1,uniform,20.0,0.75,0.3\n"
+            f"{run_id},{method},0.5,4,0,2,uniform,{err},{acc},0.2\n",
+            encoding="utf-8",
+        )
+    export_summary(tmp_path, tmp_path / "summary.csv")
+    header, srows = _read_csv(tmp_path / "summary.csv")
+    gains = {row[0]: (row[header.index("acc_improvement_pct")], row[header.index("err_improvement_pct")]) for row in srows}
+    assert gains == {"centralized": ("nan", "0.0"), "fed-avg": ("nan", "50.0"), "fl-tp": ("nan", "75.0")}
 
 
 def test_read_final_rows_reads_the_last_round(tmp_path):

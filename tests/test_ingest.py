@@ -1,6 +1,7 @@
 """Reception-log ingestion contract."""
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -128,6 +129,20 @@ def test_unknown_attack_code_rejected(tmp_path):
     _write(log, [_bsm(101, 0.0, [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], -50.0)])
     _write(gt, [{"sender": 101, "attackerType": 99}])
     with pytest.raises(IngestError, match="99"):
+        ingest_veremi(log, gt)
+
+
+def test_sender_with_two_attack_codes_rejected(tmp_path):
+    """The ground truth has one record per message, so a sender may repeat,
+    but always with the same attackerType."""
+    log = tmp_path / "log.json"
+    gt = tmp_path / "gt.json"
+    _write(log, [_bsm(5, 0.0, [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], -50.0)])
+    _write(gt, [{"sender": 5, "attackerType": 1}, {"sender": 5, "attackerType": 1}])
+    msgs, _ = ingest_veremi(log, gt)
+    assert msgs.truth_attacker.tolist() == [AttackerType.CONSTANT]
+    _write(gt, [{"sender": 5, "attackerType": 0}, {"sender": 5, "attackerType": 0}, {"sender": 5, "attackerType": 1}])
+    with pytest.raises(IngestError, match=f"^{re.escape(str(gt))}:3: sender 5 has attackerType 1, but an earlier line gave 0$"):
         ingest_veremi(log, gt)
 
 

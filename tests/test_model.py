@@ -623,6 +623,20 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_params(path)
 
+    @pytest.mark.parametrize("delta", [3, -3], ids=["appended", "cut short"])
+    def test_wrong_length_named(self, tmp_path, delta):
+        """A blob whose length is not the header plus flat_length(H) float64
+        values, whole or not, is rejected naming the file and both lengths."""
+        path = tmp_path / "odd.params"
+        save_params(ModelParams.init(4, derive_rng(502)), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw + bytes(delta) if delta > 0 else raw[:delta])
+        size = 16 + 8 * flat_length(4)
+        with pytest.raises(
+            ValueError, match=f"^{re.escape(str(path))}: expected {size} bytes for hidden_size 4, found {size + delta}$"
+        ):
+            load_params(path)
+
     def test_wrong_dims_rejected(self, tmp_path):
         import struct as st
 

@@ -2,21 +2,26 @@
 overrides, and the resolved ExperimentConfig object.
 
 Precedence, lowest to highest: the records' field defaults, --profile
-overrides, keys in the config file, CLI flags (--seed / --out / --threads).
+overrides, keys in the config file, CLI flags (--seed / --out).
 
-A key is a record field with its default, plus one KEYS entry holding its
-name, its parser and the dotted path (e.g. "train.hidden_size") of the field
-its value fills: config_from_kv builds each record from the keys set under its
-path, and dump_config reads the same paths back.
+A key is its record field: KEYS is built from the fields of ExperimentConfig
+and of its records, in declaration order, so adding a key means adding one
+field with its default. A key's path is the field's dotted location (e.g.
+"train.hidden_size"), its name is the field name behind its record's prefix
+in _PREFIXES ("gate_threshold"), and its parser follows the field's type.
+The fields in _UNKEYED have no key: each cell sets the scenario's vehicle
+count, penetration and seed, and norm is derived. config_from_kv builds each
+record from the keys set under its path, and dump_config reads the same
+paths back.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple, get_type_hints
 
 from .attacks import AttackParams
 from .features import NormalizationSpec
@@ -58,18 +63,7 @@ def _finite(text: str) -> float:
     return value
 
 
-_int = _scalar(int, "not an integer:")
 _float = _scalar(_finite, "not a finite number:")
-_bool = _scalar(lambda text: _BOOLS[text.lower()], "not a boolean:")
-_strategy = _scalar(lambda text: GateStrategy(text.lower()), "unknown strategy")
-
-
-def _str(key: str, text: str) -> str:
-    return text
-
-
-def _float_or_none(key: str, text: str) -> float | None:
-    return _float(key, text) if text else None
 
 
 class ConfigKey(NamedTuple):
@@ -85,55 +79,42 @@ class ConfigKey(NamedTuple):
         return attrgetter(self.path)(cfg)
 
 
-def _key(name: str, parse: Callable[[str, str], Any], path: str | None = None) -> ConfigKey:
-    return ConfigKey(name, parse, path or name)
+#: the parser of each field type a key can fill
+_PARSERS: dict[Any, Callable[[str, str], Any]] = {
+    int: _scalar(int, "not an integer:"),
+    float: _float,
+    bool: _scalar(lambda text: _BOOLS[text.lower()], "not a boolean:"),
+    str: lambda key, text: text,
+    GateStrategy: _scalar(lambda text: GateStrategy(text.lower()), "unknown strategy"),
+    float | None: lambda key, text: _float(key, text) if text else None,  # an empty text is None
+    tuple[str, ...]: _list(str),
+    tuple[float, ...]: _list(float),
+    tuple[int, ...]: _list(int),
+}
+
+#: the prefix of the keys filling each record's fields; any other record's keys are its bare field names
+_PREFIXES = {"gate": "gate_", "influence": "influence_", "attack": "attack_"}
+
+#: fields no key fills: each cell sets the scenario's first three, and norm is derived
+_UNKEYED = {"scenario.n_vehicles", "scenario.penetration", "scenario.rng_seed", "norm"}
 
 
-#: every config key, in dump order
-KEYS: tuple[ConfigKey, ...] = (
-    _key("methods", _list(str)),
-    _key("penetrations", _list(float)),
-    _key("vehicle_counts", _list(int)),
-    _key("repeats", _int),
-    _key("master_seed", _int),
-    _key("out_dir", _str),
-    _key("region_side", _float, "scenario.region_side"),
-    _key("dt", _float, "scenario.dt"),
-    _key("n_steps", _int, "scenario.n_steps"),
-    _key("v_max", _float, "scenario.v_max"),
-    _key("accel_sigma", _float, "scenario.accel_sigma"),
-    _key("tx_power_dbm", _float, "scenario.channel.tx_power_dbm"),
-    _key("path_loss_exponent", _float, "scenario.channel.path_loss_exponent"),
-    _key("reference_distance", _float, "scenario.channel.reference_distance"),
-    _key("shadowing_sigma", _float, "scenario.channel.shadowing_sigma"),
-    _key("rssi_min", _float),
-    _key("rssi_max", _float),
-    _key("hidden_size", _int, "train.hidden_size"),
-    _key("learning_rate", _float, "train.learning_rate"),
-    _key("momentum", _float, "train.momentum"),
-    _key("batch_size", _int, "train.batch_size"),
-    _key("local_episodes", _int, "train.local_episodes"),
-    _key("global_rounds", _int, "train.global_rounds"),
-    # the dtype of local training; aggregation and evaluation stay float64
-    _key("precision", _str, "train.precision"),
-    _key("gate_strategy", _strategy, "gate.strategy"),
-    _key("gate_threshold", _float, "gate.threshold"),
-    _key("influence_constant", _float, "influence.constant"),
-    _key("influence_constant_offset", _float, "influence.constant_offset"),
-    _key("influence_random", _float, "influence.random"),
-    _key("influence_random_offset", _float, "influence.random_offset"),
-    _key("influence_eventual_stop", _float, "influence.eventual_stop"),
-    # an empty fixed point means the region centre
-    _key("attack_fixed_x", _float_or_none, "attack.fixed_x"),
-    _key("attack_fixed_y", _float_or_none, "attack.fixed_y"),
-    _key("attack_offset_x", _float, "attack.offset_x"),
-    _key("attack_offset_y", _float, "attack.offset_y"),
-    _key("attack_random_offset_max", _float, "attack.random_offset_max"),
-    _key("attack_stop_probability", _float, "attack.stop_probability"),
-    _key("train_fraction", _float),
-    _key("judgment_threshold", _float),
-    _key("checkpoints", _bool),
-)
+def _keys(record: type, path: str) -> Iterator[ConfigKey]:
+    """A key per field of `record` (found at `path`, "" for the top level)
+    and of its records, in declaration order; a field whose type no key
+    parses raises TypeError naming its path."""
+    types = get_type_hints(record)
+    for f in fields(record):
+        where = f"{path}.{f.name}" if path else f.name
+        if where in _UNKEYED:
+            continue
+        if is_dataclass(kind := types[f.name]):
+            yield from _keys(kind, where)
+        elif kind in _PARSERS:
+            yield ConfigKey(_PREFIXES.get(path, "") + f.name, _PARSERS[kind], where)
+        else:
+            raise TypeError(f"{where}: no config key parses a {kind}")
+
 
 #: profile overrides; "desk" is the CI-scale protocol
 PROFILES: dict[str, dict[str, str]] = {
@@ -165,13 +146,13 @@ class ExperimentConfig:
     master_seed: int = 42
     out_dir: str = "results"
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)  # template; n_vehicles/penetration/seed set per cell
-    attack: AttackParams = field(default_factory=AttackParams)
     rssi_min: float = -100.0  # dBm the rssi feature maps to 0
     rssi_max: float = -40.0  # dBm the rssi feature maps to 1
     norm: NormalizationSpec = field(init=False)
     train: TrainConfig = field(default_factory=TrainConfig)
     gate: GateConfig = field(default_factory=GateConfig)
     influence: InfluenceTable = field(default_factory=InfluenceTable)
+    attack: AttackParams = field(default_factory=AttackParams)
     train_fraction: float = 0.8
     judgment_threshold: float = 0.5
     checkpoints: bool = False
@@ -214,6 +195,10 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"rssi_min, rssi_max: {exc}") from exc
         object.__setattr__(self, "norm", norm)
+
+
+#: every config key, in dump order
+KEYS: tuple[ConfigKey, ...] = tuple(_keys(ExperimentConfig, ""))
 
 
 def parse_kv_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -259,10 +244,10 @@ def config_from_kv(kv_in: dict[str, str], profile: str | None = None) -> Experim
     return ExperimentConfig(  # its own checks name their key
         **{key.name: values[key.name] for key in set_keys if "." not in key.path},
         scenario=build(ScenarioConfig, "scenario", channel=build(ChannelConfig, "scenario.channel")),
-        attack=build(AttackParams, "attack"),
         train=build(TrainConfig, "train"),
         gate=build(GateConfig, "gate"),
         influence=build(InfluenceTable, "influence"),
+        attack=build(AttackParams, "attack"),
     )
 
 

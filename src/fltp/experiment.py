@@ -233,8 +233,9 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[Path]:
     round forks instead (run_flt_round). Every data seed is seeded and
     written independently, so the bytes are the same for any `threads` and
     CPU count; a worker's exception, such as a divergence, is raised here.
-    An out_dir whose nearest existing path (itself or an ancestor) is not a
-    directory raises ValueError before any cell runs; the check creates nothing.
+    An out_dir whose nearest existing path (itself or an ancestor; a dangling
+    symlink exists) is not a directory raises ValueError before any cell
+    runs; the check creates nothing.
     out_dir is created once every cell has finished, so a failed run leaves
     none behind (checkpoints make their own directories). The summary is
     rebuilt from the rounds files this run wrote, by the same reader as
@@ -243,7 +244,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[Path]:
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     out_dir = Path(cfg.out_dir)
-    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists() or p.is_symlink())
     if not existing.is_dir():
         raise ValueError(f"out_dir {out_dir}: {existing} is not a directory")
     cells = sweep_cells(cfg)

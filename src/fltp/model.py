@@ -104,7 +104,7 @@ class TrainConfig:
     batch_size: int = 128
     local_episodes: int = 10
     global_rounds: int = 300
-    precision: str = "float64"
+    precision: str = "float64"  # the dtype of local training; aggregation and evaluation stay float64
 
     def __post_init__(self) -> None:
         if self.hidden_size < 1:

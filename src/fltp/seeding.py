@@ -13,7 +13,7 @@ TAG_LINK = 1      # per (sender, receiver) shadowing noise
 TAG_ATTACK = 2    # per sender falsification draws
 TAG_INIT = 3      # model weight initialization
 TAG_TRAIN = 4     # per (round, vehicle) batch shuffling
-TAG_GATE = 5      # per round gate draw (RandomGate only)
+TAG_GATE = 5      # per round gate draw (GateStrategy.RANDOM only)
 TAG_CELL = 6      # per sweep-cell run seed
 TAG_SCENARIO = 7  # scenario generation seed within a cell
 

@@ -246,10 +246,14 @@ def _number(record: dict, key: str, path: Path, line_no: int, conv: Callable = _
     raise IngestError(f"{path}:{line_no}: field {key!r} is not a finite number: {record[key]!r}")
 
 
-def _step_of(t: float, dt: float) -> int:
-    """The step of time t: t / dt rounded half up (Python's round would take
-    k + 0.5 to the even neighbour, so two records would share a step)."""
-    return math.floor(t / dt + 0.5)
+def _step(record: dict, key: str, path: Path, line_no: int, dt: float) -> int:
+    """The step of the time t in record[key]: t / dt rounded half up (Python's
+    round would take k + 0.5 to the even neighbour, so two records would
+    share a step). A step int64 cannot hold raises IngestError naming path:line."""
+    t = _number(record, key, path, line_no)
+    if math.isfinite(x := t / dt + 0.5) and -(2**63) <= (step := math.floor(x)) < 2**63:
+        return step
+    raise IngestError(f"{path}:{line_no}: field {key!r} = {t!r} gives a step outside int64 at dt = {dt!r}")
 
 
 def _json_lines(path: Path) -> Iterator[tuple[int, dict]]:
@@ -289,10 +293,11 @@ def ingest_veremi(
     file name and line number for unparseable or inconsistent lines: no JSON
     object, missing, non-finite or non-numeric fields (a JSON string or
     boolean is not a number; a BSM's rcvTime is checked though it gives no
-    step), fractional type, sender or attackerType values, a sender the
-    ground truth gives two attackerType codes (repeats of one code are
-    fine: VeReMi has one record per message), senders absent from the
-    ground truth and attackerType codes absent from the mapping."""
+    step), a time whose step int64 cannot hold, fractional type, sender or
+    attackerType values, a sender the ground truth gives two attackerType
+    codes (repeats of one code are fine: VeReMi has one record per message),
+    senders absent from the ground truth and attackerType codes absent from
+    the mapping."""
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and > 0, got {dt}")
     log_path = Path(log_path)
@@ -318,8 +323,7 @@ def ingest_veremi(
         if rec_type == LOG_TYPE_GPS:
             pos = _number(rec, "pos", log_path, line_no, _xy)
             spd = _number(rec, "spd", log_path, line_no, _xy)
-            t_rcv = _number(rec, "rcvTime", log_path, line_no)
-            ego_steps.append(_step_of(t_rcv, dt))
+            ego_steps.append(_step(rec, "rcvTime", log_path, line_no, dt))
             ego_kinematics.append((*pos, *spd))
         elif rec_type == LOG_TYPE_BSM:
             sender = _number(rec, "sender", log_path, line_no, _integer)
@@ -330,7 +334,7 @@ def ingest_veremi(
                 raise IngestError(f"{log_path}:{line_no}: unknown attackerType code {code} for sender {sender}")
             pos = _number(rec, "pos", log_path, line_no, _xy)
             spd = _number(rec, "spd", log_path, line_no, _xy)
-            step = _step_of(_number(rec, "sendTime", log_path, line_no), dt)
+            step = _step(rec, "sendTime", log_path, line_no, dt)
             _number(rec, "rcvTime", log_path, line_no)  # checked, not kept: the step follows sendTime
             rssi = _number(rec, "RSSI", log_path, line_no)
             ids.append((sender, step, int(code_map[code])))

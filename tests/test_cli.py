@@ -127,6 +127,20 @@ class TestRun:
         assert not any("finished" in record.getMessage() for record in caplog.records)
         assert afile.read_bytes() == b""
 
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_out_at_a_dangling_symlink_is_error_before_any_cell(self, tiny_config, tmp_path, capsys, caplog, below):
+        """`--out` naming a symlink to a missing path, or a path under one,
+        stops the run before its first cell with one error line naming the
+        link."""
+        link = tmp_path / "link"
+        link.symlink_to(tmp_path / "missing")
+        caplog.set_level(logging.INFO, logger="fltp")
+        assert main(["run", "--config", str(tiny_config), "--out", str(link / below)]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1 and f"{link} is not a directory" in errors[0]
+        assert not any("finished" in record.getMessage() for record in caplog.records)
+        assert [p.name for p in tmp_path.iterdir() if p.name != tiny_config.name] == ["link"]
+
     def test_non_finite_config_value_is_error(self, tmp_path, capsys):
         # a NaN threshold would judge every window wrong rather than fail
         path = tmp_path / "nan.cfg"

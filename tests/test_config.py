@@ -1,10 +1,11 @@
 """Config text format, defaults, profiles, precedence, round-trip, and the
 records a config is built from."""
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import FrozenInstanceError, dataclass, field, fields, replace
 
 import numpy as np
 import pytest
 
+from fltp import config
 from fltp.attacks import AttackParams, inject
 from fltp.config import (
     ConfigError,
@@ -363,7 +364,72 @@ NON_DEFAULTS = {
 }
 
 
+#: every key's (name, path), in dump order: the fields of ExperimentConfig and
+#: of its records in declaration order, less the per-cell fields and norm
+KEY_PAIRS = [
+    ("methods", "methods"),
+    ("penetrations", "penetrations"),
+    ("vehicle_counts", "vehicle_counts"),
+    ("repeats", "repeats"),
+    ("master_seed", "master_seed"),
+    ("out_dir", "out_dir"),
+    ("region_side", "scenario.region_side"),
+    ("dt", "scenario.dt"),
+    ("n_steps", "scenario.n_steps"),
+    ("v_max", "scenario.v_max"),
+    ("accel_sigma", "scenario.accel_sigma"),
+    ("tx_power_dbm", "scenario.channel.tx_power_dbm"),
+    ("path_loss_exponent", "scenario.channel.path_loss_exponent"),
+    ("reference_distance", "scenario.channel.reference_distance"),
+    ("shadowing_sigma", "scenario.channel.shadowing_sigma"),
+    ("rssi_min", "rssi_min"),
+    ("rssi_max", "rssi_max"),
+    ("hidden_size", "train.hidden_size"),
+    ("learning_rate", "train.learning_rate"),
+    ("momentum", "train.momentum"),
+    ("batch_size", "train.batch_size"),
+    ("local_episodes", "train.local_episodes"),
+    ("global_rounds", "train.global_rounds"),
+    ("precision", "train.precision"),
+    ("gate_strategy", "gate.strategy"),
+    ("gate_threshold", "gate.threshold"),
+    ("influence_constant", "influence.constant"),
+    ("influence_constant_offset", "influence.constant_offset"),
+    ("influence_random", "influence.random"),
+    ("influence_random_offset", "influence.random_offset"),
+    ("influence_eventual_stop", "influence.eventual_stop"),
+    ("attack_fixed_x", "attack.fixed_x"),
+    ("attack_fixed_y", "attack.fixed_y"),
+    ("attack_offset_x", "attack.offset_x"),
+    ("attack_offset_y", "attack.offset_y"),
+    ("attack_random_offset_max", "attack.random_offset_max"),
+    ("attack_stop_probability", "attack.stop_probability"),
+    ("train_fraction", "train_fraction"),
+    ("judgment_threshold", "judgment_threshold"),
+    ("checkpoints", "checkpoints"),
+]
+
+
+@dataclass(frozen=True)
+class _Inner:
+    size: int = 1
+    shape: list[int] = field(default_factory=list)  # no key parses a list
+
+
+@dataclass(frozen=True)
+class _Outer:
+    name: str = "x"
+    inner: _Inner = field(default_factory=_Inner)
+
+
 class TestKeyTable:
+    def test_keys_are_the_record_fields_in_dump_order(self):
+        assert [(key.name, key.path) for key in KEYS] == KEY_PAIRS
+
+    def test_unparsed_field_type_named_by_path(self):
+        with pytest.raises(TypeError, match=r"^inner\.shape: no config key parses"):
+            list(config._keys(_Outer, ""))
+
     def test_every_key_has_a_non_default_case(self):
         assert set(NON_DEFAULTS) == {key.name for key in KEYS}
 

@@ -461,6 +461,19 @@ class TestRunExperiment:
             run_experiment(_tiny_cfg(out))
         assert [p.name for p in tmp_path.iterdir()] == ["afile"]
 
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_out_dir_at_a_dangling_symlink_rejected_before_any_cell(self, tmp_path, monkeypatch, below):
+        """A symlink to a missing path exists for the check: an out_dir that
+        is, or lies under, one fails before any cell runs, naming the link,
+        and creates nothing (mkdir would refuse the link after the sweep)."""
+        link = tmp_path / "link"
+        link.symlink_to(tmp_path / "missing")
+        monkeypatch.setattr(experiment, "run_cells", lambda cfg, cells: pytest.fail("a cell ran"))
+        out = link / below
+        with pytest.raises(ValueError, match=f"^out_dir {re.escape(str(out))}: {re.escape(str(link))} is not a directory$"):
+            run_experiment(_tiny_cfg(out))
+        assert [p.name for p in tmp_path.iterdir()] == ["link"]
+
     def test_thread_validation(self, tmp_path):
         cfg = _tiny_cfg(tmp_path / "out")
         with pytest.raises(ValueError):

@@ -258,6 +258,27 @@ def test_non_finite_or_non_numeric_field_rejected(tmp_path, sample_logs, fields)
 
 
 @pytest.mark.parametrize(
+    "fields,dt",
+    [
+        ({"sendTime": 1e300}, 1.0),  # a finite time whose step int64 cannot hold
+        ({"type": 2, "rcvTime": 1e300}, 1.0),  # the same for the receiver's own GPS record
+        ({"sendTime": 1e300}, 1e-10),  # t / dt is infinite
+    ],
+    ids=["sendTime", "gps-rcvTime", "sendTime-small-dt"],
+)
+def test_time_beyond_int64_steps_rejected(tmp_path, sample_logs, fields, dt):
+    """A 5th log line whose time maps to no int64 step fails naming its file,
+    line and field instead of escaping as an OverflowError."""
+    log, gt = sample_logs
+    bad = tmp_path / "bad.json"
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    _write(bad, records + [{**_bsm(101, 2.0, [0.0] * 3, [0.0] * 3, -50.0), **fields}])
+    key = list(fields)[-1]
+    with pytest.raises(IngestError, match=rf"bad\.json:5: field '{key}' = 1e\+300 gives a step outside int64"):
+        ingest_veremi(bad, gt, dt=dt)
+
+
+@pytest.mark.parametrize(
     "key,record",
     [
         ("sender", {"sender": math.inf, "attackerType": 1}),

@@ -252,12 +252,15 @@ def config_from_kv(kv_in: dict[str, str], profile: str | None = None) -> Experim
 
 
 def load_config(path: str | Path, profile: str | None = None) -> ExperimentConfig:
-    """Read and resolve a config file. An empty file yields pure defaults."""
+    """Read and resolve a config file. An empty file yields pure defaults; a
+    file that cannot be read, or is not UTF-8, raises ConfigError naming it."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     return config_from_kv(parse_kv_text(text, source=str(path)), profile=profile)
 
 

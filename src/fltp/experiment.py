@@ -29,18 +29,11 @@ log = logging.getLogger(__name__)
 #: loss has diverged, even while the loss is still finite
 DIVERGENCE_FACTOR = 1e6
 
-ROUNDS_HEADER = [
-    "run_id",
-    "method",
-    "penetration",
-    "n_vehicles",
-    "repeat",
-    "round",
-    "mode",
-    "pred_error_m",
-    "atk_accuracy",
-    "loss",
-]
+#: the rounds file's columns in file order, each with the parser that reads it
+ROUNDS_COLUMNS = dict(
+    run_id=str, method=str, penetration=float, n_vehicles=int, repeat=int, round=int,
+    mode=str, pred_error_m=float, atk_accuracy=float, loss=float,
+)
 
 SUMMARY_HEADER = [
     "method",
@@ -149,7 +142,6 @@ def run_method_rounds(
             norm=cfg.norm,
             seed=seed,
             judgment_threshold=cfg.judgment_threshold,
-            method=method,
         )
         if spec.pooled:
             report = replace(report, mode=method)
@@ -177,7 +169,7 @@ def run_cells(cfg: ExperimentConfig, cells: list[SweepCell]) -> list[list[RoundR
         reports = []
         for params, report in run_method_rounds(cfg, cell.method, vehicles, eval_set, initial, seed, limit):
             if cfg.checkpoints:
-                save_checkpoint(Path(cfg.out_dir) / "checkpoints" / cell.run_id, report.round_idx, params, report)
+                save_checkpoint(Path(cfg.out_dir) / "checkpoints" / cell.run_id, cell.method, params, report)
             reports.append(report)
         all_reports.append(reports)
         log.info("cell %s finished in %.1fs", cell.run_id, time.perf_counter() - t0)
@@ -193,9 +185,11 @@ def _fmt(x: float) -> str:
 
 
 def write_rounds_csv(path: Path, cell: SweepCell, reports: list[RoundReport]) -> None:
+    """One row per report: the cell's run_id, method and coordinates, then
+    the report's values, under ROUNDS_COLUMNS' names and in their order."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(ROUNDS_HEADER)
+        writer.writerow(ROUNDS_COLUMNS)
         for rep in reports:
             writer.writerow(
                 [
@@ -306,18 +300,12 @@ def write_summary_csv(path: Path, final_rows: list[dict]) -> None:
             )
 
 
-#: the rounds-file columns the summary reads, each with its parser
-FINAL_COLUMNS = dict(
-    run_id=str, method=str, penetration=float, n_vehicles=int, repeat=int, round=int, pred_error_m=float, atk_accuracy=float
-)
-
-
 def read_final_rows(paths: list[Path]) -> list[dict]:
     """The final-round row of every run in the given rounds files, in
-    (method, penetration, n_vehicles, repeat) order. A row lacking one of
-    FINAL_COLUMNS or holding a value its parser refuses raises ValueError
-    naming path:line and the column; a file that is not UTF-8 raises
-    ValueError naming the path."""
+    (method, penetration, n_vehicles, repeat) order, each parsed by
+    ROUNDS_COLUMNS. A row lacking one of its columns or holding a value the
+    column's parser refuses raises ValueError naming path:line and the
+    column; a file that is not UTF-8 raises ValueError naming the path."""
     final_by_run: dict[str, dict] = {}
     for path in paths:
         try:
@@ -327,7 +315,7 @@ def read_final_rows(paths: list[Path]) -> list[dict]:
         reader = csv.DictReader(io.StringIO(content, newline=""))
         for rec in reader:
             row = {}
-            for column, parse in FINAL_COLUMNS.items():
+            for column, parse in ROUNDS_COLUMNS.items():
                 if (text := rec.get(column)) is None:  # the header or a short row lacks the column
                     raise ValueError(f"{path}:{reader.line_num}: column {column!r}: no value")
                 try:

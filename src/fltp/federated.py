@@ -221,10 +221,11 @@ def run_flt_round(
     norm: NormalizationSpec,
     seed: int,
     judgment_threshold: float = 0.5,
-    method: str = "fl-tp",
 ) -> tuple[ModelParams, RoundReport]:
     """One federated round: local training on every vehicle, gate decision,
-    weighting, aggregation in ascending vehicle_id order, evaluation.
+    weighting, aggregation in ascending vehicle_id order, evaluation. Every
+    method runs this round (METHODS); the report names no method, since the
+    caller's cell holds it.
 
     Per-vehicle training streams derive from (seed, round_idx, vehicle_id),
     so the result is independent of any execution interleaving. The vehicles
@@ -266,7 +267,6 @@ def run_flt_round(
     err, acc, per_type, loss_value = evaluate_global(new_global, eval_set, norm, judgment_threshold)
     report = RoundReport(
         round_idx=round_idx,
-        method=method,
         mode=mode.value,
         prediction_error=err,
         prediction_accuracy=acc,
@@ -279,13 +279,15 @@ def run_flt_round(
 
 def save_checkpoint(
     directory: str | Path,
-    round_idx: int,
+    method: str,
     params: ModelParams,
     report: RoundReport,
 ) -> tuple[Path, Path]:
-    """Write the round's parameter blob plus a JSON sidecar describing it;
-    round 1 first deletes the round files a previous run left there."""
+    """Write the parameter blob of report's round plus a JSON sidecar
+    describing it, under the method that ran the round; round 1 first
+    deletes the round files a previous run left there."""
     directory = Path(directory)
+    round_idx = report.round_idx
     directory.mkdir(parents=True, exist_ok=True)
     if round_idx == 1:
         for stale in (*directory.glob("round_*.params"), *directory.glob("round_*.json")):
@@ -295,7 +297,7 @@ def save_checkpoint(
     save_params(params, blob)
     payload = {
         "round": round_idx,
-        "method": report.method,
+        "method": method,
         "mode": report.mode,
         "lambdas": list(report.lambdas),
         "metrics": {

@@ -15,7 +15,6 @@ class RoundReport:
     """Global-model evaluation after one aggregation round."""
 
     round_idx: int
-    method: str
     mode: str  # "uniform" | "mre" | "centralized"
     prediction_error: float  # metres
     prediction_accuracy: float

@@ -37,7 +37,7 @@ ATTACK_CLASSES: tuple[AttackerType, ...] = (
     AttackerType.EVENTUAL_STOP,
 )
 
-#: default mapping from on-disk attackerType codes to classes
+#: VeReMi's on-disk attackerType codes (arXiv:1804.06701) and their classes
 DEFAULT_ATTACKER_CODE_MAP: Mapping[int, AttackerType] = {
     0: AttackerType.GENUINE,
     1: AttackerType.CONSTANT,
@@ -257,10 +257,15 @@ def _step(record: dict, key: str, path: Path, line_no: int, dt: float) -> int:
 
 
 def _json_lines(path: Path) -> Iterator[tuple[int, dict]]:
-    """(line number, record) for each non-blank line of a JSON-Lines file;
-    a line that is not a JSON object raises IngestError naming path:line."""
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
+    """(line number, record) for each non-blank line of a JSON-Lines file
+    (a line ends at a line feed); a line that is not UTF-8 text or not a
+    JSON object raises IngestError naming path:line."""
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise IngestError(f"{path}:{line_no}: not UTF-8 text ({exc.reason})") from None
             if not line.strip():
                 continue
             try:
@@ -277,7 +282,6 @@ def ingest_veremi(
     ground_truth_path: str | Path,
     *,
     dt: float = 1.0,
-    attacker_code_map: Mapping[int, AttackerType] | None = None,
 ) -> tuple[Messages, tuple[np.ndarray, np.ndarray]]:
     """Read a JSON-Lines reception log plus a ground-truth file.
 
@@ -290,19 +294,19 @@ def ingest_veremi(
     one step per record.
 
     Raises ValueError unless dt is finite and > 0, and IngestError with the
-    file name and line number for unparseable or inconsistent lines: no JSON
-    object, missing, non-finite or non-numeric fields (a JSON string or
-    boolean is not a number; a BSM's rcvTime is checked though it gives no
-    step), a time whose step int64 cannot hold, fractional type, sender or
-    attackerType values, a sender the ground truth gives two attackerType
-    codes (repeats of one code are fine: VeReMi has one record per message),
-    senders absent from the ground truth and attackerType codes absent from
-    the mapping."""
+    file name and line number for unparseable or inconsistent lines in either
+    file: text that is not UTF-8, no JSON object, missing, non-finite or
+    non-numeric fields (a JSON string or boolean is not a number; a BSM's
+    rcvTime is checked though it gives no step), a time whose step int64
+    cannot hold, fractional type, sender or attackerType values, a sender the
+    ground truth gives two attackerType codes (repeats of one code are fine:
+    VeReMi has one record per message), senders absent from the ground truth
+    and attackerType codes VeReMi does not define (DEFAULT_ATTACKER_CODE_MAP,
+    the only mapping)."""
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and > 0, got {dt}")
     log_path = Path(log_path)
     ground_truth_path = Path(ground_truth_path)
-    code_map = dict(DEFAULT_ATTACKER_CODE_MAP if attacker_code_map is None else attacker_code_map)
 
     truth_codes: dict[int, int] = {}
     for line_no, rec in _json_lines(ground_truth_path):
@@ -330,14 +334,14 @@ def ingest_veremi(
             if sender not in truth_codes:
                 raise IngestError(f"{log_path}:{line_no}: sender {sender} missing from ground truth")
             code = truth_codes[sender]
-            if code not in code_map:
+            if code not in DEFAULT_ATTACKER_CODE_MAP:
                 raise IngestError(f"{log_path}:{line_no}: unknown attackerType code {code} for sender {sender}")
             pos = _number(rec, "pos", log_path, line_no, _xy)
             spd = _number(rec, "spd", log_path, line_no, _xy)
             step = _step(rec, "sendTime", log_path, line_no, dt)
             _number(rec, "rcvTime", log_path, line_no)  # checked, not kept: the step follows sendTime
             rssi = _number(rec, "RSSI", log_path, line_no)
-            ids.append((sender, step, int(code_map[code])))
+            ids.append((sender, step, int(DEFAULT_ATTACKER_CODE_MAP[code])))
             claims.append((*pos, *spd, rssi))
     id_cols = np.array(ids, dtype=np.int64).reshape(-1, 3)
     messages = Messages(

@@ -77,6 +77,17 @@ class TestRun:
         assert rc == 1
         assert "error: cannot read config" in capsys.readouterr().err
 
+    def test_config_not_utf8_is_one_error_line(self, tmp_path, capsys):
+        """A config file holding a byte that is not UTF-8 exits 1 with one
+        error line naming the file, and creates no out_dir."""
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"repeats = 1\n\xff\n")
+        out = tmp_path / "results"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1 and errors[0].startswith(f"error: config {path}: not UTF-8 text ")
+        assert not out.exists()
+
     def test_bad_config_key_is_error(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("warp_speed = 9\n", encoding="utf-8")

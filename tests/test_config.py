@@ -1,5 +1,6 @@
 """Config text format, defaults, profiles, precedence, round-trip, and the
 records a config is built from."""
+import re
 from dataclasses import FrozenInstanceError, dataclass, field, fields, replace
 
 import numpy as np
@@ -470,6 +471,12 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config"):
             load_config(tmp_path / "nope.cfg")
+
+    def test_not_utf8_names_file(self, tmp_path):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"repeats = 2\n# \xff\n")
+        with pytest.raises(ConfigError, match=f"^config {re.escape(str(path))}: not UTF-8 text "):
+            load_config(path)
 
     def test_error_names_file_and_line(self, tmp_path):
         path = tmp_path / "bad.cfg"

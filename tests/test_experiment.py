@@ -17,7 +17,7 @@ from fltp import experiment, federated
 from fltp.cli import main as cli_main
 from fltp.config import config_from_kv
 from fltp.experiment import (
-    ROUNDS_HEADER,
+    ROUNDS_COLUMNS,
     SUMMARY_HEADER,
     SweepCell,
     accuracy_improvement_pct,
@@ -205,11 +205,10 @@ class TestRunMethodRounds:
         reports = [rep for _, rep in _stream(cfg, "fl-tp", vehicles, eval_set, initial, seed)]
         assert [r.round_idx for r in reports] == [1, 2, 3]
         assert reports[0].mode == "uniform"  # no accuracy before the first round
-        assert all(r.method == "fl-tp" for r in reports)
         central = [rep for _, rep in _stream(cfg, "centralized", vehicles, eval_set, initial, seed)]
         assert all(r.mode == "centralized" for r in central)
         fedavg = [rep for _, rep in _stream(cfg, "fed-avg", vehicles, eval_set, initial, seed)]
-        assert all((r.method, r.mode, r.lambdas) == ("fed-avg", "uniform", (0.25,) * 4) for r in fedavg)
+        assert all((r.mode, r.lambdas) == ("uniform", (0.25,) * 4) for r in fedavg)
 
     def test_centralized_is_pooled_training(self, tmp_path):
         """Reference: train_local on the pooled set with vehicle 0's training
@@ -232,7 +231,7 @@ class TestRunMethodRounds:
                 rng=derive_rng(seed, TAG_TRAIN, r, 0),
             )
             err, acc, per_type, loss_value = evaluate_global(params, eval_set, cfg.norm, cfg.judgment_threshold)
-            assert (rep.round_idx, rep.method, rep.mode) == (r, "centralized", "centralized")
+            assert (rep.round_idx, rep.mode) == (r, "centralized")
             assert (rep.prediction_error, rep.prediction_accuracy, rep.loss) == (err, acc, loss_value)
             assert rep.per_type_accuracy == per_type
             assert (got.flatten() == params.flatten()).all()
@@ -270,7 +269,7 @@ class TestRunExperiment:
         assert written[-1].name == "summary.csv"
 
         header, rows = _read_csv(rounds_files[0])
-        assert header == ROUNDS_HEADER
+        assert header == list(ROUNDS_COLUMNS)
         assert len(rows) == cfg.train.global_rounds
         for row in rows:
             assert row[0] == rows[0][0]  # stable run_id
@@ -564,7 +563,7 @@ class TestExportSummary:
 
     def test_files_without_rows_rejected(self, tmp_path):
         """Rounds files holding only a header give no summary to write."""
-        (tmp_path / "rounds_x.csv").write_text(",".join(ROUNDS_HEADER) + "\n", encoding="utf-8")
+        (tmp_path / "rounds_x.csv").write_text(",".join(ROUNDS_COLUMNS) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=f"^no rounds rows under {re.escape(str(tmp_path))}$"):
             export_summary(tmp_path, tmp_path / "x.csv")
         assert not (tmp_path / "x.csv").exists()
@@ -572,7 +571,7 @@ class TestExportSummary:
 
 #: a rounds file of two rounds, and how each malformation of it is named
 GOOD_ROUNDS = [
-    ",".join(ROUNDS_HEADER),
+    ",".join(ROUNDS_COLUMNS),
     "fl-tp_p0.5_v4_rep0,fl-tp,0.5,4,0,1,uniform,1.5,0.5,0.1",
     "fl-tp_p0.5_v4_rep0,fl-tp,0.5,4,0,2,mre,1.25,0.75,0.05",
 ]
@@ -580,6 +579,7 @@ MALFORMED_ROUNDS = {
     "missing column": ([GOOD_ROUNDS[0].replace(",round,", ",rnd,"), *GOOD_ROUNDS[1:]], ":2: column 'round': no value"),
     "truncated row": ([*GOOD_ROUNDS[:2], GOOD_ROUNDS[2][:24]], ":3: column 'penetration': no value"),
     "bad number": ([*GOOD_ROUNDS[:2], GOOD_ROUNDS[2].replace("1.25", "abc")], ":3: column 'pred_error_m': cannot read 'abc'"),
+    "bad loss": ([*GOOD_ROUNDS[:2], GOOD_ROUNDS[2].replace("0.05", "low")], ":3: column 'loss': cannot read 'low'"),
 }
 
 
@@ -591,7 +591,7 @@ def test_zero_centralized_accuracy_gives_nan_accuracy_improvement(tmp_path):
     for method, (acc, err) in finals.items():
         run_id = f"{method}_p0.5_v4_rep0"
         (tmp_path / f"rounds_{run_id}.csv").write_text(
-            f"{','.join(ROUNDS_HEADER)}\n"
+            f"{','.join(ROUNDS_COLUMNS)}\n"
             f"{run_id},{method},0.5,4,0,1,uniform,20.0,0.75,0.3\n"
             f"{run_id},{method},0.5,4,0,2,uniform,{err},{acc},0.2\n",
             encoding="utf-8",
@@ -608,9 +608,28 @@ def test_read_final_rows_reads_the_last_round(tmp_path):
     (row,) = read_final_rows([path])
     assert row == dict(
         run_id="fl-tp_p0.5_v4_rep0", method="fl-tp", penetration=0.5, n_vehicles=4, repeat=0, round=2,
-        pred_error_m=1.25, atk_accuracy=0.75,
+        mode="mre", pred_error_m=1.25, atk_accuracy=0.75, loss=0.05,
     )
     assert [type(row[k]) for k in ("n_vehicles", "repeat", "round")] == [int] * 3
+
+
+def test_rounds_file_round_trips_every_column(tmp_path):
+    """What write_rounds_csv writes, read_final_rows reads back: the final
+    row holds the cell's values and its last report's, mode and loss too,
+    under ROUNDS_COLUMNS' names."""
+    cfg = _tiny_cfg(tmp_path, methods="fl-tp", repeats="1")
+    (cell,) = sweep_cells(cfg)
+    reports = run_cell(cfg, cell)
+    path = tmp_path / f"rounds_{cell.run_id}.csv"
+    write_rounds_csv(path, cell, reports)
+    (row,) = read_final_rows([path])
+    last = reports[-1]
+    assert row == dict(
+        run_id=cell.run_id, method=cell.method, penetration=cell.penetration, n_vehicles=cell.n_vehicles,
+        repeat=cell.repeat, round=last.round_idx, mode=last.mode, pred_error_m=last.prediction_error,
+        atk_accuracy=last.prediction_accuracy, loss=last.loss,
+    )
+    assert list(row) == list(ROUNDS_COLUMNS)
 
 
 @pytest.mark.parametrize("case", MALFORMED_ROUNDS)

@@ -3,7 +3,6 @@ import json
 import multiprocessing
 import os
 import threading
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -320,7 +319,6 @@ def _fedavg_round(global_params, vehicles, eval_set, **kwargs):
         prev_accuracy=0.0,
         gate=None,
         influence=InfluenceTable(),
-        method="fed-avg",
         **kwargs,
     )
 
@@ -493,7 +491,7 @@ def _reference_round(params, vehicles, eval_set, cfg, seed, round_idx, prev_accu
         mode, weights = "uniform", np.full(len(updates), 1.0 / len(updates))
     new_params = ModelParams.unflatten(aggregate(updates, weights), train.hidden_size)
     err, acc, per_type, loss_value = evaluate_global(new_params, eval_set, cfg.norm, cfg.judgment_threshold)
-    return new_params, RoundReport(round_idx, "", mode, err, acc, loss_value, tuple(float(w) for w in weights), per_type)
+    return new_params, RoundReport(round_idx, mode, err, acc, loss_value, tuple(float(w) for w in weights), per_type)
 
 
 def _round(params, cell, method, round_idx, prev_accuracy):
@@ -510,7 +508,6 @@ def _round(params, cell, method, round_idx, prev_accuracy):
         norm=cfg.norm,
         seed=seed,
         judgment_threshold=cfg.judgment_threshold,
-        method=method,
     )
 
 
@@ -703,7 +700,7 @@ class TestForkedEvaluation:
         ref_params, ref = _reference_round(initial, vehicles, eval_set, cfg, seed, 1, 0.0, True)
         forward_pids()  # the reference's own evaluation
         assert params.flatten().tobytes() == ref_params.flatten().tobytes()
-        assert report == replace(ref, method="fl-tp")
+        assert report == ref
         pool_cfg, pool, model = pool_cell
         result = evaluate_global(model, pool, pool_cfg.norm, pool_cfg.judgment_threshold)
         assert forward_pids() == [os.getpid()] * 4
@@ -768,7 +765,7 @@ class TestCheckpoint:
         es = _eval_set([0, 4])
         p0 = ModelParams.init(4, derive_rng(15))
         new_global, rep = run_flt_round(p0, vehicles, es, **_round_kwargs())
-        blob, sidecar = save_checkpoint(tmp_path / "ck", 1, new_global, rep)
+        blob, sidecar = save_checkpoint(tmp_path / "ck", "fl-tp", new_global, rep)
         np.testing.assert_array_equal(load_params(blob).flatten(), new_global.flatten())
         meta = json.loads(sidecar.read_text())
         assert meta["round"] == 1

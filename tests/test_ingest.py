@@ -105,6 +105,20 @@ def test_non_object_line_reports_line_number(tmp_path, sample_logs, which, line)
         ingest_veremi(*args)
 
 
+@pytest.mark.parametrize("which", ["log", "ground truth"])
+def test_not_utf8_line_reports_line_number(tmp_path, sample_logs, which):
+    """A byte that is not UTF-8 in either file raises IngestError naming the
+    file and the line that holds it."""
+    log, gt = sample_logs
+    broken = tmp_path / "broken.json"
+    good = log if which == "log" else gt
+    broken.write_bytes(good.read_bytes() + b'{"sender": 1\xff}\n')
+    args = (broken, gt) if which == "log" else (log, broken)
+    lines = len(good.read_text().splitlines()) + 1
+    with pytest.raises(IngestError, match=rf"^{re.escape(str(broken))}:{lines}: not UTF-8 text "):
+        ingest_veremi(*args)
+
+
 def test_missing_field_reports_line_number(tmp_path, sample_logs):
     _, gt = sample_logs
     log = tmp_path / "nofield.json"
@@ -144,15 +158,6 @@ def test_sender_with_two_attack_codes_rejected(tmp_path):
     _write(gt, [{"sender": 5, "attackerType": 0}, {"sender": 5, "attackerType": 0}, {"sender": 5, "attackerType": 1}])
     with pytest.raises(IngestError, match=f"^{re.escape(str(gt))}:3: sender 5 has attackerType 1, but an earlier line gave 0$"):
         ingest_veremi(log, gt)
-
-
-def test_custom_code_mapping(tmp_path):
-    log = tmp_path / "log.json"
-    gt = tmp_path / "gt.json"
-    _write(log, [_bsm(101, 0.0, [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], -50.0)])
-    _write(gt, [{"sender": 101, "attackerType": 99}])
-    msgs, _ = ingest_veremi(log, gt, attacker_code_map={99: AttackerType.RANDOM})
-    assert msgs.truth_attacker.tolist() == [AttackerType.RANDOM]
 
 
 def test_unknown_record_types_skipped(tmp_path, sample_logs):

@@ -38,7 +38,6 @@ def summarize(reports):
 def _report(err=0.0, acc=0.0, loss_value=0.0):
     return RoundReport(
         round_idx=0,
-        method="fl-tp",
         mode="mre",
         prediction_error=err,
         prediction_accuracy=acc,

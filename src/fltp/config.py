@@ -253,10 +253,12 @@ def config_from_kv(kv_in: dict[str, str], profile: str | None = None) -> Experim
 
 def load_config(path: str | Path, profile: str | None = None) -> ExperimentConfig:
     """Read and resolve a config file. An empty file yields pure defaults; a
-    file that cannot be read, or is not UTF-8, raises ConfigError naming it."""
+    leading UTF-8 byte-order mark is dropped; a file that cannot be read, or
+    is not UTF-8, raises ConfigError naming it."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        # not utf-8-sig, whose error offsets would not count the mark's 3 bytes
+        text = path.read_text(encoding="utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

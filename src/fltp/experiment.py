@@ -305,7 +305,9 @@ def read_final_rows(paths: list[Path]) -> list[dict]:
     (method, penetration, n_vehicles, repeat) order, each parsed by
     ROUNDS_COLUMNS. A row lacking one of its columns or holding a value the
     column's parser refuses raises ValueError naming path:line and the
-    column; a file that is not UTF-8 raises ValueError naming the path."""
+    column, and a row with more values than the header raises ValueError
+    naming path:line; a file that is not UTF-8 raises ValueError naming the
+    path."""
     final_by_run: dict[str, dict] = {}
     for path in paths:
         try:
@@ -314,6 +316,8 @@ def read_final_rows(paths: list[Path]) -> list[dict]:
             raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
         reader = csv.DictReader(io.StringIO(content, newline=""))
         for rec in reader:
+            if (extra := rec.get(None)) is not None:  # DictReader files a long row's surplus under None
+                raise ValueError(f"{path}:{reader.line_num}: {len(extra)} more values than the header's columns")
             row = {}
             for column, parse in ROUNDS_COLUMNS.items():
                 if (text := rec.get(column)) is None:  # the header or a short row lacks the column

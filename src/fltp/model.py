@@ -139,12 +139,21 @@ class OptimizerState:
 @dataclass
 class ForwardCache:
     params: ModelParams
-    xt: np.ndarray  # (T, B, D) time-major input
+    operand: np.ndarray  # (T + 1, B, H + D + 1): step t's GEMM rows [h_{t-1} | x_t | 1]; block T holds h_{T-1}
     gates: np.ndarray  # (T, 4, B, H) activations i, f, g, o: each a contiguous (B, H) block
     cell: np.ndarray  # (T, B, H) post-update cell states
     tanh_cell: np.ndarray
-    hidden: np.ndarray  # (T, B, H)
     pred: np.ndarray  # (B, 5, 3)
+
+    @property
+    def xt(self) -> np.ndarray:
+        """(T, B, D) time-major input, a view of the operand."""
+        return self.operand[:-1, :, self.params.hidden_size : -1]
+
+    @property
+    def hidden(self) -> np.ndarray:
+        """(T, B, H) hidden states, a view of the operand."""
+        return self.operand[1:, :, : self.params.hidden_size]
 
 
 def _as_batch(windows: np.ndarray) -> np.ndarray:
@@ -157,11 +166,6 @@ def _as_batch(windows: np.ndarray) -> np.ndarray:
     if not np.isfinite(x).all():
         raise ValueError("window contains non-finite values")
     return x
-
-
-def _time_major(x: np.ndarray) -> np.ndarray:
-    """(B, T, D) -> contiguous (T, B, D)."""
-    return np.ascontiguousarray(x.transpose(1, 0, 2))
 
 
 def _scratch(pool: dict[str, np.ndarray], name: str, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
@@ -179,62 +183,56 @@ def _scratch(pool: dict[str, np.ndarray], name: str, shape: tuple[int, ...], dty
 def _lstm(
     params: ModelParams, xt: np.ndarray, keep: bool, pool: dict[str, np.ndarray] | None = None
 ) -> tuple[np.ndarray, ForwardCache | None]:
-    """The timestep loop over a time-major batch xt (T, B, D).
+    """The timestep loop over a time-major batch xt (T, B, D), which may be a
+    transposed view of a (B, T, D) batch.
 
-    With keep, every step's gates, cell, tanh(cell) and hidden state are kept
-    for backward(); without, one step's buffers are reused and no cache is
-    returned. Working arrays come from pool (see _scratch), so a returned
+    With keep, every step's gates, cell, tanh(cell) and GEMM operand are
+    kept for backward(); without, one step's buffers are reused and no cache
+    is returned. Working arrays come from pool (see _scratch), so a returned
     cache is valid until the next call on the same pool. Initial hidden and
     cell states are zero; the head reads the final hidden state only.
     Everything runs in xt's dtype; params of another dtype are cast to it,
     and the cache holds the cast copy.
 
-    Each step projects its own input, so the working set is a few (B, 4H)
-    arrays whatever T is. That GEMM runs over an even number of rows: with B
-    odd it takes one row of the next step along (of the previous step at the
-    last one). OpenBLAS's Haswell DGEMM rounds one leftover row
-    differently from rows it computes in blocks, and at B = 1 the GEMM
-    becomes a GEMV that sums in another order; with the extra row every
-    float64 projection equals that row's in one GEMM over all T·B rows, on
-    the SkylakeX, Haswell and Sandybridge kernels.
+    Each step makes one GEMM, z = [h_{t-1} | x_t | 1] @ W, where W stacks
+    w_h.T, w_x.T and b into a (H + D + 1, 4H) matrix, and writes its hidden
+    state straight into the next step's operand rows. With keep the operand
+    is one (T + 1, B, H + D + 1) block; without, two (B, H + D + 1) slots
+    alternate. Each step copies its input into its own rows.
 
     The sigmoid gates use logistic(z) = 0.5 * (1 + tanh(z / 2)), finite for
-    every finite z. A per-call copy of w_x, w_h and b has its i, f and o rows
-    halved, which halves those pre-activations exactly (outside the
-    subnormal range), so one tanh call gives all four gates of a step.
+    every finite z. W's i, f and o columns are halved, which halves those
+    pre-activations exactly (outside the subnormal range), so one tanh call
+    gives all four gates of a step.
     """
     steps, batch, _ = xt.shape
     h_size = params.hidden_size
     dtype = xt.dtype
     if params.w_x.dtype != dtype:
         params = ModelParams.view(params.flatten().astype(dtype), h_size)
-    half = np.repeat(np.array([0.5, 0.5, 1.0, 0.5], dtype), h_size)  # per gate row: i, f, g, o
-    w_x, w_h, b = params.w_x * half[:, None], params.w_h * half[:, None], params.b * half
-    kept = steps if keep else 1
     pool = {} if pool is None else pool
+    half = np.repeat(np.array([0.5, 0.5, 1.0, 0.5], dtype), h_size)  # per gate column: i, f, g, o
+    w = _scratch(pool, "w", (h_size + INPUT_DIM + 1, 4 * h_size), dtype)
+    np.multiply(params.w_h.T, half, out=w[:h_size])
+    np.multiply(params.w_x.T, half, out=w[h_size:-1])
+    np.multiply(params.b, half, out=w[-1])
+    kept = steps if keep else 1
     gates = _scratch(pool, "gates", (kept, 4, batch, h_size), dtype)
     cell = _scratch(pool, "cell", (kept, batch, h_size), dtype)
     tanh_cell = _scratch(pool, "tanh_cell", (kept, batch, h_size), dtype)
-    hidden = _scratch(pool, "hidden", (kept, batch, h_size), dtype)
+    operand = _scratch(pool, "operand", (steps + 1 if keep else 2, batch, h_size + INPUT_DIM + 1), dtype)
     z = _scratch(pool, "z", (batch, 4 * h_size), dtype)
     ig = _scratch(pool, "ig", (batch, h_size), dtype)
-    x_rows = xt.reshape(steps * batch, INPUT_DIM)
-    span = min(batch + batch % 2, steps * batch)  # rows per input projection
-    zx_rows = _scratch(pool, "zx", (span, 4 * h_size), dtype)
+    operand[0, :, :h_size] = 0.0  # h = 0
+    operand[:, :, -1] = 1.0
 
     z_gates = z.reshape(batch, 4, h_size).transpose(1, 0, 2)  # (4, B, H) view of z
     for t in range(steps):
         k = t if keep else 0
         prev = k - 1 if keep else 0
-        lo = min(t * batch, steps * batch - span)
-        np.matmul(x_rows[lo : lo + span], w_x.T, out=zx_rows)
-        zx = zx_rows[t * batch - lo :][:batch]  # step t's rows
-        if t == 0:  # h = 0: no recurrent term
-            np.add(zx, b, out=z)
-        else:
-            np.matmul(hidden[prev], w_h.T, out=z)
-            z += zx
-            z += b
+        rows = operand[t if keep else t % 2]
+        rows[:, h_size:-1] = xt[t]
+        np.matmul(rows, w, out=z)
         gate = gates[k]
         np.tanh(z_gates, out=gate)
         for sigmoid in (gate[:2], gate[3]):  # i, f and o: tanh(z / 2) -> logistic(z)
@@ -249,17 +247,18 @@ def _lstm(
             np.multiply(i, g, out=ig)
             c += ig
         np.tanh(c, out=tanh_cell[k])
-        np.multiply(o, tanh_cell[k], out=hidden[k])
+        h = operand[t + 1 if keep else 1 - t % 2, :, :h_size]  # the next step's rows
+        np.multiply(o, tanh_cell[k], out=h)
 
-    pred = (hidden[-1] @ params.w_head.T + params.b_head).reshape(batch, WINDOW_LABEL_STEPS, LABEL_DIM)
-    cache = ForwardCache(params, xt, gates, cell, tanh_cell, hidden, pred) if keep else None
+    pred = (h @ params.w_head.T + params.b_head).reshape(batch, WINDOW_LABEL_STEPS, LABEL_DIM)
+    cache = ForwardCache(params, operand, gates, cell, tanh_cell, pred) if keep else None
     return pred, cache
 
 
 def forward_cached(params: ModelParams, window: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """The LSTM's (B, 5, 3) prediction for a non-empty (B, 10, 9) batch of
     windows, plus the activation cache consumed by backward()."""
-    return _lstm(params, _time_major(_as_batch(window)), keep=True)
+    return _lstm(params, _as_batch(window).transpose(1, 0, 2), keep=True)
 
 
 def forward(params: ModelParams, window: np.ndarray) -> np.ndarray:
@@ -275,7 +274,7 @@ def forward(params: ModelParams, window: np.ndarray) -> np.ndarray:
     pool: dict[str, np.ndarray] = {}
 
     def chunk(start: int) -> np.ndarray:
-        return _lstm(params, _time_major(x[start : start + PREDICT_CHUNK]), keep=False, pool=pool)[0]
+        return _lstm(params, x[start : start + PREDICT_CHUNK].transpose(1, 0, 2), keep=False, pool=pool)[0]
 
     chunks = fork_map(chunk, range(0, x.shape[0], PREDICT_CHUNK))
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
@@ -300,18 +299,22 @@ def backward(cache: ForwardCache, labels: np.ndarray, out: np.ndarray | None = N
     """Gradient of loss() against (B, 5, 3) labels w.r.t. the flattened
     parameters, via backprop through time over the cached activations, in
     the cache's dtype. Written into out (a flat vector of flat_length(H)
-    values of that dtype) when given, else into a new array."""
+    values of that dtype) when given, else into a new array.
+
+    Each step adds one operand[t].T @ d_z to a (H + D + 1, 4H) gradient of
+    the stacked W (see _lstm), whose w_h, w_x and b blocks are copied out
+    at the end."""
     params = cache.params
-    dtype = cache.xt.dtype
+    operand = cache.operand
+    dtype = operand.dtype
     y = np.asarray(labels, dtype=dtype)
-    steps, batch = cache.xt.shape[0], cache.xt.shape[1]
+    steps, batch = operand.shape[0] - 1, operand.shape[1]
     h_size = params.hidden_size
     if y.shape != cache.pred.shape:
         raise ValueError(f"label shape {y.shape} does not match cached prediction {cache.pred.shape}")
     if out is not None and out.dtype != dtype:
         raise ValueError(f"gradient buffer is {out.dtype}, the cache computes in {dtype}")
     grad = np.empty(flat_length(h_size), dtype) if out is None else out
-    grad.fill(0.0)
     g_params = ModelParams.view(grad, h_size)
 
     d_pred = (2.0 / batch) * (cache.pred - y).reshape(batch, OUTPUT_DIM)
@@ -319,6 +322,7 @@ def backward(cache: ForwardCache, labels: np.ndarray, out: np.ndarray | None = N
     np.sum(d_pred, axis=0, out=g_params.b_head)
     d_h = d_pred @ params.w_head
 
+    d_w = np.zeros((operand.shape[2], 4 * h_size), dtype)
     d_c = np.zeros((batch, h_size), dtype)
     d_z = np.empty((batch, 4 * h_size), dtype)
     d_i, d_f, d_g, d_o = (d_z[:, k * h_size : (k + 1) * h_size] for k in range(4))
@@ -335,13 +339,14 @@ def backward(cache: ForwardCache, labels: np.ndarray, out: np.ndarray | None = N
             d_f[...] = d_c * cache.cell[t - 1] * f * (1.0 - f)
         else:  # c_prev = 0
             d_f.fill(0.0)
-        g_params.w_x += d_z.T @ cache.xt[t]
-        g_params.b += d_z.sum(axis=0)
+        d_w += operand[t].T @ d_z
         if t > 0:  # h_prev = 0 at t = 0, and d_h, d_c are not needed after it
-            g_params.w_h += d_z.T @ cache.hidden[t - 1]
             d_h = d_z @ params.w_h
             d_c *= f
 
+    g_params.w_h[...] = d_w[:h_size].T
+    g_params.w_x[...] = d_w[h_size:-1].T
+    g_params.b[...] = d_w[-1]
     return grad
 
 
@@ -398,7 +403,6 @@ def train_local(
     weights = theta if x.dtype == theta.dtype else np.empty(theta.shape, x.dtype)
     batch_params = ModelParams.view(weights, h_size)
     grad = np.empty_like(weights)
-    xt = _time_major(x)
     pool: dict[str, np.ndarray] = {}
     n = x.shape[0]
     for _ in range(episodes):
@@ -407,7 +411,7 @@ def train_local(
             idx = order[start : start + batch_size]
             if weights is not theta:
                 np.copyto(weights, theta)
-            backward(_lstm(batch_params, xt[:, idx], keep=True, pool=pool)[1], y[idx], out=grad)
+            backward(_lstm(batch_params, x[idx].transpose(1, 0, 2), keep=True, pool=pool)[1], y[idx], out=grad)
             velocity *= momentum
             velocity += grad
             np.multiply(velocity, learning_rate, out=step)

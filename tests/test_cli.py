@@ -88,6 +88,16 @@ class TestRun:
         assert len(errors) == 1 and errors[0].startswith(f"error: config {path}: not UTF-8 text ")
         assert not out.exists()
 
+    def test_config_with_byte_order_mark_runs(self, tiny_config, tmp_path):
+        """A config saved with a UTF-8 byte-order mark runs, and writes the
+        bytes of the same config without it."""
+        bom_config = tmp_path / "bom.cfg"
+        bom_config.write_bytes(b"\xef\xbb\xbf" + tiny_config.read_bytes())
+        outs = [tmp_path / "plain", tmp_path / "bom"]
+        for config, out in zip((tiny_config, bom_config), outs):
+            assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        assert (outs[0] / "summary.csv").read_bytes() == (outs[1] / "summary.csv").read_bytes()
+
     def test_bad_config_key_is_error(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("warp_speed = 9\n", encoding="utf-8")

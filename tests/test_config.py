@@ -478,6 +478,16 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=f"^config {re.escape(str(path))}: not UTF-8 text "):
             load_config(path)
 
+    def test_byte_order_mark_dropped(self, tmp_path):
+        """A UTF-8 byte-order mark is not part of the first key, and a byte
+        that is not UTF-8 is named by its offset in the file."""
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbfrepeats = 2\n")
+        assert load_config(path) == config_from_kv({"repeats": "2"})
+        path.write_bytes(b"\xef\xbb\xbfrepeats = 2\n\xff\n")
+        with pytest.raises(ConfigError, match=r"not UTF-8 text \(invalid start byte at byte 15\)$"):
+            load_config(path)
+
     def test_error_names_file_and_line(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("repeats = 2\nbroken line\n", encoding="utf-8")

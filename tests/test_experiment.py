@@ -580,6 +580,7 @@ MALFORMED_ROUNDS = {
     "truncated row": ([*GOOD_ROUNDS[:2], GOOD_ROUNDS[2][:24]], ":3: column 'penetration': no value"),
     "bad number": ([*GOOD_ROUNDS[:2], GOOD_ROUNDS[2].replace("1.25", "abc")], ":3: column 'pred_error_m': cannot read 'abc'"),
     "bad loss": ([*GOOD_ROUNDS[:2], GOOD_ROUNDS[2].replace("0.05", "low")], ":3: column 'loss': cannot read 'low'"),
+    "long row": ([*GOOD_ROUNDS[:2], GOOD_ROUNDS[2] + ",9,9"], ":3: 2 more values than the header's columns"),
 }
 
 
@@ -635,7 +636,8 @@ def test_rounds_file_round_trips_every_column(tmp_path):
 @pytest.mark.parametrize("case", MALFORMED_ROUNDS)
 def test_malformed_rounds_file_named(tmp_path, case):
     """A missing column, a short row or a value that does not parse raises
-    ValueError naming the file, the line and the column."""
+    ValueError naming the file, the line and the column; a long row names
+    the file and the line."""
     lines, where = MALFORMED_ROUNDS[case]
     path = tmp_path / "rounds_x.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -655,13 +657,13 @@ def test_rounds_file_not_utf8_named(tmp_path):
 # kernels with one BLAS thread; other kernels round differently, so the sweep
 # runs in a subprocess that pins them (any x86-64 CPU with AVX2 runs them).
 DESK_FINGERPRINT = {
-    "summary.csv": "865d1b6e1deb390a399da3e196961b20033dc387431d9e828f0ef1d34dc0abdd",
-    "rounds_centralized_p0.75_v4_rep0.csv": "8c6f07b4d9ccbd85342a2be52e43258195bf8e0436a2629d872cd99828107232",
-    "rounds_centralized_p0.75_v4_rep1.csv": "e139625246d91cb9f274373d01eb7f2aa00940e168af418ea5c0040f08597764",
-    "rounds_fed-avg_p0.75_v4_rep0.csv": "7c9103a8750a496a9b4a5426f6438747eef4c4b26ce2eece08bff31503b8665e",
-    "rounds_fed-avg_p0.75_v4_rep1.csv": "98ddd91c2c7b1f7addacf6967997e836b3532e75fcd2d98614366bbcc47be2c7",
-    "rounds_fl-tp_p0.75_v4_rep0.csv": "499b359ccc9453f3af5b3cd481cc8a3b9d56e986a059779dc4a9c9e295be8e32",
-    "rounds_fl-tp_p0.75_v4_rep1.csv": "11441f5032fb469a99f81809ce331dfdee429ceb3ace3159b47599f2f357c981",
+    "summary.csv": "25dded2b911881cc58f9b871b890160a5ffa7bdbf0cbfab90ae4e741502a66dc",
+    "rounds_centralized_p0.75_v4_rep0.csv": "49392703f4f8961e57220756e4a14aa7431c7150d3be6bc7462dc24082da892c",
+    "rounds_centralized_p0.75_v4_rep1.csv": "84ba19357e01350960aa254ce0146a618fd5e1d7aff523097df19edb49458d9b",
+    "rounds_fed-avg_p0.75_v4_rep0.csv": "328fe483704087c28393424b4d4ffb286c7a1cebe8d3ca62833a395d7a81e22e",
+    "rounds_fed-avg_p0.75_v4_rep1.csv": "e9f378cd1db1ba14e4e274f7c1a12be159a6d9edef7e2a15d2dd7ed49ec7b79c",
+    "rounds_fl-tp_p0.75_v4_rep0.csv": "3b8e21c846ea0756e66eec45c81fb2c254310835b1ef1e0b8fd7f370cecd4146",
+    "rounds_fl-tp_p0.75_v4_rep1.csv": "0ca4a4a0bdf71be45dbc693a8f0b594a6cb4dd0efd3dc7db49cac2eb8f6aeb62",
 }
 
 #: the environment the fingerprint sweep runs under; under the Haswell

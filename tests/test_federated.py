@@ -655,7 +655,7 @@ class TestForkedEvaluation:
         assert multiprocessing.active_children() == []
 
         parent = os.getpid()
-        chunk_1 = fltp.model._time_major(full.features[PREDICT_CHUNK : 2 * PREDICT_CHUNK])
+        chunk_1 = full.features[PREDICT_CHUNK : 2 * PREDICT_CHUNK].transpose(1, 0, 2)  # as forward passes it
         spied = fltp.model._lstm
 
         def chunk_1_fails(params, xt, *args, **kwargs):

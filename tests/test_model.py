@@ -247,90 +247,140 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
+def _cast(params: ModelParams, dtype: np.dtype) -> ModelParams:
+    return params if params.w_x.dtype == dtype else ModelParams.view(params.flatten().astype(dtype), params.hidden_size)
+
+
+def _operand(xt: np.ndarray, hidden: np.ndarray) -> np.ndarray:
+    """The (T + 1, B, H + D + 1) rows [h_{t-1} | x_t | 1] of T steps."""
+    steps, batch, _ = xt.shape
+    h_size = hidden.shape[2]
+    operand = np.zeros((steps + 1, batch, h_size + INPUT_DIM + 1), xt.dtype)
+    operand[1:, :, :h_size] = hidden
+    operand[:steps, :, h_size:-1] = xt
+    operand[:, :, -1] = 1.0
+    return operand
+
+
+def one_gemm_lstm(params: ModelParams, xt: np.ndarray, keep: bool):
+    """The step loop as one GEMM per step, [h_{t-1} | x_t | 1] @ W with the
+    unhalved W = [w_h.T; w_x.T; b], and one activation call per gate: the
+    values _lstm computes with W's i, f and o columns halved."""
+    steps, batch, _ = xt.shape
+    params = _cast(params, xt.dtype)
+    h_size = params.hidden_size
+    w = np.ascontiguousarray(np.concatenate([params.w_h.T, params.w_x.T, params.b[None]]))  # row-major, as _lstm's
+    operand = _operand(xt, np.zeros((steps, batch, h_size), xt.dtype))
+    gates = np.empty((steps, 4, batch, h_size), xt.dtype)
+    cell = np.empty((steps, batch, h_size), xt.dtype)
+    tanh_cell = np.empty((steps, batch, h_size), xt.dtype)
+    for t in range(steps):
+        z = (operand[t] @ w).reshape(batch, 4, h_size).transpose(1, 0, 2)
+        gate = gates[t]
+        _sigmoid(z[:2], out=gate[:2])
+        np.tanh(z[2], out=gate[2])
+        _sigmoid(z[3], out=gate[3])
+        i, f, g, o = gate
+        cell[t] = i * g if t == 0 else f * cell[t - 1] + i * g
+        np.tanh(cell[t], out=tanh_cell[t])
+        np.multiply(o, tanh_cell[t], out=operand[t + 1, :, :h_size])
+    pred = (operand[-1, :, :h_size] @ params.w_head.T + params.b_head).reshape(batch, 5, 3)
+    return pred, ForwardCache(params, operand, gates, cell, tanh_cell, pred) if keep else None
+
+
 def stacked_lstm(params: ModelParams, xt: np.ndarray, keep: bool):
     """The step loop with the input projection of all T steps in one GEMM
-    up front and one activation call per gate: the layout _lstm computes
-    the same values as, with a (T, B, 4H) projection buffer."""
+    up front, the recurrent and input terms in separate GEMMs, and one
+    activation call per gate."""
     steps, batch, _ = xt.shape
+    params = _cast(params, xt.dtype)
     h_size = params.hidden_size
     dtype = xt.dtype
-    if params.w_x.dtype != dtype:
-        params = ModelParams.view(params.flatten().astype(dtype), h_size)
-    kept = steps if keep else 1
-    gates = np.empty((kept, 4, batch, h_size), dtype)
-    cell = np.empty((kept, batch, h_size), dtype)
-    tanh_cell = np.empty((kept, batch, h_size), dtype)
-    hidden = np.empty((kept, batch, h_size), dtype)
+    gates = np.empty((steps, 4, batch, h_size), dtype)
+    cell = np.empty((steps, batch, h_size), dtype)
+    tanh_cell = np.empty((steps, batch, h_size), dtype)
+    hidden = np.empty((steps, batch, h_size), dtype)
     z = np.empty((batch, 4 * h_size), dtype)
     ig = np.empty((batch, h_size), dtype)
     zx = (xt.reshape(steps * batch, INPUT_DIM) @ params.w_x.T).reshape(steps, batch, 4 * h_size)
     z_gates = z.reshape(batch, 4, h_size).transpose(1, 0, 2)
     for t in range(steps):
-        k = t if keep else 0
-        prev = k - 1 if keep else 0
         if t == 0:
             np.add(zx[0], params.b, out=z)
         else:
-            np.matmul(hidden[prev], params.w_h.T, out=z)
+            np.matmul(hidden[t - 1], params.w_h.T, out=z)
             z += zx[t]
             z += params.b
-        gate = gates[k]
+        gate = gates[t]
         _sigmoid(z_gates[:2], out=gate[:2])
         np.tanh(z_gates[2], out=gate[2])
         _sigmoid(z_gates[3], out=gate[3])
         i, f, g, o = gate
-        c = cell[k]
+        c = cell[t]
         if t == 0:
             np.multiply(i, g, out=c)
         else:
-            np.multiply(f, cell[prev], out=c)
+            np.multiply(f, cell[t - 1], out=c)
             np.multiply(i, g, out=ig)
             c += ig
-        np.tanh(c, out=tanh_cell[k])
-        np.multiply(o, tanh_cell[k], out=hidden[k])
+        np.tanh(c, out=tanh_cell[t])
+        np.multiply(o, tanh_cell[t], out=hidden[t])
     pred = (hidden[-1] @ params.w_head.T + params.b_head).reshape(batch, 5, 3)
-    return pred, ForwardCache(params, xt, gates, cell, tanh_cell, hidden, pred) if keep else None
+    return pred, ForwardCache(params, _operand(xt, hidden), gates, cell, tanh_cell, pred) if keep else None
 
 
-class TestMatchesStackedLoop:
-    """_lstm against stacked_lstm: the prediction, the cached gates, cell,
-    tanh(cell) and hidden states, and backward's gradient.
+def _loop_inputs(dtype, hidden, batch):
+    params = ModelParams.init(hidden, derive_rng(700, hidden, batch))
+    rng = derive_rng(701, hidden, batch)
+    xt = rng.uniform(-1.0, 1.0, size=(10, batch, INPUT_DIM)).astype(dtype)
+    y = rng.uniform(0.0, 1.0, size=(batch, 5, 3)).astype(dtype)
+    return params, xt, y
 
-    float64 is bit-equal under OpenBLAS's SkylakeX, Haswell and Sandybridge
-    kernels, B = 1 and odd B included: each step's projection GEMM runs over
-    an even number of rows, which keeps it off the one-row edge kernel and
-    the M = 1 GEMV path. float32 is bit-equal under SkylakeX and
-    Sandybridge; Haswell's SGEMM rounds the per-step products differently,
-    so float32 is compared within 1e-5 of each entry and of the array's
-    largest entry (float32's unit roundoff is 6e-8)."""
+
+def _compare_loops(check, params, xt, y, keep, reference):
+    """_lstm against a reference loop: the prediction, the cached gates,
+    cell, tanh(cell), inputs and hidden states, and backward's gradient."""
+    got_pred, got = _lstm(params, xt, keep)
+    expected_pred, expected = reference(params, xt, keep)
+    check(got_pred, expected_pred)
+    if not keep:
+        assert got is None
+        return
+    np.testing.assert_array_equal(got.params.flatten(), expected.params.flatten())  # unhalved
+    np.testing.assert_array_equal(got.xt, xt)
+    for field in ("gates", "cell", "tanh_cell", "hidden"):
+        check(getattr(got, field), getattr(expected, field))
+    check(backward(got, y), backward(expected, y))
+
+
+class TestMatchesReferenceLoops:
+    """_lstm against two in-test loops.
+
+    one_gemm_lstm makes the same GEMM per step on an unhalved W. Both
+    dtypes are bit-equal to it under OpenBLAS's SkylakeX, Haswell and
+    Sandybridge kernels, B = 1 and odd B included: the GEMMs have the same
+    shapes and layouts, and halving a column scales each of its products
+    and sums exactly.
+
+    stacked_lstm is the all-steps input projection with separate recurrent
+    GEMMs and bias adds, which sums in another order: a float64 oracle
+    within 1e-12 of each array's largest entry."""
 
     @pytest.mark.parametrize("keep", [True, False])
     @pytest.mark.parametrize("batch", [1, 2, 3, 120, 128, 130, 512, 1027])
     @pytest.mark.parametrize("hidden", [6, 32, 64])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_equals_stacked_loop(self, dtype, hidden, batch, keep):
-        params = ModelParams.init(hidden, derive_rng(700, hidden, batch))
-        rng = derive_rng(701, hidden, batch)
-        xt = rng.uniform(-1.0, 1.0, size=(10, batch, INPUT_DIM)).astype(dtype)
-        y = rng.uniform(0.0, 1.0, size=(batch, 5, 3)).astype(dtype)
-        if dtype == np.float64:
-            check = np.testing.assert_array_equal
-        else:
-            def check(got, expected):
-                # entries near zero come from cancellation: their error is
-                # relative to the array's largest entry, not their own
-                np.testing.assert_allclose(got, expected, rtol=1e-5, atol=1e-5 * np.abs(expected).max())
+    def test_equals_one_gemm_loop(self, dtype, hidden, batch, keep):
+        _compare_loops(np.testing.assert_array_equal, *_loop_inputs(dtype, hidden, batch), keep, one_gemm_lstm)
 
-        got_pred, got = _lstm(params, xt, keep)
-        expected_pred, expected = stacked_lstm(params, xt, keep)
-        check(got_pred, expected_pred)
-        if not keep:
-            assert got is None
-            return
-        np.testing.assert_array_equal(got.params.flatten(), expected.params.flatten())  # unhalved
-        for field in ("gates", "cell", "tanh_cell", "hidden"):
-            check(getattr(got, field), getattr(expected, field))
-        check(backward(got, y), backward(expected, y))
+    @pytest.mark.parametrize("keep", [True, False])
+    @pytest.mark.parametrize("batch", [1, 2, 3, 120, 128, 130, 512, 1027])
+    @pytest.mark.parametrize("hidden", [6, 32, 64])
+    def test_near_stacked_loop(self, hidden, batch, keep):
+        def check(got, expected):
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+        _compare_loops(check, *_loop_inputs(np.float64, hidden, batch), keep, stacked_lstm)
 
 
 class TestLoss:
